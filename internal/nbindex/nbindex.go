@@ -567,14 +567,20 @@ func (s *Session) SetBatchUpdates(on bool) { s.batchUpdates = on }
 
 // QueryStats describes the work one TopK call performed.
 type QueryStats struct {
-	PQPops         int
+	PQPops int
+	// VerifiedLeaves counts candidate verifications, including the memoized
+	// re-verifications of a graph already verified earlier in the call
+	// (see NeighborMemo).
 	VerifiedLeaves int
+	// CandidateScans counts the vantage candidates returned by the scans
+	// actually issued; a memoized re-verification scans nothing.
 	CandidateScans int
 	// ExactDistances counts threshold tests resolved by a full distance
 	// computation (or an exact cached value); PrunedDistances counts tests
 	// the bounded kernel resolved from a cheaper bound — a cascade stage or
 	// a memoized interval — without completing the exact solve. Their sum is
-	// the number of candidate threshold tests issued.
+	// the number of candidate threshold tests actually issued: a graph's
+	// candidates are tested at its first verification in the call only.
 	ExactDistances  int
 	PrunedDistances int
 }
@@ -635,25 +641,16 @@ func (ix *Index) newSession(ctx context.Context, q core.Relevance, grid []float6
 		}
 	}
 	// π̂-vectors: one vantage scan per relevant graph at the largest indexed
-	// threshold; each candidate's vantage lower bound assigns it to every
-	// grid slot it belongs to. Rows are independent and each lands in its own
-	// piHat slot, so the scans run on the worker pool without affecting the
-	// result.
+	// threshold, over the relevant graphs' rows only; each candidate's vantage
+	// lower bound assigns it to every grid slot it belongs to. Rows are
+	// independent and each lands in its own piHat slot, so the scans run on
+	// the worker pool without affecting the result.
 	s.piHat = make([][]int32, f.Len())
 	if len(grid) > 0 && len(s.rel) > 0 {
-		thetaMax := grid[len(grid)-1]
-		isRel := func(id graph.ID) bool { return s.relPos[id] >= 0 }
+		views := []*vantage.Subset{ix.vo.Subset(s.rel)}
 		err := pool.Ranges(ctx, len(s.rel), ix.workers, 16, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				id := s.rel[i]
-				row := make([]int32, len(grid))
-				for _, c := range ix.vo.CandidatesWithLB(id, thetaMax, isRel) {
-					slot := sort.SearchFloat64s(grid, c.LB)
-					for t := slot; t < len(grid); t++ {
-						row[t]++
-					}
-				}
-				s.piHat[ix.LeafIdx(id)] = row
+				s.piHat[ix.LeafIdx(s.rel[i])] = PiHatRow(grid, views[0].Coords(int32(i)), views)
 			}
 		})
 		if err != nil {
@@ -771,10 +768,11 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 
 	covered := bitset.New(len(s.rel))
 	inAnswer := make([]bool, len(s.rel))
-	includeUncovered := func(id graph.ID) bool {
-		p := s.relPos[id]
-		return p >= 0 && !covered.Contains(p)
-	}
+	// The relevant graphs' vantage rows, copied once per call so every first
+	// verification scans L_q only; later verifications of the same graph come
+	// from the memo.
+	view := ix.vo.Subset(s.rel)
+	memo := NewNeighborMemo(ix.m, s.rel, theta, covered, &st)
 
 	// applyCredit records that relevant graph id became covered: one credit
 	// at its highest diameter ≤ θ ancestor, with F recomputed upward.
@@ -811,7 +809,7 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 			return nil, err
 		}
 		best, bestGain := graph.ID(-1), int32(0)
-		var bestNbrs []int // relevant positions newly covered by best
+		var bestNbrs []int32 // relevant positions newly covered by best
 		pq := &entryHeap{}
 		if b := currentBound(0); b > 0 {
 			pq.push(entry{bound: b, node: 0})
@@ -848,7 +846,14 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 				if p < 0 || inAnswer[p] {
 					continue
 				}
-				gain, nbrs := s.verify(cent, theta, includeUncovered, &st)
+				nbrs := memo.Verify(int32(p), func() []int32 {
+					var cands []int32
+					view.Scan(view.Coords(int32(p)), theta, covered, func(key int32, _ float64) {
+						cands = append(cands, key)
+					})
+					return cands
+				})
+				gain := int32(len(nbrs))
 				if gain > bestGain || (gain == bestGain && gain > 0 && cent < best) {
 					best, bestGain, bestNbrs = cent, gain, nbrs
 				}
@@ -868,7 +873,7 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 		res.Answer = append(res.Answer, best)
 		res.Gains = append(res.Gains, int(bestGain))
 		for _, p := range bestNbrs {
-			covered.Add(p)
+			covered.Add(int(p))
 			if s.batchUpdates {
 				applyCredit(s.rel[p])
 			}
@@ -880,33 +885,108 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 	return res, nil
 }
 
-// verify computes the exact marginal gain of graph g at threshold theta:
-// vantage candidates restricted to uncovered relevant graphs, then threshold
-// tests only for those (Alg. 2 lines 8–11). Each test goes through
-// metric.Decide, so a bounded metric can prune it with a cheap bound instead
-// of a full distance computation — the decision is exactly d ≤ θ either way,
-// which is why answers do not depend on the kernel. It returns the gain and
-// the relevant positions that would become covered. Work is tallied into st,
-// the calling TopK's local stats.
-func (s *Session) verify(g graph.ID, theta float64, include func(graph.ID) bool, st *QueryStats) (int32, []int) {
-	st.VerifiedLeaves++
-	var nbrs []int
-	for _, id := range s.ix.vo.Candidates(g, theta, include) {
-		st.CandidateScans++
-		if id != g {
-			leq, pruned := metric.Decide(s.ix.m, g, id, theta)
+// PiHatRow returns the π̂-vector (Definition 6) of the query point q — a
+// relevant graph's embedding coordinates — from one scan of each subset at
+// the grid's largest threshold: slot t counts the relevant graphs whose
+// vantage lower bound is ≤ grid[t], an upper bound on |N_grid[t](g) ∩ L_q|
+// by Theorem 5. Passing every shard's subset yields the global row.
+func PiHatRow(grid, q []float64, subsets []*vantage.Subset) []int32 {
+	row := make([]int32, len(grid))
+	count := func(_ int32, lb float64) {
+		if slot := sort.SearchFloat64s(grid, lb); slot < len(row) {
+			row[slot]++
+		}
+	}
+	for _, sub := range subsets {
+		sub.Scan(q, grid[len(grid)-1], nil, count)
+	}
+	for t := 1; t < len(row); t++ {
+		row[t] += row[t-1]
+	}
+	return row
+}
+
+// NeighborMemo is one TopK call's record of verified θ-neighborhoods. The
+// first time the call verifies relevant graph rel[pos], the memo keeps the
+// rel positions of its uncovered θ-neighbors. Coverage only grows during a
+// call, so that list stays a superset of the graph's uncovered neighborhood
+// at every later pick, and re-verifying the graph is a filter of the list
+// against the covered set: no vantage scan and no threshold test. A memo
+// lives in one call's locals, never on a Session, so concurrent TopK calls
+// on one session stay independent.
+//
+// A list keeps the backing array its scan returned, so until the call
+// returns its memo holds 4 bytes per candidate scanned (the call's
+// CandidateScans), up to twice that where the scan grew its slice by
+// appending, plus a 24-byte slice header per relevant graph.
+type NeighborMemo struct {
+	m       metric.Metric
+	rel     []graph.ID
+	theta   float64
+	covered *bitset.Set
+	st      *QueryStats
+	// lists[pos] is rel[pos]'s memoized neighbor list once known has pos.
+	lists [][]int32
+	known *bitset.Set
+}
+
+// NewNeighborMemo returns an empty memo for one call at threshold theta over
+// the relevant set rel, whose coverage the call tracks in covered (indexed
+// by rel position). Work is tallied into st, the call's local stats.
+func NewNeighborMemo(m metric.Metric, rel []graph.ID, theta float64, covered *bitset.Set, st *QueryStats) *NeighborMemo {
+	return &NeighborMemo{
+		m: m, rel: rel, theta: theta, covered: covered, st: st,
+		lists: make([][]int32, len(rel)),
+		known: bitset.New(len(rel)),
+	}
+}
+
+// Known reports whether rel[pos] has been verified during the call.
+func (nm *NeighborMemo) Known(pos int32) bool { return nm.known.Contains(int(pos)) }
+
+// Verify computes the exact marginal gain of rel[pos] at the memo's
+// threshold: it returns the rel positions picking the graph would newly
+// cover (pos itself included while uncovered), whose count is the gain. A
+// memoized graph's list is filtered in place. Otherwise scan supplies the
+// uncovered relevant candidates of N̂_θ(rel[pos]) (Theorem 5), and each is
+// threshold-tested (Alg. 2 lines 8–11) through metric.Decide, so a bounded
+// metric can prune a test with a cheap bound instead of a full distance
+// computation — the decision is exactly d ≤ θ either way, which is why
+// answers do not depend on the kernel. The returned slice is the memo's
+// own; callers must not modify it.
+func (nm *NeighborMemo) Verify(pos int32, scan func() []int32) []int32 {
+	nm.st.VerifiedLeaves++
+	if nm.Known(pos) {
+		kept := nm.lists[pos][:0]
+		for _, p := range nm.lists[pos] {
+			if !nm.covered.Contains(int(p)) {
+				kept = append(kept, p)
+			}
+		}
+		nm.lists[pos] = kept
+		return kept
+	}
+	g := nm.rel[pos]
+	cands := scan()
+	kept := cands[:0]
+	for _, key := range cands {
+		nm.st.CandidateScans++
+		if key != pos {
+			leq, pruned := metric.Decide(nm.m, g, nm.rel[key], nm.theta)
 			if pruned {
-				st.PrunedDistances++
+				nm.st.PrunedDistances++
 			} else {
-				st.ExactDistances++
+				nm.st.ExactDistances++
 			}
 			if !leq {
 				continue
 			}
 		}
-		nbrs = append(nbrs, s.relPos[id])
+		kept = append(kept, key)
 	}
-	return int32(len(nbrs)), nbrs
+	nm.lists[pos] = kept
+	nm.known.Add(int(pos))
+	return kept
 }
 
 // entry is a PQ element: a flat NB-Tree node index with its gain upper bound.

@@ -40,11 +40,11 @@ func NewTelemetry(r *telemetry.Registry) (*Telemetry, error) {
 		return nil, err
 	}
 	if t.VerifiedLeaves, err = r.NewHistogram("graphrep_nbindex_verified_leaves",
-		"Leaves exactly verified per TopK call (candidates surviving the bound pruning).", workBuckets); err != nil {
+		"Leaves exactly verified per TopK call (candidates surviving the bound pruning), memoized re-verifications included.", workBuckets); err != nil {
 		return nil, err
 	}
 	if t.CandidateScans, err = r.NewHistogram("graphrep_nbindex_candidate_scans",
-		"Vantage candidates scanned per TopK call (Theorem 5 candidate set sizes).", workBuckets); err != nil {
+		"Vantage candidates scanned per TopK call (Theorem 5 candidate set sizes), counted at each graph's first verification only.", workBuckets); err != nil {
 		return nil, err
 	}
 	if t.ExactDistances, err = r.NewHistogram("graphrep_nbindex_exact_distances",

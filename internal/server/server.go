@@ -72,6 +72,11 @@ type Options struct {
 // answer; recorded so the error counter distinguishes it from timeouts.
 const statusClientClosedRequest = 499
 
+// maxBodyBytes caps a POST request body. The largest legitimate bodies are
+// /insert graphs of a few thousand edges, far below it; anything longer is
+// answered 413 before it is buffered.
+const maxBodyBytes = 1 << 20
+
 // Server serves one engine. Sessions are cached per relevance spec so that
 // repeated queries (the interactive refinement pattern) hit the fast path.
 // Create at most one Server per engine: the HTTP metrics register on the
@@ -569,9 +574,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return false
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}

@@ -268,6 +268,42 @@ func TestInsertEndpoint(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap holds every POST body to maxBodyBytes: an oversized
+// /query or /insert body is answered 413 without touching the engine, while
+// a body just under the cap is decoded as usual.
+func TestRequestBodyCap(t *testing.T) {
+	ts, db := testServer(t)
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	query := func(pad int) string {
+		return `{"relevance":{"kind":"quartile"},"theta":5,` + strings.Repeat(" ", pad) + `"k":3}`
+	}
+	if code := post("/query", query(maxBodyBytes/2)); code != http.StatusOK {
+		t.Errorf("/query under the cap: status %d, want 200", code)
+	}
+	if code := post("/query", query(maxBodyBytes)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("/query over the cap: status %d, want 413", code)
+	}
+	before := db.Len()
+	labels := strings.Repeat("1,", maxBodyBytes/2) + "1"
+	insert := fmt.Sprintf(`{"labels":[%s],"edges":[],"features":[%s]}`,
+		labels, strings.TrimSuffix(strings.Repeat("0,", db.FeatureDim()), ","))
+	if code := post("/insert", insert); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("/insert over the cap: status %d, want 413", code)
+	}
+	if db.Len() != before {
+		t.Errorf("oversized insert grew the database: %d graphs, want %d", db.Len(), before)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := testServer(t)
 	// Generate some traffic first so the per-endpoint counters exist.

@@ -10,10 +10,10 @@ import (
 	"graphrep/internal/bitset"
 	"graphrep/internal/core"
 	"graphrep/internal/graph"
-	"graphrep/internal/metric"
 	"graphrep/internal/nbindex"
 	"graphrep/internal/nbtree"
 	"graphrep/internal/pool"
+	"graphrep/internal/vantage"
 )
 
 // QuerySession is the query-time surface shared by the single-shard session
@@ -95,28 +95,18 @@ func newCoordSession(ctx context.Context, set *Set, q core.Relevance) (*coordSes
 		s.piHat[p] = make([][]int32, part.Flat().Len())
 	}
 	// Global π̂ rows: one coordinate row per relevant graph, scanned against
-	// every shard. Each shard scan covers a disjoint ID range, so the summed
-	// row equals the unsharded single-scan row exactly (same candidates, same
-	// vantage lower bounds, hence the same grid slots). Rows are independent
-	// and each lands in its own piHat slot, so the scans run on the worker
-	// pool without affecting the result.
+	// every shard's relevant rows. Each shard scan covers a disjoint ID range,
+	// so the summed row equals the unsharded single-scan row exactly (same
+	// candidates, same vantage lower bounds, hence the same grid slots). Rows
+	// are independent and each lands in its own piHat slot, so the scans run
+	// on the worker pool without affecting the result.
 	if len(s.grid) > 0 && len(s.rel) > 0 {
-		thetaMax := s.grid[len(s.grid)-1]
-		isRel := func(id graph.ID) bool { return s.relPos[id] >= 0 }
+		views := s.subsets()
 		err := pool.Ranges(ctx, len(s.rel), set.workers, 16, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				id := s.rel[i]
 				home := set.PartFor(id)
-				coords := set.parts[home].VO().Coords(id)
-				row := make([]int32, len(s.grid))
-				for _, part := range set.parts {
-					for _, c := range part.VO().CandidatesWithLBCoords(coords, thetaMax, isRel) {
-						slot := sort.SearchFloat64s(s.grid, c.LB)
-						for t := slot; t < len(s.grid); t++ {
-							row[t]++
-						}
-					}
-				}
+				row := nbindex.PiHatRow(s.grid, views[home].Coords(int32(i)), views)
 				s.piHat[home][set.parts[home].LeafIdx(id)] = row
 			}
 		})
@@ -125,6 +115,17 @@ func newCoordSession(ctx context.Context, set *Set, q core.Relevance) (*coordSes
 		}
 	}
 	return s, nil
+}
+
+// subsets copies every shard's vantage rows of the relevant graphs, keyed by
+// rel position. Built per initialization and per call rather than kept on
+// the session, whose cache may hold many sessions at once.
+func (s *coordSession) subsets() []*vantage.Subset {
+	views := make([]*vantage.Subset, len(s.set.parts))
+	for p, part := range s.set.parts {
+		views[p] = part.VO().Subset(s.rel)
+	}
+	return views
 }
 
 // RelevantCount returns |L_q| for the session.
@@ -161,8 +162,11 @@ func (s *coordSession) TopK(theta float64, k int) (*core.Result, error) {
 // ordered by (bound desc, shard, node) and verifies serially down that list.
 // A candidate's upper bound comes from its global π̂ row (the sum of
 // shard-local π̂ bounds) and its exact marginal gain sums shard-local
-// coverage contributions — each shard computes N_θ(g) ∩ shard with its own
-// vantage ordering, and those read-only scans also run on the pool. Bounds
+// coverage contributions — each shard computes N_θ(g) ∩ shard from its own
+// vantage rows of the relevant graphs, and those read-only scans also run on
+// the pool. A graph is scanned and threshold-tested at its first
+// verification only; later picks re-verify it from the call's
+// nbindex.NeighborMemo, exactly like the unsharded session. Bounds
 // are admissible and every candidate whose bound reaches the best verified
 // gain is verified, so the pick is the exact greedy argmax with ties toward
 // the lower graph ID — the same answer as the unsharded engine, for any
@@ -247,10 +251,8 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 
 	covered := bitset.New(len(s.rel))
 	inAnswer := make([]bool, len(s.rel))
-	includeUncovered := func(id graph.ID) bool {
-		pos := s.relPos[id]
-		return pos >= 0 && !covered.Contains(pos)
-	}
+	views := s.subsets()
+	memo := nbindex.NewNeighborMemo(s.set.m, s.rel, theta, covered, &st)
 
 	// applyCredit records that relevant graph id became covered: one credit
 	// at its highest diameter ≤ θ ancestor in its HOME shard's tree (credits
@@ -284,18 +286,22 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		}
 	}
 
-	// collect runs the read-only half of one candidate's verification: g's
-	// shared-VP coordinates scanned against every shard's vantage ordering.
-	// It touches no stats and no metric state, so any number of collects may
-	// run concurrently during a pick (covered and inAnswer are frozen between
-	// picks — credits apply only after a pick completes).
-	collect := func(g graph.ID) [][]graph.ID {
-		coords := parts[s.set.PartFor(g)].VO().Coords(g)
-		lists := make([][]graph.ID, len(parts))
-		for p, part := range parts {
-			lists[p] = part.VO().CandidatesCoords(coords, theta, includeUncovered)
+	// collect runs the read-only half of a candidate's first verification:
+	// the relevant graph's shared-VP coordinates scanned against every
+	// shard's relevant rows, skipping covered graphs. It touches no stats and
+	// no metric state, so any number of collects may run concurrently during
+	// a pick (covered and inAnswer are frozen between picks — credits apply
+	// only after a pick completes). The result is never nil, so a prefetched
+	// empty list is told apart from a missing one.
+	collect := func(pos int32) []int32 {
+		q := views[s.set.PartFor(s.rel[pos])].Coords(pos)
+		cands := []int32{}
+		for _, v := range views {
+			v.Scan(q, theta, covered, func(key int32, _ float64) {
+				cands = append(cands, key)
+			})
 		}
-		return lists
+		return cands
 	}
 	for len(res.Answer) < k {
 		if err := ctx.Err(); err != nil {
@@ -362,19 +368,19 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		})
 
 		best, bestGain := graph.ID(-1), int32(0)
-		var bestNbrs []int // relevant positions newly covered by best
+		var bestNbrs []int32 // relevant positions newly covered by best
 		// Walk the merged frontier in bound order. Candidates whose bound
 		// reaches the best verified gain are verified exactly; bounds equal to
 		// the best gain are still explored so that ties resolve toward the
 		// lowest graph ID, matching the unsharded search and the baseline
-		// greedy. After the first verification pins a gain, the remaining
-		// still-qualifying candidates' scans are prefetched in one parallel
-		// scatter — the scans are pure reads (see collect), while the
-		// threshold tests below stay serial in list order: metric.Decide's
-		// pruned-vs-exact outcome depends on the distance cache's evolving
-		// state, so a fixed decision order keeps QueryStats identical for any
-		// worker count.
-		collected := make([][][]graph.ID, len(list))
+		// greedy. After the first verification pins a gain, the scans of the
+		// remaining still-qualifying candidates not yet in the memo are
+		// prefetched in one parallel scatter — the scans are pure reads (see
+		// collect), while the threshold tests below stay serial in list order:
+		// metric.Decide's pruned-vs-exact outcome depends on the distance
+		// cache's evolving state, so a fixed decision order keeps QueryStats
+		// identical for any worker count.
+		collected := make([][]int32, len(list))
 		prefetched := false
 		for i, c := range list {
 			if c.bound < bestGain {
@@ -387,28 +393,12 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if collected[i] == nil {
-				collected[i] = collect(c.cent)
-			}
-			st.VerifiedLeaves++
-			var nbrs []int
-			for _, ids := range collected[i] {
-				for _, id := range ids {
-					st.CandidateScans++
-					if id != c.cent {
-						leq, pruned := metric.Decide(s.set.m, c.cent, id, theta)
-						if pruned {
-							st.PrunedDistances++
-						} else {
-							st.ExactDistances++
-						}
-						if !leq {
-							continue
-						}
-					}
-					nbrs = append(nbrs, s.relPos[id])
+			nbrs := memo.Verify(int32(pos), func() []int32 {
+				if collected[i] != nil {
+					return collected[i]
 				}
-			}
+				return collect(int32(pos))
+			})
 			gain := int32(len(nbrs))
 			if gain > bestGain || (gain == bestGain && gain > 0 && c.cent < best) {
 				best, bestGain, bestNbrs = c.cent, gain, nbrs
@@ -426,14 +416,14 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 					if list[j].bound < bestGain {
 						break
 					}
-					if p := s.relPos[list[j].cent]; p < 0 || inAnswer[p] {
+					if p := s.relPos[list[j].cent]; p < 0 || inAnswer[p] || memo.Known(int32(p)) {
 						continue
 					}
 					todo = append(todo, j)
 				}
 				if err := pool.Ranges(ctx, len(todo), s.set.workers, 1, func(lo, hi int) {
 					for t := lo; t < hi; t++ {
-						collected[todo[t]] = collect(list[todo[t]].cent)
+						collected[todo[t]] = collect(int32(s.relPos[list[todo[t]].cent]))
 					}
 				}); err != nil {
 					return nil, err
@@ -447,7 +437,7 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		res.Answer = append(res.Answer, best)
 		res.Gains = append(res.Gains, int(bestGain))
 		for _, pos := range bestNbrs {
-			covered.Add(pos)
+			covered.Add(int(pos))
 			applyCredit(s.rel[pos])
 		}
 	}

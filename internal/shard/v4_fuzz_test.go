@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -47,6 +48,7 @@ func FuzzReadIndexV4(f *testing.F) {
 		mut[pos] ^= 0xff
 		f.Add(mut)
 	}
+	f.Add(repeatOrderingEntry(f, valid))
 
 	thetas := set.Grid()
 	theta := thetas[len(thetas)/2]
@@ -70,4 +72,55 @@ func FuzzReadIndexV4(f *testing.F) {
 			t.Fatalf("query on validated v4 index: %v", err)
 		}
 	})
+}
+
+// repeatOrderingEntry returns a copy of the v4 file data whose shard-0
+// first-space ordering (the first row of its byDist section) lists its first
+// ID twice: entry 1 is overwritten with entry 0. Every entry stays in range,
+// so only the permutation check in vantage.Ordering.Validate catches it; the
+// graph it displaces would have no row in a session's relevant-set view.
+func repeatOrderingEntry(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	mut := append([]byte(nil), data...)
+	le := binary.LittleEndian
+	for i := 0; i < int(le.Uint64(mut[8:])); i++ {
+		ent := mut[v4HeaderLen+i*v4DirEntryLen:]
+		if le.Uint32(ent) != secByDist || le.Uint32(ent[4:]) != 0 {
+			continue
+		}
+		off := le.Uint64(ent[8:])
+		copy(mut[off+4:off+8], mut[off:off+4])
+		return mut
+	}
+	tb.Fatal("no shard-0 byDist section")
+	return nil
+}
+
+// TestV4RepeatedOrderingEntry checks that a file whose first-space ordering
+// repeats an in-range ID is refused at the first session. Every graph is
+// relevant, so a session over the unchecked file would fault building its
+// relevant-set view; the fuzz seed alone need not, since its relevance may
+// leave the displaced graph out.
+func TestV4RepeatedOrderingEntry(t *testing.T) {
+	db, err := dataset.ByName("dud", 40, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := metric.NewCache(metric.Star(db))
+	set, err := Build(db, m, Options{Shards: 2, NumVPs: 3, Branching: 3, ThetaGrid: []float64{3, 6, 9}},
+		rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := set.EncodeV4(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := ReadBytes(repeatOrderingEntry(t, buf.Bytes()), db, m)
+	if err != nil {
+		t.Fatalf("ReadBytes: %v (the repeat should pass the O(1) shape checks)", err)
+	}
+	if _, err := s.NewSession(func([]float64) bool { return true }); err == nil {
+		t.Fatal("NewSession accepted an ordering that repeats an ID")
+	}
 }

@@ -42,9 +42,9 @@ func TestOrderingEncodeRoundTrip(t *testing.T) {
 				t.Fatalf("bounds differ at (%d,%d)", i, j)
 			}
 		}
-		want := o.Candidates(graph.ID(i), 4, nil)
-		have := got.Candidates(graph.ID(i), 4, nil)
-		if !reflect.DeepEqual(want, have) {
+		want, wantLB := candidates(o, graph.ID(i), 4)
+		have, haveLB := candidates(got, graph.ID(i), 4)
+		if !reflect.DeepEqual(want, have) || !reflect.DeepEqual(wantLB, haveLB) {
 			t.Fatalf("candidates differ for %d: %v vs %v", i, want, have)
 		}
 	}

@@ -190,19 +190,6 @@ func (o *Ordering) Len() int { return len(o.dist[0]) }
 // in the ordering's range.
 func (o *Ordering) VPDistance(v int, g graph.ID) float64 { return o.dist[v][g-o.base] }
 
-// Coords returns g's embedding coordinates — d(vps[v], g) for every vantage
-// point — as a fresh slice. Because shards share one global VP set, the row
-// is valid as a query point against any shard's ordering (CandidatesCoords);
-// this is how the coordinator scans the neighborhoods of a graph inside
-// shards that do not own it, with zero extra distance computations.
-func (o *Ordering) Coords(g graph.ID) []float64 {
-	coords := make([]float64, len(o.dist))
-	for v := range o.dist {
-		coords[v] = o.dist[v][g-o.base]
-	}
-	return coords
-}
-
 // LowerBound returns the vantage distance max_v |d(v,a) − d(v,b)|, a lower
 // bound on d(a,b) (Theorem 4 / Definition 4 lifted to a VP set). Both graphs
 // must lie in the ordering's range.
@@ -228,113 +215,29 @@ func (o *Ordering) UpperBound(a, b graph.ID) float64 {
 	return ub
 }
 
-// Candidates computes N̂_θ(g) ∩ range restricted to the graphs for which
-// include returns true (pass nil to include everything): every covered graph
-// whose vantage distance to g is ≤ θ in all vantage spaces. By Theorem 5 the
-// result is a superset of the true θ-neighborhood N_θ(g) ∩ range ∩ include.
-// g must lie in the ordering's range; for query points owned by another
-// shard use CandidatesCoords with the owner's Coords row.
-func (o *Ordering) Candidates(g graph.ID, theta float64, include func(graph.ID) bool) []graph.ID {
-	return o.candidatesScan(o.dist0(g), func(v int) float64 { return o.dist[v][g-o.base] }, theta, include)
-}
-
-// CandidatesCoords is Candidates for an external query point given by its
-// embedding coordinates (one per vantage point, as returned by Coords on the
-// ordering that owns the graph).
-func (o *Ordering) CandidatesCoords(coords []float64, theta float64, include func(graph.ID) bool) []graph.ID {
-	return o.candidatesScan(coords[0], func(v int) float64 { return coords[v] }, theta, include)
-}
-
-// candidatesScan is the shared scan behind Candidates and CandidatesCoords:
-// binary search bounds the candidate window in the first vantage space, the
-// remaining spaces filter by O(1) lookups.
-func (o *Ordering) candidatesScan(d0 float64, coord func(v int) float64, theta float64, include func(graph.ID) bool) []graph.ID {
-	lo := sort.SearchFloat64s(o.sortedD[0], d0-theta)
-	hi := sort.SearchFloat64s(o.sortedD[0], math.Nextafter(d0+theta, math.Inf(1)))
-	var out []graph.ID
-scan:
-	for i := lo; i < hi; i++ {
-		id := o.byDist[0][i]
-		if include != nil && !include(id) {
-			continue
-		}
-		for v := 1; v < len(o.dist); v++ {
-			if math.Abs(o.dist[v][id-o.base]-coord(v)) > theta {
-				continue scan
-			}
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
-// Candidate is a candidate neighbor together with its vantage lower bound.
-type Candidate struct {
-	ID graph.ID
-	// LB is the vantage distance max_v |d(v,g) − d(v,ID)| ≤ d(g, ID).
-	LB float64
-}
-
-// CandidatesWithLB is Candidates returning each candidate's vantage lower
-// bound as well. A candidate with LB ≤ θ' belongs to N̂_θ'(g) for every
-// θ' ≤ theta, which lets one scan at the largest indexed threshold populate
-// the whole π̂-vector (Definition 6).
-func (o *Ordering) CandidatesWithLB(g graph.ID, theta float64, include func(graph.ID) bool) []Candidate {
-	return o.candidatesLBScan(o.dist0(g), func(v int) float64 { return o.dist[v][g-o.base] }, theta, include)
-}
-
-// CandidatesWithLBCoords is CandidatesWithLB for an external query point
-// given by its embedding coordinates.
-func (o *Ordering) CandidatesWithLBCoords(coords []float64, theta float64, include func(graph.ID) bool) []Candidate {
-	return o.candidatesLBScan(coords[0], func(v int) float64 { return coords[v] }, theta, include)
-}
-
-func (o *Ordering) candidatesLBScan(d0 float64, coord func(v int) float64, theta float64, include func(graph.ID) bool) []Candidate {
-	lo := sort.SearchFloat64s(o.sortedD[0], d0-theta)
-	hi := sort.SearchFloat64s(o.sortedD[0], math.Nextafter(d0+theta, math.Inf(1)))
-	var out []Candidate
-scan:
-	for i := lo; i < hi; i++ {
-		id := o.byDist[0][i]
-		if include != nil && !include(id) {
-			continue
-		}
-		lb := math.Abs(o.sortedD[0][i] - d0)
-		for v := 1; v < len(o.dist); v++ {
-			d := math.Abs(o.dist[v][id-o.base] - coord(v))
-			if d > theta {
-				continue scan
-			}
-			if d > lb {
-				lb = d
-			}
-		}
-		out = append(out, Candidate{ID: id, LB: lb})
-	}
-	return out
-}
-
-// dist0 returns g's coordinate in the first vantage space.
-func (o *Ordering) dist0(g graph.ID) float64 { return o.dist[0][g-o.base] }
-
 // FPRSample measures the observed false positive rate of the embedding: the
 // fraction of candidate pairs (within vantage distance θ) that are not true
 // θ-neighbors under m. It samples `samples` query graphs using rng. This
 // reproduces the measurement behind Figs. 5(f–h).
 func (o *Ordering) FPRSample(m metric.Metric, theta float64, samples int, rng *rand.Rand) float64 {
 	n := o.Len()
+	ids := make([]graph.ID, n)
+	for i := range ids {
+		ids[i] = o.base + graph.ID(i)
+	}
+	all := o.Subset(ids)
 	candidates, falsePos := 0, 0
 	for s := 0; s < samples; s++ {
-		g := o.base + graph.ID(rng.Intn(n))
-		for _, id := range o.Candidates(g, theta, nil) {
-			if id == g {
-				continue
+		q := int32(rng.Intn(n))
+		all.Scan(all.Coords(q), theta, nil, func(key int32, _ float64) {
+			if key == q {
+				return
 			}
 			candidates++
-			if m.Distance(g, id) > theta {
+			if m.Distance(ids[q], ids[key]) > theta {
 				falsePos++
 			}
-		}
+		})
 	}
 	if candidates == 0 {
 		return 0

@@ -3,9 +3,11 @@ package vantage
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"graphrep/internal/bitset"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
 )
@@ -68,6 +70,24 @@ func randDB(t testing.TB, n int, seed int64) (*graph.Database, metric.Metric) {
 		panic(err)
 	}
 	return db, metric.NewCache(metric.Star(db))
+}
+
+// candidates returns N̂_θ(g) over the whole ordering, in first-space order,
+// with each candidate's vantage lower bound — a Subset scan over every
+// covered graph.
+func candidates(o *Ordering, g graph.ID, theta float64) ([]graph.ID, []float64) {
+	ids := make([]graph.ID, o.Len())
+	for i := range ids {
+		ids[i] = o.Base() + graph.ID(i)
+	}
+	all := o.Subset(ids)
+	var out []graph.ID
+	var lbs []float64
+	all.Scan(all.Coords(int32(g-o.Base())), theta, nil, func(key int32, lb float64) {
+		out = append(out, ids[key])
+		lbs = append(lbs, lb)
+	})
+	return out, lbs
 }
 
 func TestSelectVPs(t *testing.T) {
@@ -147,7 +167,8 @@ func TestCandidatesSuperset(t *testing.T) {
 		g := graph.ID(r.Intn(db.Len()))
 		theta := r.Float64() * 10
 		cands := make(map[graph.ID]bool)
-		for _, id := range o.Candidates(g, theta, nil) {
+		ids, _ := candidates(o, g, theta)
+		for _, id := range ids {
 			cands[id] = true
 		}
 		for i := 0; i < db.Len(); i++ {
@@ -162,23 +183,41 @@ func TestCandidatesSuperset(t *testing.T) {
 	}
 }
 
+// A Subset holds only its members, and skip drops members by key.
 func TestCandidatesIncludeFilter(t *testing.T) {
 	db, m := lineDB(t, 20)
 	o, err := Build(db, m, []graph.ID{0, 19})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	even := func(id graph.ID) bool { return id%2 == 0 }
-	for _, id := range o.Candidates(10, 5, even) {
-		if id%2 != 0 {
-			t.Errorf("filter leaked id %d", id)
+	var even []graph.ID
+	for id := graph.ID(0); id < 20; id += 2 {
+		even = append(even, id)
+	}
+	sub := o.Subset(even)
+	q := sub.Coords(5) // graph 10
+	var filtered []graph.ID
+	sub.Scan(q, 5, nil, func(key int32, _ float64) { filtered = append(filtered, even[key]) })
+	all, _ := candidates(o, 10, 5)
+	var want []graph.ID
+	for _, id := range all {
+		if id%2 == 0 {
+			want = append(want, id)
 		}
 	}
-	all := o.Candidates(10, 5, nil)
-	filtered := o.Candidates(10, 5, even)
-	if len(filtered) >= len(all) {
-		t.Errorf("filter did not shrink candidates: %d vs %d", len(filtered), len(all))
+	if !reflect.DeepEqual(filtered, want) {
+		t.Errorf("subset candidates %v, want the even full-ordering candidates %v", filtered, want)
 	}
+	if len(filtered) >= len(all) {
+		t.Errorf("subset did not shrink candidates: %d vs %d", len(filtered), len(all))
+	}
+	skip := bitset.New(len(even))
+	skip.Add(5)
+	sub.Scan(q, 5, skip, func(key int32, _ float64) {
+		if key == 5 {
+			t.Error("skipped key 5 was reported")
+		}
+	})
 }
 
 func TestCandidatesSelfIncluded(t *testing.T) {
@@ -186,7 +225,8 @@ func TestCandidatesSelfIncluded(t *testing.T) {
 	o, _ := Build(db, m, []graph.ID{0})
 	for i := 0; i < db.Len(); i++ {
 		found := false
-		for _, id := range o.Candidates(graph.ID(i), 0, nil) {
+		ids, _ := candidates(o, graph.ID(i), 0)
+		for _, id := range ids {
 			if id == graph.ID(i) {
 				found = true
 			}
@@ -205,16 +245,18 @@ func TestMoreVPsTightenCandidates(t *testing.T) {
 	many, _ := Build(db, m, vps)
 	totalFew, totalMany := 0, 0
 	for i := 0; i < db.Len(); i += 5 {
-		totalFew += len(few.Candidates(graph.ID(i), 4, nil))
-		totalMany += len(many.Candidates(graph.ID(i), 4, nil))
+		fewIDs, _ := candidates(few, graph.ID(i), 4)
+		manyIDs, _ := candidates(many, graph.ID(i), 4)
+		totalFew += len(fewIDs)
+		totalMany += len(manyIDs)
 	}
 	if totalMany > totalFew {
 		t.Errorf("more VPs produced more candidates: %d vs %d", totalMany, totalFew)
 	}
 }
 
-// CandidatesWithLB must return the same candidate set as Candidates, with
-// each LB a true lower bound on the metric distance (and ≤ θ).
+// Scan's lower bounds are the ordering's own vantage lower bounds: true
+// lower bounds on the metric distance, never above θ.
 func TestCandidatesWithLB(t *testing.T) {
 	db, m := randDB(t, 50, 12)
 	rng := rand.New(rand.NewSource(13))
@@ -226,31 +268,17 @@ func TestCandidatesWithLB(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := graph.ID(rng.Intn(db.Len()))
 		theta := rng.Float64() * 8
-		plain := o.Candidates(g, theta, nil)
-		withLB := o.CandidatesWithLB(g, theta, nil)
-		if len(plain) != len(withLB) {
-			t.Fatalf("candidate counts differ: %d vs %d", len(plain), len(withLB))
-		}
-		for i, c := range withLB {
-			if c.ID != plain[i] {
-				t.Fatalf("candidate order differs at %d", i)
+		ids, lbs := candidates(o, g, theta)
+		for i, id := range ids {
+			if lbs[i] > theta+1e-12 {
+				t.Fatalf("LB %v exceeds θ %v", lbs[i], theta)
 			}
-			if c.LB > theta+1e-12 {
-				t.Fatalf("LB %v exceeds θ %v", c.LB, theta)
+			if d := m.Distance(g, id); lbs[i] > d+1e-9 {
+				t.Fatalf("LB %v exceeds true distance %v", lbs[i], d)
 			}
-			if d := m.Distance(g, c.ID); c.LB > d+1e-9 {
-				t.Fatalf("LB %v exceeds true distance %v", c.LB, d)
+			if lbs[i] != o.LowerBound(g, id) {
+				t.Fatalf("LB %v != LowerBound %v", lbs[i], o.LowerBound(g, id))
 			}
-			if c.LB != o.LowerBound(g, c.ID) {
-				t.Fatalf("LB %v != LowerBound %v", c.LB, o.LowerBound(g, c.ID))
-			}
-		}
-	}
-	// The include filter applies here too.
-	even := func(id graph.ID) bool { return id%2 == 0 }
-	for _, c := range o.CandidatesWithLB(10, 5, even) {
-		if c.ID%2 != 0 {
-			t.Errorf("filter leaked id %d", c.ID)
 		}
 	}
 }
@@ -301,7 +329,8 @@ func TestUniformSpaceFPRBracketing(t *testing.T) {
 	count := func(o *Ordering) (cands, falsePos int) {
 		for s := 0; s < 150; s++ {
 			g := graph.ID(rng.Intn(n))
-			for _, id := range o.Candidates(g, theta, nil) {
+			ids, _ := candidates(o, g, theta)
+			for _, id := range ids {
 				if id == g {
 					continue
 				}

@@ -3,6 +3,7 @@ package vantage
 import (
 	"fmt"
 
+	"graphrep/internal/bitset"
 	"graphrep/internal/graph"
 )
 
@@ -62,15 +63,22 @@ func FromViewsDeferred(vps []graph.ID, base graph.ID, count int, dist, sortedD [
 
 // Validate runs the O(count) content scan a deferred construction skipped:
 // byDist's first row — the only row whose entries are used as array
-// indices — must stay inside [base, base+count). Distance values are used
-// only as comparands, so corrupt values can skew answers but never fault;
-// deeper consistency is the compat tests' job, not the load path's.
+// indices — must be a permutation of [base, base+count). Subset relies on
+// the permutation: a repeated ID would leave another graph without a row.
+// Distance values are used only as comparands, so corrupt values can skew
+// answers but never fault; deeper consistency is the compat tests' job, not
+// the load path's.
 func (o *Ordering) Validate() error {
 	base, count := o.base, len(o.byDist[0])
+	seen := bitset.New(count)
 	for _, id := range o.byDist[0] {
 		if id < base || int(id-base) >= count {
 			return fmt.Errorf("vantage: ordering entry %d outside covered range [%d, %d)", id, base, int(base)+count)
 		}
+		if seen.Contains(int(id - base)) {
+			return fmt.Errorf("vantage: ordering entry %d repeated", id)
+		}
+		seen.Add(int(id - base))
 	}
 	return nil
 }
