@@ -14,10 +14,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"graphrep"
+	"graphrep/internal/atomicfile"
 	"graphrep/internal/dataset"
 	"graphrep/internal/graph"
 )
@@ -48,23 +50,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
-	}
+	write := graphrep.WriteDatabase
 	if *format == "grdb" {
-		err = graphrep.SaveDatabase(w, db)
+		write = graphrep.SaveDatabase
+	}
+	if *out == "" {
+		err = write(os.Stdout, db)
 	} else {
-		err = graphrep.WriteDatabase(w, db)
+		// Replace -out whole, so a failed write never leaves a truncated
+		// corpus behind.
+		err = atomicfile.Write(*out, func(w io.Writer) error { return write(w, db) })
 	}
 	if err != nil {
 		fatal(err)

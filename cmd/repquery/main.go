@@ -34,7 +34,7 @@ func main() {
 		engineName  = flag.String("engine", "nbindex", "query engine: nbindex (indexed greedy), exact (quadratic greedy), polished (greedy + swap local search)")
 		dotDir      = flag.String("dot", "", "write each answer graph as Graphviz DOT into this directory")
 		stats       = flag.Bool("stats", false, "print telemetry aggregates (distance computations, cache, NB-Index work) after the query")
-		workers     = flag.Int("workers", 0, "worker goroutines for index construction and session init (0 = GOMAXPROCS; the answer is identical for any value)")
+		workers     = flag.Int("workers", 0, "worker goroutines for index construction and each query's vantage pass (0 = GOMAXPROCS; the answer is identical for any value)")
 		shards      = flag.Int("shards", 1, "index shards (contiguous ID-range partitions; the answer is identical for any value)")
 	)
 	flag.Parse()

@@ -17,16 +17,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"graphrep"
+	"graphrep/internal/atomicfile"
 	"graphrep/internal/server"
 )
 
@@ -40,7 +39,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		pprofOn  = flag.Bool("pprof", false, "mount runtime profiles under /debug/pprof/")
 		drainFor = flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
-		workers  = flag.Int("workers", 0, "worker goroutines for index construction and session init (0 = GOMAXPROCS; results are identical for any value)")
+		workers  = flag.Int("workers", 0, "worker goroutines for index construction and each query's vantage pass (0 = GOMAXPROCS; results are identical for any value)")
 		queryTO  = flag.Duration("query-timeout", 0, "per-request deadline for /query and /sweep (0 = none; expired queries answer 504)")
 		shards   = flag.Int("shards", 1, "index shards; inserts write-lock only the last shard, so reads of other shards never wait (answers identical for any value; ignored when loading a stored index, which fixes its own shard count)")
 	)
@@ -139,50 +138,10 @@ func openEngine(db *graphrep.Database, indexPath string, seed int64, workers, sh
 	}
 	log.Printf("index built in %v", time.Since(start).Round(time.Millisecond))
 	if indexPath != "" {
-		if err := writeFileAtomic(indexPath, engine.SaveIndex); err != nil {
+		if err := atomicfile.Write(indexPath, engine.SaveIndex); err != nil {
 			return nil, fmt.Errorf("persist index: %w", err)
 		}
 		log.Printf("index persisted to %s", indexPath)
 	}
 	return engine, nil
-}
-
-// writeFileAtomic replaces path with the bytes write produces. It writes a
-// temporary file in path's directory, syncs and closes it, and only then
-// renames it over path, so path is never truncated: another process that
-// has the old index mapped keeps reading the old file, and a failed or
-// interrupted save leaves it byte-identical. The temporary file is removed
-// on every error.
-//
-// The new file keeps the permission bits of the file it replaces. A file
-// that did not exist gets 0644, so other processes can map it; the umask
-// does not apply, because the bits are set with Chmod.
-func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
-	perm := os.FileMode(0o644)
-	if fi, err := os.Stat(path); err == nil {
-		perm = fi.Mode().Perm()
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}()
-	if err := f.Chmod(perm); err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }

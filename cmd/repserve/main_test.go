@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"graphrep"
+	"graphrep/internal/atomicfile"
 )
 
 // failingWriter passes through the first n bytes, then fails: a save that
@@ -47,14 +48,14 @@ func TestFailedIndexSaveKeepsExistingFile(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.nbx")
-	if err := writeFileAtomic(path, first.SaveIndex); err != nil {
+	if err := atomicfile.Write(path, first.SaveIndex); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = writeFileAtomic(path, func(w io.Writer) error {
+	err = atomicfile.Write(path, func(w io.Writer) error {
 		return second.SaveIndex(&failingWriter{w: w, n: len(want) / 2})
 	})
 	if err == nil {
@@ -79,7 +80,7 @@ func TestFailedIndexSaveKeepsExistingFile(t *testing.T) {
 		t.Fatalf("directory holds %v, want only index.nbx", names)
 	}
 
-	if err := writeFileAtomic(path, second.SaveIndex); err != nil {
+	if err := atomicfile.Write(path, second.SaveIndex); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -112,7 +113,7 @@ func TestIndexSaveFileMode(t *testing.T) {
 		}
 		return fi.Mode().Perm()
 	}
-	if err := writeFileAtomic(path, write); err != nil {
+	if err := atomicfile.Write(path, write); err != nil {
 		t.Fatal(err)
 	}
 	if got := mode(); got != 0o644 {
@@ -121,7 +122,7 @@ func TestIndexSaveFileMode(t *testing.T) {
 	if err := os.Chmod(path, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(path, write); err != nil {
+	if err := atomicfile.Write(path, write); err != nil {
 		t.Fatal(err)
 	}
 	if got := mode(); got != 0o600 {

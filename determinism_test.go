@@ -44,8 +44,8 @@ func openRunKernel(t *testing.T, dataset string, n int, seed int64, theta float6
 
 // Determinism regression: the same (dataset, n, seed, query) must produce a
 // byte-identical Result and identical QueryStats across two completely
-// fresh Open calls — index construction, session initialization (which runs
-// on a parallel worker pool), and the search itself must all be
+// fresh Open calls — index construction, each query's vantage pass (which
+// runs on a parallel worker pool), and the search itself must all be
 // order-independent.
 func TestDeterministicAcrossOpens(t *testing.T) {
 	cases := []struct {

@@ -21,8 +21,8 @@ func ExampleOpen() {
 	// Output: true true
 }
 
-// ExampleEngine_NewSession shows interactive θ refinement: the session
-// amortizes initialization across zoom levels.
+// ExampleEngine_NewSession shows interactive θ refinement: one session
+// answers every zoom level over the same relevant set.
 func ExampleEngine_NewSession() {
 	db, _ := graphrep.GenerateDataset("dud", 300, 7)
 	engine, _ := graphrep.Open(db, graphrep.Options{Seed: 1})

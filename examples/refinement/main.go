@@ -1,8 +1,9 @@
 // Interactive θ refinement: the "zoom level" scenario of §7 and Fig. 6(i).
 // An analyst rarely knows the right distance threshold up front; they issue
 // a query, inspect the answer, and zoom in (smaller θ, finer-grained
-// exemplars) or out (larger θ, coarser summary). A Session amortizes the
-// initialization phase, so each refinement costs a fraction of the first
+// exemplars) or out (larger θ, coarser summary). A Session keeps the
+// relevant set, and the engine's distance memo keeps every distance the
+// first query computed, so each refinement costs a fraction of the first
 // query.
 package main
 

@@ -177,8 +177,8 @@ type Options struct {
 	NumVPs int
 	// Branching is the NB-Tree fan-out; 0 defaults to 4.
 	Branching int
-	// ThetaGrid lists thresholds to index in the π̂-vectors; nil derives a
-	// grid from the sampled distance distribution (§7.1).
+	// ThetaGrid lists the thresholds to index, SweepTheta's default points;
+	// nil derives a grid from the sampled distance distribution (§7.1).
 	ThetaGrid []float64
 	// Seed drives index construction randomness; the default is 1.
 	Seed int64
@@ -189,7 +189,7 @@ type Options struct {
 	Metric Metric
 	// Workers bounds the goroutines used for index construction (the θ-grid
 	// sampling, the vantage distance matrix, the NB-Tree partition fills)
-	// and session initialization; ≤ 0 means GOMAXPROCS. The index bytes and
+	// and each query's vantage pass; ≤ 0 means GOMAXPROCS. The index bytes and
 	// every answer are identical for any value — all randomized decisions
 	// stay single-threaded and parallel work is pre-partitioned — so Workers
 	// trades nothing but wall time. Custom metrics must be safe for
@@ -485,8 +485,8 @@ func openWithIndex(db *Database, opts []Options, load func(metric.Metric) (*shar
 	if err != nil {
 		return nil, err
 	}
-	// No construction happened, but session initialization still fans out;
-	// honor the Workers option for it. Build-phase gauges read as zero.
+	// No construction happened, but every query's vantage pass still fans
+	// out; honor the Workers option for it. Build-phase gauges read as zero.
 	set.SetWorkers(o.Workers)
 	primeEmbeddings(set, stages)
 	tel, err := newEngineTelemetry(db, set, counter, cache, stages, 0, o.Workers)
@@ -728,7 +728,7 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 		return nil, err
 	}
 	if err := reg.NewGaugeFunc("graphrep_build_workers",
-		"Worker goroutines the build and session-initialization pools are bounded by.",
+		"Worker goroutines the build and query vantage-pass pools are bounded by.",
 		func() float64 { return float64(pool.Resolve(workers)) }); err != nil {
 		return nil, err
 	}
@@ -912,8 +912,9 @@ func (e *Engine) Explain(rel Relevance, answer []ID, theta float64) map[ID][]ID 
 	return core.AssignRepresentatives(e.db, e.m, relevant, answer, theta)
 }
 
-// Session is the reusable initialization for one relevance function: any
-// number of TopK calls at different θ (interactive refinement) amortize it.
+// Session is the reusable initialization for one relevance function — its
+// relevant set — shared by any number of TopK calls at different θ
+// (interactive refinement).
 type Session struct {
 	s shard.QuerySession
 }
@@ -923,9 +924,8 @@ func (e *Engine) NewSession(rel Relevance) (*Session, error) {
 	return e.NewSessionContext(context.Background(), rel)
 }
 
-// NewSessionContext is NewSession with cancellation: initialization (one
-// vantage scan per relevant graph, run on the engine's worker pool) checks
-// ctx between batches and returns ctx.Err() when it fires.
+// NewSessionContext is NewSession with cancellation: a context cancelled by
+// the time the relevance filter finishes returns ctx.Err().
 func (e *Engine) NewSessionContext(ctx context.Context, rel Relevance) (*Session, error) {
 	if rel == nil {
 		return nil, fmt.Errorf("graphrep: nil relevance function")

@@ -114,7 +114,7 @@ type Fixture struct {
 	M     metric.Metric   // Cache(Count(Base)): what engines consume
 
 	Theta float64   // default θ (§8.2.1 analogue, per dataset)
-	Grid  []float64 // indexed π̂ thresholds (§8.2.2 analogue)
+	Grid  []float64 // indexed thresholds (§8.2.2 analogue)
 	Rel   core.Relevance
 	Seed  int64
 
@@ -263,7 +263,7 @@ func (r RunResult) CR() float64 {
 // accounting. The shared memo cache is cleared first, so every measured run
 // pays for its own distance computations — one engine's earlier work cannot
 // subsidize another's (index-internal state such as stored pivot distances
-// and π̂-vectors legitimately persists; only the raw pair memo is dropped).
+// legitimately persists; only the raw pair memo is dropped).
 func (fx *Fixture) measure(engine string, run func() (*core.Result, error)) (RunResult, error) {
 	fx.cache.Clear()
 	before := fx.Count.Count()

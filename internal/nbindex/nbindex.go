@@ -4,18 +4,22 @@
 //   - vantage orderings (internal/vantage): a Lipschitz embedding giving the
 //     candidate neighborhoods N̂_θ(g) ⊇ N_θ(g) of Theorem 5, and
 //   - the NB-Tree (internal/nbtree): a hierarchical clustering whose nodes
-//     carry π̂-vectors — upper bounds on representative power at a grid of
-//     indexed thresholds (Definition 6) — enabling the best-first search of
-//     Alg. 2 and cluster-batched updates in the spirit of Theorems 6–8.
+//     carry π̂ ceilings — upper bounds on representative power (Definition
+//     6) — enabling the best-first search of Alg. 2 and cluster-batched
+//     updates in the spirit of Theorems 6–8.
 //
 // # Query processing
 //
-// A Session corresponds to the paper's initialization phase: for a fixed
-// relevance function it computes the π̂-vector of every relevant graph with
-// one vantage scan each, and propagates ceilings up the NB-Tree (Eq. 14).
-// Session.TopK runs the search-and-update phase at any θ; calling it again
-// with a refined θ reuses the initialization, which is exactly the
-// interactive zoom scenario of Fig. 6(i).
+// A Session holds what no threshold changes: the relevant set L_q of one
+// relevance function. Each Session.TopK call opens with one vantage-scan
+// pass at the queried θ, run on the worker pool: relevant graph g's
+// candidate list N̂_θ(g) ∩ L_q (Theorem 5) is both its leaf bound — π̂
+// evaluated at θ itself — and the input of its first verification, which
+// filters the list against the covered set and threshold-tests the rest.
+// Ceilings propagate up the NB-Tree (Eq. 14) and the search-and-update
+// phase of Alg. 2 runs on them. Calling TopK again with a refined θ reuses
+// the session, which is the interactive zoom scenario of Fig. 6(i). The
+// indexed θ grid (§7.1) supplies SweepTheta's default thresholds.
 //
 // # Update rule
 //
@@ -60,11 +64,12 @@ type Options struct {
 	VPPolicy vantage.SelectionPolicy
 	// Branching is the NB-Tree fan-out b (≥ 2).
 	Branching int
-	// ThetaGrid lists the thresholds indexed in π̂-vectors, ascending (§7.1).
+	// ThetaGrid lists the indexed thresholds, ascending (§7.1): the default
+	// points of SweepTheta.
 	ThetaGrid []float64
-	// Workers bounds the goroutines used for construction and session
-	// initialization (≤ 0 means GOMAXPROCS). The index and every answer are
-	// identical for any value; only wall time changes.
+	// Workers bounds the goroutines used for construction and for each
+	// query's vantage pass (≤ 0 means GOMAXPROCS). The index and every
+	// answer are identical for any value; only wall time changes.
 	Workers int
 }
 
@@ -116,7 +121,8 @@ type Index struct {
 	deferredCheck func() error
 	checkOnce     sync.Once
 	checkErr      error
-	// workers bounds session-initialization goroutines; ≤ 0 means GOMAXPROCS.
+	// workers bounds the goroutines of each query's vantage pass; ≤ 0 means
+	// GOMAXPROCS.
 	workers int
 	// timing records the wall time of each construction phase.
 	timing BuildTiming
@@ -400,8 +406,8 @@ func (ix *Index) EnsureValid() error {
 // indexes loaded with Read (no construction happened).
 func (ix *Index) Timing() BuildTiming { return ix.timing }
 
-// SetWorkers bounds the goroutines later session initializations use
-// (≤ 0 means GOMAXPROCS). Useful after Read, which has no Options.
+// SetWorkers bounds the goroutines later queries' vantage passes use (≤ 0
+// means GOMAXPROCS). Useful after Read, which has no Options.
 func (ix *Index) SetWorkers(w int) { ix.workers = w }
 
 // Insert extends the index with a graph already appended to the database
@@ -493,9 +499,9 @@ func (ix *Index) Count() int { return ix.vo.Len() }
 
 // LeafIdx returns the tree node index of the leaf holding covered graph id.
 // Callers reach it through a Session, whose construction already ran
-// EnsureValid (newSession).
+// EnsureValid (NewSessionContext).
 //
-//lint:allow oncevalid validation ran in newSession before any Session method can call this
+//lint:allow oncevalid validation ran in NewSessionContext before any Session method can call this
 func (ix *Index) LeafIdx(id graph.ID) int { return int(ix.leafOf[id-ix.base]) }
 
 // LeafOf returns the leaf map: covered graph ID minus Base() to flat node
@@ -520,16 +526,11 @@ func (ix *Index) Bytes() int64 {
 	return b
 }
 
-// GridSlot returns the position of the smallest indexed threshold ≥ theta,
-// or len(grid) when theta exceeds every indexed threshold.
-func (ix *Index) GridSlot(theta float64) int {
-	return sort.SearchFloat64s(ix.grid, theta)
-}
-
-// Session is the initialization phase for one relevance function: π̂-vectors
-// for every relevant graph plus the supporting relevance state. A Session
-// answers any number of TopK calls at varying θ (interactive refinement)
-// without repeating the initialization.
+// Session is the initialization phase for one relevance function: the
+// relevant set L_q and its position map, which no threshold changes. A
+// Session answers any number of TopK calls at varying θ (interactive
+// refinement) without repeating it; whatever a call derives from θ —
+// candidate lists, leaf bounds, coverage — lives in that call's locals.
 //
 // After initialization a Session is read-only apart from the LastStats
 // bookkeeping, which is mutex-guarded, so TopK and SweepTheta are safe to
@@ -537,20 +538,10 @@ func (ix *Index) GridSlot(theta float64) int {
 // independent answer). The index must not be mutated (Insert) while queries
 // are in flight.
 type Session struct {
-	ix *Index
-	// grid lists the thresholds the session's π̂-vectors are computed at:
-	// the index grid by default, or a single direct threshold for sessions
-	// opened with NewSessionAt (§7's "absence of interactive refinement"
-	// optimization).
-	grid []float64
-	rel  []graph.ID
+	ix  *Index
+	rel []graph.ID
 	// relPos maps a database ID to its position in rel, or −1.
 	relPos []int
-	// relCount[nodeIdx] counts relevant graphs under each NB-Tree node.
-	relCount []int
-	// piHat[leafNodeIdx][slot] upper-bounds |N_θgrid[slot](g) ∩ L_q| for the
-	// leaf's graph; nil rows for irrelevant leaves.
-	piHat [][]int32
 	// batchUpdates enables the Theorems 6–8 style credit propagation; on by
 	// default, disabled only for ablation measurements.
 	batchUpdates bool
@@ -572,8 +563,11 @@ type QueryStats struct {
 	// re-verifications of a graph already verified earlier in the call
 	// (see NeighborMemo).
 	VerifiedLeaves int
-	// CandidateScans counts the vantage candidates returned by the scans
-	// actually issued; a memoized re-verification scans nothing.
+	// CandidateScans counts the vantage candidates handed to first
+	// verifications: each verified graph's pass list minus the graphs
+	// already covered when it is first verified. The call's vantage pass
+	// itself scans every relevant graph, verified or not (see NeighborMemo),
+	// and a memoized re-verification scans nothing.
 	CandidateScans int
 	// ExactDistances counts threshold tests resolved by a full distance
 	// computation (or an exact cached value); PrunedDistances counts tests
@@ -585,32 +579,16 @@ type QueryStats struct {
 	PrunedDistances int
 }
 
-// NewSession runs the initialization phase for relevance function q,
-// computing π̂-vectors over the full indexed θ grid so that any subsequent
-// TopK threshold (interactive refinement) is supported.
+// NewSession runs the initialization phase for relevance function q: the
+// relevance filter over the database. Any TopK threshold is supported.
 func (ix *Index) NewSession(q core.Relevance) *Session {
-	s, _ := ix.newSession(context.Background(), q, ix.grid)
+	s, _ := ix.NewSessionContext(context.Background(), q)
 	return s
 }
 
-// NewSessionContext is NewSession with cancellation: the per-relevant-graph
-// vantage scans check the context between batches, and a cancelled
-// initialization returns ctx.Err() with no session.
+// NewSessionContext is NewSession with cancellation: a context cancelled by
+// the time the relevance filter finishes returns ctx.Err() with no session.
 func (ix *Index) NewSessionContext(ctx context.Context, q core.Relevance) (*Session, error) {
-	return ix.newSession(ctx, q, ix.grid)
-}
-
-// NewSessionAt runs the initialization phase for a single known threshold:
-// the π̂ bounds are computed directly at theta instead of the whole grid
-// (§7: "in the absence of interactive refinement, the π̂-vector is not
-// required"). TopK at other thresholds remains correct but falls back to
-// trivial bounds, so use NewSession when θ will be refined.
-func (ix *Index) NewSessionAt(q core.Relevance, theta float64) *Session {
-	s, _ := ix.newSession(context.Background(), q, []float64{theta})
-	return s
-}
-
-func (ix *Index) newSession(ctx context.Context, q core.Relevance, grid []float64) (*Session, error) {
 	if err := ix.EnsureValid(); err != nil {
 		return nil, err
 	}
@@ -618,44 +596,16 @@ func (ix *Index) newSession(ctx context.Context, q core.Relevance, grid []float6
 		return nil, fmt.Errorf("nbindex: sessions require a full-database index, this one covers [%d, %d); use internal/shard's coordinator for parts",
 			ix.base, int(ix.base)+ix.vo.Len())
 	}
-	s := &Session{ix: ix, grid: grid, batchUpdates: true}
-	s.rel = core.Relevant(ix.db, q)
+	s := &Session{ix: ix, rel: core.Relevant(ix.db, q), batchUpdates: true}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	s.relPos = make([]int, ix.db.Len())
 	for i := range s.relPos {
 		s.relPos[i] = -1
 	}
 	for i, id := range s.rel {
 		s.relPos[id] = i
-	}
-	f := ix.flat
-	s.relCount = make([]int, f.Len())
-	for i := f.Len() - 1; i >= 0; i-- {
-		if f.Leaves[i] == 1 {
-			if s.relPos[f.Centroids[i]] >= 0 {
-				s.relCount[i] = 1
-			}
-			continue
-		}
-		for c := f.FirstChild[i]; c != -1; c = f.NextSibling[c] {
-			s.relCount[i] += s.relCount[c]
-		}
-	}
-	// π̂-vectors: one vantage scan per relevant graph at the largest indexed
-	// threshold, over the relevant graphs' rows only; each candidate's vantage
-	// lower bound assigns it to every grid slot it belongs to. Rows are
-	// independent and each lands in its own piHat slot, so the scans run on
-	// the worker pool without affecting the result.
-	s.piHat = make([][]int32, f.Len())
-	if len(grid) > 0 && len(s.rel) > 0 {
-		views := []*vantage.Subset{ix.vo.Subset(s.rel)}
-		err := pool.Ranges(ctx, len(s.rel), ix.workers, 16, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s.piHat[ix.LeafIdx(s.rel[i])] = PiHatRow(grid, views[0].Coords(int32(i)), views)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -672,16 +622,6 @@ func (s *Session) LastStats() QueryStats {
 	return s.lastStats
 }
 
-// PiHatBytes reports the memory consumed by the π̂-vectors (the query-time
-// component of the footprint reported in Fig. 6(l)).
-func (s *Session) PiHatBytes() int64 {
-	var b int64
-	for _, row := range s.piHat {
-		b += int64(len(row)) * 4
-	}
-	return b
-}
-
 // TopK runs the search-and-update phase (Alg. 2 driven greedy) at threshold
 // theta with budget k. The answer matches the baseline greedy exactly
 // (maximum marginal gain, ties toward the lower graph ID; picks stop when no
@@ -690,10 +630,10 @@ func (s *Session) TopK(theta float64, k int) (*core.Result, error) {
 	return s.TopKContext(context.Background(), theta, k)
 }
 
-// TopKContext is TopK with cancellation: the context is checked on entry, at
-// every greedy pick, and periodically inside the best-first search, so a
-// cancelled or expired context makes the call return ctx.Err() promptly
-// without publishing stats for the abandoned query.
+// TopKContext is TopK with cancellation: the context is checked on entry,
+// inside the vantage pass, at every greedy pick, and periodically inside the
+// best-first search, so a cancelled or expired context makes the call return
+// ctx.Err() promptly without publishing stats for the abandoned query.
 func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.Result, error) {
 	if math.IsNaN(theta) {
 		return nil, fmt.Errorf("nbindex: theta is NaN")
@@ -725,23 +665,26 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 		return res, nil
 	}
 
-	// Working bound state for this θ: the smallest session-grid threshold
-	// ≥ θ, whose π̂ column upper-bounds the θ neighborhoods.
-	slot := sort.SearchFloat64s(s.grid, theta)
+	// The call's vantage pass over the relevant graphs' rows: each relevant
+	// graph's candidate list at θ, whose length is its leaf bound.
+	covered := bitset.New(len(s.rel))
+	inAnswer := make([]bool, len(s.rel))
+	memo, err := NewNeighborMemo(ctx, ix.m, s.rel, theta, []*vantage.Subset{ix.vo.Subset(s.rel)},
+		func(int32) int { return 0 }, ix.workers, covered, &st)
+	if err != nil {
+		return nil, err
+	}
 	leafBound := func(idx int) int32 {
-		row := s.piHat[idx]
-		if row == nil {
+		p := s.relPos[f.Centroids[idx]]
+		if p < 0 {
 			return -1 // irrelevant leaf: never selectable
 		}
-		if slot >= len(row) {
-			return int32(len(s.rel)) // θ beyond the grid: trivial bound
-		}
-		return row[slot]
+		return memo.Bound(int32(p))
 	}
 	// sub[nodeIdx]: permanent per-subtree gain subtraction (credits).
 	sub := make([]int32, f.Len())
 	// F[nodeIdx] = max over relevant leaves l under the node of
-	// (π̂init(l) − Σ sub on the path l..node); −1 where no relevant leaf.
+	// (π̂(l) − Σ sub on the path l..node); −1 where no relevant leaf.
 	F := make([]int32, f.Len())
 	for i := f.Len() - 1; i >= 0; i-- {
 		if f.Leaves[i] == 1 {
@@ -766,18 +709,10 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 	}
 	currentBound := func(n int32) int32 { return F[n] - subAbove(n) }
 
-	covered := bitset.New(len(s.rel))
-	inAnswer := make([]bool, len(s.rel))
-	// The relevant graphs' vantage rows, copied once per call so every first
-	// verification scans L_q only; later verifications of the same graph come
-	// from the memo.
-	view := ix.vo.Subset(s.rel)
-	memo := NewNeighborMemo(ix.m, s.rel, theta, covered, &st)
-
 	// applyCredit records that relevant graph id became covered: one credit
 	// at its highest diameter ≤ θ ancestor, with F recomputed upward.
 	applyCredit := func(id graph.ID) {
-		//lint:allow oncevalid newSession validated the index before this Session method could run
+		//lint:allow oncevalid NewSessionContext validated the index before this Session method could run
 		a := ix.leafOf[id-ix.base]
 		for p := f.Parents[a]; p != -1 && f.Diameters[p] <= theta; p = f.Parents[p] {
 			a = p
@@ -846,13 +781,7 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 				if p < 0 || inAnswer[p] {
 					continue
 				}
-				nbrs := memo.Verify(int32(p), func() []int32 {
-					var cands []int32
-					view.Scan(view.Coords(int32(p)), theta, covered, func(key int32, _ float64) {
-						cands = append(cands, key)
-					})
-					return cands
-				})
+				nbrs := memo.Verify(int32(p))
 				gain := int32(len(nbrs))
 				if gain > bestGain || (gain == bestGain && gain > 0 && cent < best) {
 					best, bestGain, bestNbrs = cent, gain, nbrs
@@ -885,101 +814,132 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 	return res, nil
 }
 
-// PiHatRow returns the π̂-vector (Definition 6) of the query point q — a
-// relevant graph's embedding coordinates — from one scan of each subset at
-// the grid's largest threshold: slot t counts the relevant graphs whose
-// vantage lower bound is ≤ grid[t], an upper bound on |N_grid[t](g) ∩ L_q|
-// by Theorem 5. Passing every shard's subset yields the global row.
-func PiHatRow(grid, q []float64, subsets []*vantage.Subset) []int32 {
-	row := make([]int32, len(grid))
-	count := func(_ int32, lb float64) {
-		if slot := sort.SearchFloat64s(grid, lb); slot < len(row) {
-			row[slot]++
+// candidateLists runs one query's vantage pass at theta over the relevant
+// graphs, keyed by rel position 0..n−1: lists[pos] holds the key of every
+// member of views inside the candidate neighborhood N̂_θ(rel[pos]) of
+// Theorem 5, views in order and each view's members in first-space order —
+// the order first verification tests them in. home(pos) names the view
+// holding pos's own coordinates; shards share one VP set, so those are a
+// valid query point for every view. Each worker writes only its own
+// positions' lists, so the result is identical for any worker count; a
+// cancelled ctx returns ctx.Err(). The lists of one chunk share a backing
+// array, sliced with cap == len so no list can grow into its neighbor.
+func candidateLists(ctx context.Context, views []*vantage.Subset, home func(pos int32) int, n int, theta float64, workers int) ([][]int32, error) {
+	lists := make([][]int32, n)
+	err := pool.Ranges(ctx, n, workers, 16, func(lo, hi int) {
+		var buf []int32
+		hit := func(key int32, _ float64) { buf = append(buf, key) }
+		ends := make([]int, hi-lo)
+		for pos := lo; pos < hi; pos++ {
+			q := views[home(int32(pos))].Coords(int32(pos))
+			for _, v := range views {
+				v.Scan(q, theta, nil, hit)
+			}
+			ends[pos-lo] = len(buf)
 		}
+		start := 0
+		for i, end := range ends {
+			lists[lo+i] = buf[start:end:end]
+			start = end
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, sub := range subsets {
-		sub.Scan(q, grid[len(grid)-1], nil, count)
-	}
-	for t := 1; t < len(row); t++ {
-		row[t] += row[t-1]
-	}
-	return row
+	return lists, nil
 }
 
-// NeighborMemo is one TopK call's record of verified θ-neighborhoods. The
-// first time the call verifies relevant graph rel[pos], the memo keeps the
-// rel positions of its uncovered θ-neighbors. Coverage only grows during a
-// call, so that list stays a superset of the graph's uncovered neighborhood
-// at every later pick, and re-verifying the graph is a filter of the list
-// against the covered set: no vantage scan and no threshold test. A memo
-// lives in one call's locals, never on a Session, so concurrent TopK calls
-// on one session stay independent.
+// NeighborMemo is one TopK call's record of θ-neighborhoods, built on the
+// call's vantage pass (candidateLists). Until rel[pos] is first verified,
+// its list is the whole pass candidate list, whose length is the graph's
+// leaf bound for the call (Bound). The first verification filters the list
+// against the covered set, threshold-tests the rest and keeps the rel
+// positions of the graph's uncovered θ-neighbors. Coverage only grows
+// during a call, so that list stays a superset of the graph's uncovered
+// neighborhood at every later pick, and re-verifying the graph is a filter
+// of the list against the covered set: no scan and no threshold test. A
+// memo lives in one call's locals, never on a Session, so concurrent TopK
+// calls on one session stay independent.
 //
-// A list keeps the backing array its scan returned, so until the call
-// returns its memo holds 4 bytes per candidate scanned (the call's
-// CandidateScans), up to twice that where the scan grew its slice by
-// appending, plus a 24-byte slice header per relevant graph.
+// Until the call returns, the memo holds 4 bytes per pass candidate, up to
+// twice that where the pass grew its buffer by appending, plus a 24-byte
+// slice header and a 4-byte bound per relevant graph.
 type NeighborMemo struct {
 	m       metric.Metric
 	rel     []graph.ID
 	theta   float64
 	covered *bitset.Set
 	st      *QueryStats
-	// lists[pos] is rel[pos]'s memoized neighbor list once known has pos.
+	// lists[pos] is rel[pos]'s pass candidate list until known has pos, and
+	// its memoized neighbor list after.
 	lists [][]int32
-	known *bitset.Set
+	// bounds[pos] is the unfiltered length of rel[pos]'s pass list.
+	bounds []int32
+	known  *bitset.Set
 }
 
-// NewNeighborMemo returns an empty memo for one call at threshold theta over
-// the relevant set rel, whose coverage the call tracks in covered (indexed
-// by rel position). Work is tallied into st, the call's local stats.
-func NewNeighborMemo(m metric.Metric, rel []graph.ID, theta float64, covered *bitset.Set, st *QueryStats) *NeighborMemo {
+// NewNeighborMemo runs the vantage pass of one call at threshold theta over
+// the relevant set rel — candidateLists over views, from each graph's home
+// view, on up to workers goroutines — and returns the memo holding its
+// lists. The call tracks coverage in covered (indexed by rel position);
+// work is tallied into st, the call's local stats. A cancelled ctx returns
+// ctx.Err().
+func NewNeighborMemo(ctx context.Context, m metric.Metric, rel []graph.ID, theta float64,
+	views []*vantage.Subset, home func(pos int32) int, workers int,
+	covered *bitset.Set, st *QueryStats) (*NeighborMemo, error) {
+	lists, err := candidateLists(ctx, views, home, len(rel), theta, workers)
+	if err != nil {
+		return nil, err
+	}
+	bounds := make([]int32, len(lists))
+	for pos, l := range lists {
+		bounds[pos] = int32(len(l))
+	}
 	return &NeighborMemo{
 		m: m, rel: rel, theta: theta, covered: covered, st: st,
-		lists: make([][]int32, len(rel)),
+		lists: lists, bounds: bounds,
 		known: bitset.New(len(rel)),
-	}
+	}, nil
 }
 
-// Known reports whether rel[pos] has been verified during the call.
-func (nm *NeighborMemo) Known(pos int32) bool { return nm.known.Contains(int(pos)) }
+// Bound returns rel[pos]'s leaf bound for the call: the length of its pass
+// list, an upper bound on |N_θ(rel[pos]) ∩ L_q| by Theorem 5 — π̂
+// (Definition 6) evaluated at θ itself. It stays fixed while the list is
+// filtered: the credits of Theorems 6–8 already subtract covered neighbors,
+// so shrinking the bound as well would subtract them twice.
+func (nm *NeighborMemo) Bound(pos int32) int32 { return nm.bounds[pos] }
 
 // Verify computes the exact marginal gain of rel[pos] at the memo's
 // threshold: it returns the rel positions picking the graph would newly
-// cover (pos itself included while uncovered), whose count is the gain. A
-// memoized graph's list is filtered in place. Otherwise scan supplies the
-// uncovered relevant candidates of N̂_θ(rel[pos]) (Theorem 5), and each is
-// threshold-tested (Alg. 2 lines 8–11) through metric.Decide, so a bounded
-// metric can prune a test with a cheap bound instead of a full distance
-// computation — the decision is exactly d ≤ θ either way, which is why
-// answers do not depend on the kernel. The returned slice is the memo's
-// own; callers must not modify it.
-func (nm *NeighborMemo) Verify(pos int32, scan func() []int32) []int32 {
+// cover (pos itself included while uncovered), whose count is the gain.
+// Every call filters the graph's list against the covered set in place. The
+// first call also threshold-tests each remaining candidate other than pos
+// (Alg. 2 lines 8–11) through metric.Decide, so a bounded metric can prune
+// a test with a cheap bound instead of a full distance computation — the
+// decision is exactly d ≤ θ either way, which is why answers do not depend
+// on the kernel. The returned slice is the memo's own; callers must not
+// modify it.
+func (nm *NeighborMemo) Verify(pos int32) []int32 {
 	nm.st.VerifiedLeaves++
-	if nm.Known(pos) {
-		kept := nm.lists[pos][:0]
-		for _, p := range nm.lists[pos] {
-			if !nm.covered.Contains(int(p)) {
-				kept = append(kept, p)
-			}
-		}
-		nm.lists[pos] = kept
-		return kept
-	}
+	first := !nm.known.Contains(int(pos))
 	g := nm.rel[pos]
-	cands := scan()
-	kept := cands[:0]
-	for _, key := range cands {
-		nm.st.CandidateScans++
-		if key != pos {
-			leq, pruned := metric.Decide(nm.m, g, nm.rel[key], nm.theta)
-			if pruned {
-				nm.st.PrunedDistances++
-			} else {
-				nm.st.ExactDistances++
-			}
-			if !leq {
-				continue
+	kept := nm.lists[pos][:0]
+	for _, key := range nm.lists[pos] {
+		if nm.covered.Contains(int(key)) {
+			continue
+		}
+		if first {
+			nm.st.CandidateScans++
+			if key != pos {
+				leq, pruned := metric.Decide(nm.m, g, nm.rel[key], nm.theta)
+				if pruned {
+					nm.st.PrunedDistances++
+				} else {
+					nm.st.ExactDistances++
+				}
+				if !leq {
+					continue
+				}
 			}
 		}
 		kept = append(kept, key)
@@ -1074,7 +1034,7 @@ func ChooseGridFromLog(log []float64, gridSize int) []float64 {
 	return grid
 }
 
-// ChooseGrid picks gridSize thresholds for the π̂-vector from a sampled
+// ChooseGrid picks gridSize thresholds for the indexed grid from a sampled
 // distance distribution with the default worker count and no cancellation.
 // See ChooseGridContext.
 func ChooseGrid(db *graph.Database, m metric.Metric, gridSize, samplePairs int, rng *rand.Rand) []float64 {
@@ -1082,7 +1042,7 @@ func ChooseGrid(db *graph.Database, m metric.Metric, gridSize, samplePairs int, 
 	return grid
 }
 
-// ChooseGridContext picks gridSize thresholds for the π̂-vector from a
+// ChooseGridContext picks gridSize thresholds for the indexed grid from a
 // sampled distance distribution, placing thresholds at equally spaced
 // quantiles so that steep regions of the cumulative distribution get
 // proportionally more thresholds (§7.1, scheme 2).

@@ -1,10 +1,12 @@
 package nbindex
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -105,20 +107,6 @@ func TestBuildErrors(t *testing.T) {
 	empty, _ := graph.NewDatabase(nil)
 	if _, err := Build(empty, m, Options{NumVPs: 1, Branching: 2, ThetaGrid: []float64{1}}, rng); err == nil {
 		t.Error("empty db accepted")
-	}
-}
-
-func TestGridSlot(t *testing.T) {
-	db, m := clusteredDB(t, 2, 4, 2)
-	ix := buildIndex(t, db, m, []float64{2, 5, 10}, 3)
-	cases := []struct {
-		theta float64
-		want  int
-	}{{0, 0}, {2, 0}, {3, 1}, {5, 1}, {9, 2}, {10, 2}, {11, 3}}
-	for _, c := range cases {
-		if got := ix.GridSlot(c.theta); got != c.want {
-			t.Errorf("GridSlot(%v) = %d, want %d", c.theta, got, c.want)
-		}
 	}
 }
 
@@ -233,72 +221,88 @@ func TestIndexSavesDistanceComputations(t *testing.T) {
 	}
 }
 
-func TestPiHatIsUpperBoundOnNeighborhoods(t *testing.T) {
+// The vantage pass supplies every query's leaf bounds and first
+// verifications. Each relevant graph's list must be exactly the brute-force
+// candidate set — the members of L_q within θ of the graph in every vantage
+// space v ≥ 1, the first space bounded by the binary-searched window
+// q[0]−θ ≤ d ≤ q[0]+θ — in first-space order, views in order. That must
+// hold for one view and for 2- and 4-shard views of the same database, and
+// for any worker count. Each list's length must be ≥ the graph's exact
+// |N_θ(g) ∩ L_q| (Theorem 5). θ runs below, on, between and above the grid.
+func TestCandidateListsMatchBruteForce(t *testing.T) {
 	db, m := clusteredDB(t, 4, 8, 14)
 	grid := []float64{2, 4, 8, 16, 64}
-	ix := buildIndex(t, db, m, grid, 15)
-	relevance := func(f []float64) bool { return f[0] > 0.3 }
-	sess := ix.NewSession(relevance)
-	rel := core.Relevant(db, relevance)
-	for _, id := range rel {
-		row := sess.piHat[ix.leafOf[id]]
-		if row == nil {
-			t.Fatalf("relevant graph %d has no π̂-vector", id)
+	vps, err := vantage.SelectVPs(db, m, 5, vantage.SelectRandom, rand.New(rand.NewSource(15)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := core.Relevant(db, func(f []float64) bool { return f[0] > 0.3 })
+	key := make(map[graph.ID]int32, len(rel))
+	for k, id := range rel {
+		key[id] = int32(k)
+	}
+	ctx := context.Background()
+	for _, shards := range []int{1, 2, 4} {
+		per := (db.Len() + shards - 1) / shards
+		var orders []*vantage.Ordering
+		var views []*vantage.Subset
+		for base := 0; base < db.Len(); base += per {
+			part, err := BuildPartContext(ctx, db, m, vps, grid, graph.ID(base), min(per, db.Len()-base), 4, 1,
+				rand.New(rand.NewSource(int64(16+base))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			orders = append(orders, part.VO())
+			views = append(views, part.VO().Subset(rel))
 		}
-		for slot, theta := range grid {
-			// True |N_θ(id) ∩ L_q|.
-			n := 0
-			for _, other := range rel {
-				if m.Distance(id, other) <= theta {
-					n++
+		home := func(pos int32) int { return int(rel[pos]) / per }
+		for _, theta := range []float64{0, 1, 2, 5.5, 8, 64, 100} {
+			lists, err := candidateLists(ctx, views, home, len(rel), theta, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := candidateLists(ctx, views, home, len(rel), theta, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pos, id := range rel {
+				if !slices.Equal(parallel[pos], lists[pos]) {
+					t.Fatalf("%d shards, θ=%v, graph %d: 4 workers listed %v, 1 worker %v", shards, theta, id, parallel[pos], lists[pos])
+				}
+				q := make([]float64, len(vps))
+				for v := range q {
+					q[v] = orders[home(int32(pos))].VPDistance(v, id)
+				}
+				var want []int32
+				for _, o := range orders {
+					for _, c := range o.ByDistRow(0) {
+						k, ok := key[c]
+						if !ok {
+							continue
+						}
+						d0 := o.VPDistance(0, c)
+						in := d0 >= q[0]-theta && d0 <= q[0]+theta
+						for v := 1; v < len(q) && in; v++ {
+							in = math.Abs(o.VPDistance(v, c)-q[v]) <= theta
+						}
+						if in {
+							want = append(want, k)
+						}
+					}
+				}
+				if !slices.Equal(lists[pos], want) {
+					t.Fatalf("%d shards, θ=%v, graph %d: list %v, want %v", shards, theta, id, lists[pos], want)
+				}
+				exact := 0
+				for _, other := range rel {
+					if m.Distance(id, other) <= theta {
+						exact++
+					}
+				}
+				if len(lists[pos]) < exact {
+					t.Fatalf("%d shards, θ=%v, graph %d: bound %d < true %d", shards, theta, id, len(lists[pos]), exact)
 				}
 			}
-			if int(row[slot]) < n {
-				t.Fatalf("π̂[%d][θ=%v] = %d < true %d", id, theta, row[slot], n)
-			}
-		}
-		// π̂ must be monotone in θ.
-		for s := 1; s < len(row); s++ {
-			if row[s] < row[s-1] {
-				t.Fatalf("π̂ not monotone for %d: %v", id, row)
-			}
-		}
-	}
-}
-
-// NewSessionAt initializes at one direct threshold; the answer must match
-// the full-grid session at that threshold, and other thresholds must remain
-// correct through the trivial-bound fallback.
-func TestNewSessionAtDirectInit(t *testing.T) {
-	db, m := clusteredDB(t, 4, 10, 30)
-	ix := buildIndex(t, db, m, []float64{2, 4, 8, 16, 64}, 31)
-	relevance := func(f []float64) bool { return f[0] > 0.3 }
-	theta := 5.5
-	direct := ix.NewSessionAt(relevance, theta)
-	full := ix.NewSession(relevance)
-	a, err := direct.TopK(theta, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := full.TopK(theta, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Answer, b.Answer) || a.Power != b.Power {
-		t.Fatalf("direct session differs: %v vs %v", a.Answer, b.Answer)
-	}
-	// Off-threshold queries on a direct session stay correct (just slower).
-	for _, other := range []float64{2, 9} {
-		want, err := core.BaselineGreedy(db, m, core.Query{Relevance: relevance, Theta: other, K: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := direct.TopK(other, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Answer, want.Answer) {
-			t.Fatalf("θ=%v on direct session: %v, want %v", other, got.Answer, want.Answer)
 		}
 	}
 }
@@ -446,9 +450,6 @@ func TestAccessorsAndFootprint(t *testing.T) {
 	sess := ix.NewSession(func([]float64) bool { return true })
 	if sess.RelevantCount() != db.Len() {
 		t.Errorf("RelevantCount = %d", sess.RelevantCount())
-	}
-	if sess.PiHatBytes() <= 0 {
-		t.Error("PiHatBytes <= 0")
 	}
 }
 

@@ -21,8 +21,8 @@ type ThetaPoint struct {
 // SweepTheta answers the query at every indexed threshold (plus any extra
 // thresholds given) and reports the quality trade-off curve. This powers the
 // "optimal zoom level" workflow of §7: rather than guessing θ, a user sweeps
-// the indexed grid — cheap, because the session is reused — and picks the
-// level whose coverage/granularity trade-off fits the task.
+// the indexed grid on one session and picks the level whose
+// coverage/granularity trade-off fits the task.
 func (s *Session) SweepTheta(k int, extra ...float64) ([]ThetaPoint, error) {
 	return s.SweepThetaContext(context.Background(), k, extra...)
 }
@@ -34,7 +34,7 @@ func (s *Session) SweepThetaContext(ctx context.Context, k int, extra ...float64
 	if k <= 0 {
 		return nil, fmt.Errorf("nbindex: non-positive k %d", k)
 	}
-	thetas := append(append([]float64(nil), s.grid...), extra...)
+	thetas := append(append([]float64(nil), s.ix.grid...), extra...)
 	sort.Float64s(thetas)
 	// Deduplicate.
 	out := thetas[:0]

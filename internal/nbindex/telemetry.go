@@ -44,7 +44,7 @@ func NewTelemetry(r *telemetry.Registry) (*Telemetry, error) {
 		return nil, err
 	}
 	if t.CandidateScans, err = r.NewHistogram("graphrep_nbindex_candidate_scans",
-		"Vantage candidates scanned per TopK call (Theorem 5 candidate set sizes), counted at each graph's first verification only.", workBuckets); err != nil {
+		"Vantage candidates handed to first verifications per TopK call (Theorem 5 candidate sets minus covered graphs), counted at each graph's first verification only.", workBuckets); err != nil {
 		return nil, err
 	}
 	if t.ExactDistances, err = r.NewHistogram("graphrep_nbindex_exact_distances",

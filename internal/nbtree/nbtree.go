@@ -42,7 +42,8 @@ type Options struct {
 // (Radius = Diameter = 0, Centroid = the graph itself).
 type Node struct {
 	// Idx is the node's position in Tree.Nodes(), assigned in DFS preorder.
-	// Query-time state (π̂-vectors) is kept in arrays indexed by Idx.
+	// Query-time state (leaf bounds, credits) is kept in arrays indexed by
+	// Idx.
 	Idx      int
 	Centroid graph.ID
 	Radius   float64

@@ -192,7 +192,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 }
 
 // rUnlockAll releases the read locks rLockAll-style loops acquired. (The
-// acquisition side stays inline in each handler so the lockguard analyzer
+// acquisition side stays inline at each call site so the lockguard analyzer
 // sees the lock call in the function that touches guarded state.)
 func (s *Server) rUnlockAll() {
 	for i := range s.locks {
@@ -276,7 +276,8 @@ type RelevanceSpec struct {
 	// Kind is "quartile", "threshold", "topics", or "weighted".
 	Kind string `json:"kind"`
 	// Dims restricts quartile/threshold scoring to these feature dimensions
-	// (empty = all).
+	// (empty = all); each must lie in [0, FeatureDim), or the request is
+	// answered 400.
 	Dims []int `json:"dims,omitempty"`
 	// Tau is the threshold for threshold/topics/weighted kinds.
 	Tau float64 `json:"tau,omitempty"`
@@ -289,6 +290,16 @@ type RelevanceSpec struct {
 // compileLocked turns a spec into a relevance function. The caller must hold
 // every shard's read lock, like the rest of session initialization.
 func (s *Server) compileLocked(spec RelevanceSpec) (graphrep.Relevance, error) {
+	switch spec.Kind {
+	case "quartile", "threshold":
+		// Both score by indexing the feature vector at each dim, so a dim
+		// out of range would panic inside session initialization.
+		for _, d := range spec.Dims {
+			if d < 0 || d >= s.db.FeatureDim() {
+				return nil, fmt.Errorf("relevance dim %d outside [0, %d)", d, s.db.FeatureDim())
+			}
+		}
+	}
 	switch spec.Kind {
 	case "quartile":
 		return graphrep.FirstQuartileRelevance(s.db, spec.Dims), nil
@@ -347,6 +358,23 @@ func (s *Server) sessionLocked(ctx context.Context, spec RelevanceSpec) (*graphr
 	return e.sess, e.err
 }
 
+// withSession runs fn on the cached session for spec while holding every
+// shard's read lock. The unlock is deferred so that it also runs when the
+// engine panics: net/http recovers a handler's panic, and a read lock leaked
+// there would block the next /insert forever, and every read queued behind
+// that writer.
+func (s *Server) withSession(ctx context.Context, spec RelevanceSpec, fn func(*graphrep.Session) error) error {
+	for i := range s.locks {
+		s.locks[i].RLock()
+	}
+	defer s.rUnlockAll()
+	sess, err := s.sessionLocked(ctx, spec)
+	if err != nil {
+		return err
+	}
+	return fn(sess)
+}
+
 // queryContext derives the context a query runs under: the request context
 // (cancelled when the client disconnects) bounded by the configured
 // per-request timeout.
@@ -403,17 +431,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the configured per-request timeout fires.
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	for i := range s.locks {
-		s.locks[i].RLock()
-	}
-	sess, err := s.sessionLocked(ctx, req.Relevance)
-	if err != nil {
-		s.rUnlockAll()
-		writeQueryError(w, r, err)
-		return
-	}
-	res, err := sess.TopKContext(ctx, req.Theta, req.K)
-	s.rUnlockAll()
+	var res *graphrep.Result
+	err := s.withSession(ctx, req.Relevance, func(sess *graphrep.Session) (err error) {
+		res, err = sess.TopKContext(ctx, req.Theta, req.K)
+		return err
+	})
 	if err != nil {
 		writeQueryError(w, r, err)
 		return
@@ -448,17 +470,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	for i := range s.locks {
-		s.locks[i].RLock()
-	}
-	sess, err := s.sessionLocked(ctx, req.Relevance)
-	if err != nil {
-		s.rUnlockAll()
-		writeQueryError(w, r, err)
-		return
-	}
-	points, err := sess.SweepThetaContext(ctx, req.K)
-	s.rUnlockAll()
+	var points []graphrep.ThetaPoint
+	err := s.withSession(ctx, req.Relevance, func(sess *graphrep.Session) (err error) {
+		points, err = sess.SweepThetaContext(ctx, req.K)
+		return err
+	})
 	if err != nil {
 		writeQueryError(w, r, err)
 		return

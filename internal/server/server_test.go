@@ -179,6 +179,66 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// A relevance spec naming a feature dim outside [0, FeatureDim) is a client
+// error on /query and /sweep: it is answered 400 on every attempt, not just
+// the first, and no shard lock stays held, so a later /insert completes and
+// a valid query still answers.
+func TestBadRelevanceDims(t *testing.T) {
+	db, err := graphrep.GenerateDataset("dud", 120, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := graphrep.Open(db, graphrep.Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(engine).Handler())
+	// A leaked lock leaves a handler blocked, and Close would wait for it;
+	// skip the close on failure so the test reports instead of hanging.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			ts.Close()
+		}
+	})
+	for _, path := range []string{"/query", "/sweep"} {
+		for _, spec := range []RelevanceSpec{
+			{Kind: "quartile", Dims: []int{99}},
+			{Kind: "quartile", Dims: []int{-1}},
+			{Kind: "threshold", Dims: []int{0, db.FeatureDim()}, Tau: 0.5},
+		} {
+			for try := 1; try <= 2; try++ {
+				r := postJSON(t, ts.URL+path, QueryRequest{Relevance: spec, Theta: 5, K: 3}, nil)
+				if r.StatusCode != http.StatusBadRequest {
+					t.Fatalf("%s %+v, try %d: status %d, want 400", path, spec, try, r.StatusCode)
+				}
+			}
+		}
+	}
+	body, err := json.Marshal(InsertRequest{
+		Labels:   []uint32{1, 2},
+		Edges:    [][3]int{{0, 1, 0}},
+		Features: make([]float64, db.FeatureDim()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/insert", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("/insert after bad specs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/insert after bad specs: status %d", resp.StatusCode)
+	}
+	var qr QueryResponse
+	if r := postJSON(t, ts.URL+"/query", QueryRequest{
+		Relevance: RelevanceSpec{Kind: "quartile", Dims: []int{0}}, Theta: 5, K: 3,
+	}, &qr); r.StatusCode != http.StatusOK || len(qr.Answer) == 0 {
+		t.Fatalf("valid query after bad specs: status %d, answer %v", r.StatusCode, qr.Answer)
+	}
+}
+
 func TestSweepEndpoint(t *testing.T) {
 	ts, _ := testServer(t)
 	var sr SweepResponse

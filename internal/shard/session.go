@@ -27,7 +27,6 @@ type QuerySession interface {
 	SweepThetaContext(ctx context.Context, k int, extra ...float64) ([]nbindex.ThetaPoint, error)
 	LastStats() nbindex.QueryStats
 	RelevantCount() int
-	PiHatBytes() int64
 }
 
 // NewSession runs the initialization phase for relevance function q. See
@@ -37,10 +36,9 @@ func (s *Set) NewSession(q core.Relevance) (QuerySession, error) {
 }
 
 // NewSessionContext runs the initialization phase for relevance function q:
-// one global π̂ row per relevant graph, assembled by scanning every shard's
-// vantage ordering with the graph's shared-VP coordinates. With one shard it
-// returns the plain nbindex session (identical behavior and stats to the
-// unsharded engine); with more it returns the scatter-gather coordinator.
+// the relevance filter over the database. With one shard it returns the
+// plain nbindex session (identical behavior and stats to the unsharded
+// engine); with more it returns the scatter-gather coordinator.
 func (s *Set) NewSessionContext(ctx context.Context, q core.Relevance) (QuerySession, error) {
 	// A database opened from a GRDB001 container defers its content
 	// validation to first use; settle it before any session traverses graph
@@ -55,19 +53,15 @@ func (s *Set) NewSessionContext(ctx context.Context, q core.Relevance) (QuerySes
 }
 
 // coordSession is the coordinator's initialization state for one relevance
-// function: the global π̂ row of every relevant graph, stored at the graph's
-// leaf in its home shard's tree. After initialization it is read-only apart
-// from the mutex-guarded LastStats bookkeeping, so concurrent TopK calls are
-// safe, exactly like nbindex.Session.
+// function: the relevant set and its position map. Like nbindex.Session it
+// keeps nothing that depends on θ; each call runs its own vantage pass.
+// After initialization it is read-only apart from the mutex-guarded
+// LastStats bookkeeping, so concurrent TopK calls are safe.
 type coordSession struct {
-	set  *Set
-	grid []float64
-	rel  []graph.ID
+	set *Set
+	rel []graph.ID
 	// relPos maps a database ID to its position in rel, or −1.
-	relPos []int
-	// piHat[p][leafNodeIdx] is the GLOBAL π̂ row (summed across shards) of
-	// the leaf's graph in shard p's tree; nil rows for irrelevant leaves.
-	piHat     [][][]int32
+	relPos    []int
 	statsMu   sync.Mutex
 	lastStats nbindex.QueryStats // guarded by statsMu
 }
@@ -75,14 +69,16 @@ type coordSession struct {
 func newCoordSession(ctx context.Context, set *Set, q core.Relevance) (*coordSession, error) {
 	// Parts loaded from a mapped v4 container defer their content
 	// validation to first use; settle it for every shard before any
-	// navigation below. Repeat sessions hit the cached verdict.
+	// navigation. Repeat sessions hit the cached verdict.
 	for p, part := range set.parts {
 		if err := part.EnsureValid(); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", p, err)
 		}
 	}
-	s := &coordSession{set: set, grid: set.grid}
-	s.rel = core.Relevant(set.db, q)
+	s := &coordSession{set: set, rel: core.Relevant(set.db, q)}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	s.relPos = make([]int, set.db.Len())
 	for i := range s.relPos {
 		s.relPos[i] = -1
@@ -90,42 +86,7 @@ func newCoordSession(ctx context.Context, set *Set, q core.Relevance) (*coordSes
 	for i, id := range s.rel {
 		s.relPos[id] = i
 	}
-	s.piHat = make([][][]int32, len(set.parts))
-	for p, part := range set.parts {
-		s.piHat[p] = make([][]int32, part.Flat().Len())
-	}
-	// Global π̂ rows: one coordinate row per relevant graph, scanned against
-	// every shard's relevant rows. Each shard scan covers a disjoint ID range,
-	// so the summed row equals the unsharded single-scan row exactly (same
-	// candidates, same vantage lower bounds, hence the same grid slots). Rows
-	// are independent and each lands in its own piHat slot, so the scans run
-	// on the worker pool without affecting the result.
-	if len(s.grid) > 0 && len(s.rel) > 0 {
-		views := s.subsets()
-		err := pool.Ranges(ctx, len(s.rel), set.workers, 16, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				id := s.rel[i]
-				home := set.PartFor(id)
-				row := nbindex.PiHatRow(s.grid, views[home].Coords(int32(i)), views)
-				s.piHat[home][set.parts[home].LeafIdx(id)] = row
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
-}
-
-// subsets copies every shard's vantage rows of the relevant graphs, keyed by
-// rel position. Built per initialization and per call rather than kept on
-// the session, whose cache may hold many sessions at once.
-func (s *coordSession) subsets() []*vantage.Subset {
-	views := make([]*vantage.Subset, len(s.set.parts))
-	for p, part := range s.set.parts {
-		views[p] = part.VO().Subset(s.rel)
-	}
-	return views
 }
 
 // RelevantCount returns |L_q| for the session.
@@ -138,43 +99,30 @@ func (s *coordSession) LastStats() nbindex.QueryStats {
 	return s.lastStats
 }
 
-// PiHatBytes reports the memory consumed by the π̂ rows.
-func (s *coordSession) PiHatBytes() int64 {
-	var b int64
-	for _, rows := range s.piHat {
-		for _, row := range rows {
-			b += int64(len(row)) * 4
-		}
-	}
-	return b
-}
-
 // TopK runs the scatter-gather greedy at threshold theta with budget k. See
 // TopKContext.
 func (s *coordSession) TopK(theta float64, k int) (*core.Result, error) {
 	return s.TopKContext(context.Background(), theta, k)
 }
 
-// TopKContext runs the search-and-update phase across every shard tree. Each
-// greedy pick advances the per-shard frontiers in parallel on the worker
-// pool — every shard enumerates its positive-bound candidate leaves from its
-// own tree, independently of the others — then merges them into one list
-// ordered by (bound desc, shard, node) and verifies serially down that list.
-// A candidate's upper bound comes from its global π̂ row (the sum of
-// shard-local π̂ bounds) and its exact marginal gain sums shard-local
-// coverage contributions — each shard computes N_θ(g) ∩ shard from its own
-// vantage rows of the relevant graphs, and those read-only scans also run on
-// the pool. A graph is scanned and threshold-tested at its first
-// verification only; later picks re-verify it from the call's
-// nbindex.NeighborMemo, exactly like the unsharded session. Bounds
-// are admissible and every candidate whose bound reaches the best verified
-// gain is verified, so the pick is the exact greedy argmax with ties toward
-// the lower graph ID — the same answer as the unsharded engine, for any
-// shard count and any worker count (the threshold tests that consult mutable
-// metric state stay serial in list order, so QueryStats are
-// worker-independent too). Cancellation mirrors nbindex: checked on entry,
-// at every greedy pick, before every verification, and inside every pool
-// fan-out.
+// TopKContext runs the search-and-update phase across every shard tree. The
+// call opens with one vantage pass on the worker pool
+// (nbindex.NewNeighborMemo): each relevant graph's shared-VP coordinates are
+// scanned against every shard's rows of the relevant graphs, in shard order,
+// so its list is the unsharded candidate list and its length the global π̂
+// bound at θ. Each greedy pick then advances the per-shard frontiers in
+// parallel on the pool — every shard enumerates its positive-bound
+// candidate leaves from its own tree, independently of the others — merges
+// them into one list ordered by (bound desc, shard, node) and verifies
+// serially down that list through the call's nbindex.NeighborMemo, exactly
+// like the unsharded session. Bounds are admissible and every candidate
+// whose bound reaches the best verified gain is verified, so the pick is the
+// exact greedy argmax with ties toward the lower graph ID — the same answer
+// as the unsharded engine, for any shard count and any worker count (the
+// threshold tests that consult mutable metric state stay serial in list
+// order, so QueryStats are worker-independent too). Cancellation mirrors
+// nbindex: checked on entry, at every greedy pick, before every
+// verification, and inside every pool fan-out.
 func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*core.Result, error) {
 	if math.IsNaN(theta) {
 		return nil, fmt.Errorf("shard: theta is NaN")
@@ -202,26 +150,38 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		return res, nil
 	}
 
-	// Per-shard bound state at this θ, mirroring nbindex.Session.TopKContext:
-	// leaf bounds come from the smallest session-grid threshold ≥ θ, F is the
-	// per-subtree running maximum, sub holds the permanent credit
-	// subtractions. Only the containing tree differs per shard.
-	slot := sort.SearchFloat64s(s.grid, theta)
-	leafBound := func(p, idx int) int32 {
-		row := s.piHat[p][idx]
-		if row == nil {
-			return -1 // irrelevant leaf: never selectable
-		}
-		if slot >= len(row) {
-			return int32(len(s.rel)) // θ beyond the grid: trivial bound
-		}
-		return row[slot]
+	// The call's vantage pass: every shard's rows of the relevant graphs,
+	// keyed by rel position, scanned from each graph's home-shard
+	// coordinates. Each shard covers a disjoint ID range, so a list holds
+	// exactly the unsharded candidates, in shard order.
+	views := make([]*vantage.Subset, len(parts))
+	for p, part := range parts {
+		views[p] = part.VO().Subset(s.rel)
 	}
+	covered := bitset.New(len(s.rel))
+	inAnswer := make([]bool, len(s.rel))
+	memo, err := nbindex.NewNeighborMemo(ctx, s.set.m, s.rel, theta, views,
+		func(pos int32) int { return s.set.PartFor(s.rel[pos]) }, s.set.workers, covered, &st)
+	if err != nil {
+		return nil, err
+	}
+
+	// Per-shard bound state at this θ, mirroring nbindex.Session.TopKContext:
+	// leaf bounds come from the pass, F is the per-subtree running maximum,
+	// sub holds the permanent credit subtractions. Only the containing tree
+	// differs per shard.
 	flats := make([]*nbtree.Flat, len(parts))
 	sub := make([][]int32, len(parts))
 	F := make([][]int32, len(parts))
 	for p, part := range parts {
 		flats[p] = part.Flat()
+	}
+	leafBound := func(p int, idx int32) int32 {
+		pos := s.relPos[flats[p].Centroids[idx]]
+		if pos < 0 {
+			return -1 // irrelevant leaf: never selectable
+		}
+		return memo.Bound(int32(pos))
 	}
 	// Each shard's bound arrays are filled independently from its own tree,
 	// so the fills run on the worker pool; every iteration writes only its
@@ -233,7 +193,7 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 			F[p] = make([]int32, f.Len())
 			for i := int32(f.Len() - 1); i >= 0; i-- {
 				if f.Leaf(i) {
-					F[p][i] = leafBound(p, int(i))
+					F[p][i] = leafBound(p, i)
 					continue
 				}
 				best := int32(-1)
@@ -248,11 +208,6 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 	}); err != nil {
 		return nil, err
 	}
-
-	covered := bitset.New(len(s.rel))
-	inAnswer := make([]bool, len(s.rel))
-	views := s.subsets()
-	memo := nbindex.NewNeighborMemo(s.set.m, s.rel, theta, covered, &st)
 
 	// applyCredit records that relevant graph id became covered: one credit
 	// at its highest diameter ≤ θ ancestor in its HOME shard's tree (credits
@@ -269,7 +224,7 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		for n := a; n != -1; n = f.Parents[n] {
 			var best int32
 			if f.Leaf(n) {
-				best = leafBound(p, int(n))
+				best = leafBound(p, n)
 			} else {
 				best = -1
 				for c := f.FirstChild[n]; c != -1; c = f.NextSibling[c] {
@@ -286,23 +241,6 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		}
 	}
 
-	// collect runs the read-only half of a candidate's first verification:
-	// the relevant graph's shared-VP coordinates scanned against every
-	// shard's relevant rows, skipping covered graphs. It touches no stats and
-	// no metric state, so any number of collects may run concurrently during
-	// a pick (covered and inAnswer are frozen between picks — credits apply
-	// only after a pick completes). The result is never nil, so a prefetched
-	// empty list is told apart from a missing one.
-	collect := func(pos int32) []int32 {
-		q := views[s.set.PartFor(s.rel[pos])].Coords(pos)
-		cands := []int32{}
-		for _, v := range views {
-			v.Scan(q, theta, covered, func(key int32, _ float64) {
-				cands = append(cands, key)
-			})
-		}
-		return cands
-	}
 	for len(res.Answer) < k {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -373,16 +311,8 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 		// reaches the best verified gain are verified exactly; bounds equal to
 		// the best gain are still explored so that ties resolve toward the
 		// lowest graph ID, matching the unsharded search and the baseline
-		// greedy. After the first verification pins a gain, the scans of the
-		// remaining still-qualifying candidates not yet in the memo are
-		// prefetched in one parallel scatter — the scans are pure reads (see
-		// collect), while the threshold tests below stay serial in list order:
-		// metric.Decide's pruned-vs-exact outcome depends on the distance
-		// cache's evolving state, so a fixed decision order keeps QueryStats
-		// identical for any worker count.
-		collected := make([][]int32, len(list))
-		prefetched := false
-		for i, c := range list {
+		// greedy.
+		for _, c := range list {
 			if c.bound < bestGain {
 				break
 			}
@@ -393,41 +323,10 @@ func (s *coordSession) TopKContext(ctx context.Context, theta float64, k int) (*
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			nbrs := memo.Verify(int32(pos), func() []int32 {
-				if collected[i] != nil {
-					return collected[i]
-				}
-				return collect(int32(pos))
-			})
+			nbrs := memo.Verify(int32(pos))
 			gain := int32(len(nbrs))
 			if gain > bestGain || (gain == bestGain && gain > 0 && c.cent < best) {
 				best, bestGain, bestNbrs = c.cent, gain, nbrs
-			}
-			// Prefetch is speculative: candidates the rising best gain later
-			// disqualifies have their scans wasted. With parallel workers the
-			// waste is hidden wall-clock (the scans overlap); on one worker it
-			// is pure extra serial work, so collect on demand instead. Either
-			// way CandidateScans counts only consumed lists, so QueryStats are
-			// identical for any worker count.
-			if !prefetched && pool.Resolve(s.set.workers) > 1 {
-				prefetched = true
-				var todo []int
-				for j := i + 1; j < len(list); j++ {
-					if list[j].bound < bestGain {
-						break
-					}
-					if p := s.relPos[list[j].cent]; p < 0 || inAnswer[p] || memo.Known(int32(p)) {
-						continue
-					}
-					todo = append(todo, j)
-				}
-				if err := pool.Ranges(ctx, len(todo), s.set.workers, 1, func(lo, hi int) {
-					for t := lo; t < hi; t++ {
-						collected[todo[t]] = collect(int32(s.relPos[list[todo[t]].cent]))
-					}
-				}); err != nil {
-					return nil, err
-				}
 			}
 		}
 		if best < 0 || bestGain == 0 {
@@ -460,7 +359,7 @@ func (s *coordSession) SweepThetaContext(ctx context.Context, k int, extra ...fl
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: non-positive k %d", k)
 	}
-	thetas := append(append([]float64(nil), s.grid...), extra...)
+	thetas := append(append([]float64(nil), s.set.grid...), extra...)
 	sort.Float64s(thetas)
 	out := thetas[:0]
 	for i, t := range thetas {

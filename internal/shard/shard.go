@@ -1,7 +1,7 @@
 // Package shard partitions a graph database into contiguous ID ranges, each
 // owning its own NB-Index part (vantage rows + NB-Tree), and coordinates
 // top-k representative queries across them. A shard is just a top-level
-// cluster: the paper's bound machinery (π̂-vectors, Theorems 6–8) composes
+// cluster: the paper's bound machinery (π̂ bounds, Theorems 6–8) composes
 // across disjoint partitions, so sharding preserves exactness while
 // unlocking parallel builds and fine-grained write locking.
 //
@@ -12,8 +12,9 @@
 // A graph's embedding coordinates (its distances to the global VPs) are
 // therefore valid against any shard's sorted views, so cross-shard candidate
 // scans cost zero extra distance computations and the union of per-shard
-// candidate sets equals the unsharded candidate set exactly. π̂ rows summed
-// across shards equal the unsharded rows, bounds stay admissible, and the
+// candidate sets equals the unsharded candidate set exactly. A graph's
+// candidate list concatenated across shards is its unsharded list, so its
+// leaf bound is the unsharded one, bounds stay admissible, and the
 // coordinator's best-first search verifies every candidate whose bound
 // reaches the best verified gain — so answers are byte-identical to the
 // unsharded engine for any shard count (per-query work counters do vary
@@ -49,10 +50,10 @@ type Options struct {
 	VPPolicy vantage.SelectionPolicy
 	// Branching is the per-shard NB-Tree fan-out (≥ 2; 0 defaults to 4).
 	Branching int
-	// ThetaGrid lists the thresholds indexed in π̂-vectors, ascending; one
-	// global grid serves every shard.
+	// ThetaGrid lists the indexed thresholds, ascending: SweepTheta's default
+	// points. One global grid serves every shard.
 	ThetaGrid []float64
-	// Workers bounds build and session-initialization goroutines (≤ 0 means
+	// Workers bounds build and query vantage-pass goroutines (≤ 0 means
 	// GOMAXPROCS). Index bytes and answers are identical for any value.
 	Workers int
 }
@@ -213,8 +214,8 @@ func (s *Set) Bytes() int64 {
 // wall time when shards build concurrently).
 func (s *Set) Timing() nbindex.BuildTiming { return s.timing }
 
-// SetWorkers bounds the goroutines later session initializations use
-// (≤ 0 means GOMAXPROCS). Useful after Read, which has no Options.
+// SetWorkers bounds the goroutines later queries' vantage passes use (≤ 0
+// means GOMAXPROCS). Useful after Read, which has no Options.
 func (s *Set) SetWorkers(w int) {
 	s.workers = w
 	for _, part := range s.parts {

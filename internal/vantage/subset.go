@@ -81,9 +81,7 @@ func (s *Subset) Coords(key int32) []float64 {
 // calls hit(key, lb) for every member whose key is not in skip (nil skips
 // nothing) and whose vantage distance to q is ≤ θ in every space, in
 // first-space order; lb is the vantage lower bound max_v |d(v,member) − q[v]|
-// on the member's distance to q. A member with lb ≤ θ' belongs to N̂_θ'
-// for every θ' ≤ θ, which is what lets one scan at the largest indexed
-// threshold fill a whole π̂-vector (Definition 6).
+// on the member's distance to q.
 //
 // The first space is bounded by the binary-searched window [q[0]−θ,
 // q[0]+θ] over the stored first coordinates, the other spaces by

@@ -50,7 +50,7 @@ func oracleGrid(rng *rand.Rand, db *graphrep.Database) []float64 {
 }
 
 // oracleTheta draws θ on a grid point, between two, below the grid or past
-// its end (where π̂ bounds fall back to trivial ones).
+// its end.
 func oracleTheta(rng *rand.Rand, grid []float64) (float64, string) {
 	i := rng.Intn(len(grid))
 	switch rng.Intn(4) {
