@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"time"
 
 	"graphrep"
@@ -97,49 +95,29 @@ func benchGraphLoad(w io.Writer, outPath string, sizes []int) error {
 			if err != nil {
 				return err
 			}
-			// Timing loop: open and close, so mappings don't pile up. The
-			// mapped open is O(directory), not O(corpus) — content
+			// The mapped open is O(directory), not O(corpus) — content
 			// validation defers to first query use and is not charged here,
-			// matching a server that starts accepting connections before
-			// its first request.
-			start := time.Now()
-			for i := 0; i < openIters; i++ {
-				d, err := graphrep.LoadDatabaseFile(path)
-				if err != nil {
-					return err
-				}
-				if err := d.Close(); err != nil {
-					return err
-				}
-			}
-			perOp := time.Since(start).Nanoseconds() / openIters
-			openNs[format] = perOp
-
-			// Residency: one open held alive, measured across forced GCs so
-			// only memory the database actually retains is charged to it.
-			debug.FreeOSMemory()
-			heapBefore, rssBefore := memoryFootprint()
-			held, err := graphrep.LoadDatabaseFile(path)
+			// matching a server that starts accepting connections before its
+			// first request.
+			cost, err := measureOpen(openIters, func() (io.Closer, error) {
+				return graphrep.LoadDatabaseFile(path)
+			})
 			if err != nil {
 				return err
 			}
-			debug.FreeOSMemory()
-			heapAfter, rssAfter := memoryFootprint()
-			if err := held.Close(); err != nil {
-				return err
-			}
+			openNs[format] = cost.nsPerOp
 			report.Results = append(report.Results, GraphLoadBenchResult{
 				N: n, Format: format,
 				FileBytes:         fi.Size(),
-				OpenNsPerOp:       perOp,
+				OpenNsPerOp:       cost.nsPerOp,
 				OpenIters:         openIters,
-				HeapRetainedBytes: heapAfter - heapBefore,
-				RSSDeltaKB:        rssAfter - rssBefore,
+				HeapRetainedBytes: cost.heapRetained,
+				RSSDeltaKB:        cost.rssDeltaKB,
 			})
 			fmt.Fprintf(w, "n=%-6d %-4s %8d bytes  open %v/op  heap +%d B  rss %+d KB\n",
 				n, format, fi.Size(),
-				time.Duration(perOp).Round(time.Microsecond),
-				heapAfter-heapBefore, rssAfter-rssBefore)
+				time.Duration(cost.nsPerOp).Round(time.Microsecond),
+				cost.heapRetained, cost.rssDeltaKB)
 		}
 		if openNs["grdb"] >= openNs["text"] {
 			slow = true
@@ -148,20 +126,9 @@ func benchGraphLoad(w io.Writer, outPath string, sizes []int) error {
 		}
 	}
 
-	f, err := os.Create(outPath)
-	if err != nil {
+	if err := writeReport(w, outPath, report); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(report)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", outPath)
 	if slow {
 		return fmt.Errorf("mapped grdb open regressed against text parse (see report)")
 	}

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -188,20 +186,9 @@ func benchKernel(w io.Writer, outPath string, sizes []int) error {
 		}
 	}
 
-	f, err := os.Create(outPath)
-	if err != nil {
+	if err := writeReport(w, outPath, report); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(report)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", outPath)
 	for _, n := range slow {
 		fmt.Fprintf(w, "REGRESSION: bounded query path not faster than exact at n=%d\n", n)
 	}

@@ -1,33 +1,31 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
-	"strconv"
-	"strings"
 	"time"
 
 	"graphrep"
+	"graphrep/internal/atomicfile"
 )
 
 // The -bench-load mode: measure what it costs to come back up from a saved
-// index, v3 (streamed gob decode — every array copied to the heap) against
-// v4 (zero-copy mmap — the directory is parsed, the arrays are served in
-// place). Open time should be roughly flat in n for v4 and linear for v3;
-// retained heap and resident-set growth should track the index size for v3
-// and stay near zero for v4, whose pages fault in only as queries touch
-// them. The JSON report lands in BENCH_load.json; the committed copy at the
-// repo root is the reference run.
+// index, the same NBIDX004 file opened two ways — memory-mapped (the
+// directory is parsed, the arrays are served in place) and read into memory
+// (Options.DisableMmap: the whole file copied to the heap first). Mapped
+// open time should be roughly flat in n and the read open's linear;
+// retained heap and resident-set growth should track the index size for the
+// read open and stay near zero for the mapped one, whose pages fault in
+// only as queries touch them. The JSON report lands in BENCH_load.json; the
+// committed copy at the repo root is the reference run.
 
-// LoadBenchResult is one (size, format) cell of the benchmark.
+// LoadBenchResult is one (size, open mode) cell of the benchmark.
 type LoadBenchResult struct {
 	N           int    `json:"n"`
-	Format      string `json:"format"` // "v3" or "v4"
+	Mode        string `json:"mode"` // "mmap" or "read"
 	IndexBytes  int64  `json:"index_bytes"`
 	OpenNsPerOp int64  `json:"open_ns_per_op"`
 	OpenIters   int    `json:"open_iters"`
@@ -47,11 +45,11 @@ type LoadBenchReport struct {
 	Results []LoadBenchResult `json:"results"`
 }
 
-// benchLoad builds an index per size, saves it in both formats, and times
-// reopening each through OpenWithIndexFile (which maps v4 and stream-decodes
-// v3, so the only variable is the format). Like -bench-kernel it doubles as
-// a regression gate: the mapped open must be strictly faster than the gob
-// decode at every size, or the process exits non-zero.
+// benchLoad builds and saves an index per size, then times reopening the
+// file through OpenWithIndexFile mapped and with DisableMmap, so the only
+// variable is the open mode. Like -bench-kernel it doubles as a regression
+// gate: the mapped open must be strictly faster than reading the file into
+// memory at every size, or the process exits non-zero.
 func benchLoad(w io.Writer, outPath string, sizes []int) error {
 	const (
 		dataset   = "dud"
@@ -59,6 +57,9 @@ func benchLoad(w io.Writer, outPath string, sizes []int) error {
 		shards    = 2
 		openIters = 10
 	)
+	if os.Getenv("GRAPHREP_DISABLE_MMAP") != "" {
+		return fmt.Errorf("GRAPHREP_DISABLE_MMAP is set, so both opens would read the file; unset it to compare them")
+	}
 	tmp, err := os.MkdirTemp("", "repbench-load")
 	if err != nil {
 		return err
@@ -79,122 +80,50 @@ func benchLoad(w io.Writer, outPath string, sizes []int) error {
 		if err != nil {
 			return err
 		}
-		paths := map[string]string{
-			"v3": filepath.Join(tmp, fmt.Sprintf("index_v3_%d.nbx", n)),
-			"v4": filepath.Join(tmp, fmt.Sprintf("index_v4_%d.nbx", n)),
+		path := filepath.Join(tmp, fmt.Sprintf("index_%d.nbx", n))
+		if err := atomicfile.Write(path, engine.SaveIndex); err != nil {
+			return err
 		}
-		for format, path := range paths {
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if format == "v3" {
-				err = engine.SaveIndexV3(f)
-			} else {
-				err = engine.SaveIndex(f)
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
+		fi, err := os.Stat(path)
+		if err != nil {
+			return err
 		}
 
 		var openNs = map[string]int64{}
-		for _, format := range []string{"v3", "v4"} {
-			path := paths[format]
-			fi, err := os.Stat(path)
+		for _, mode := range []string{"read", "mmap"} {
+			opts := graphrep.Options{DisableMmap: mode == "read"}
+			cost, err := measureOpen(openIters, func() (io.Closer, error) {
+				return graphrep.OpenWithIndexFile(db, path, opts)
+			})
 			if err != nil {
 				return err
 			}
-			// Timing loop: open and close, so mappings don't pile up.
-			start := time.Now()
-			for i := 0; i < openIters; i++ {
-				e, err := graphrep.OpenWithIndexFile(db, path)
-				if err != nil {
-					return err
-				}
-				if err := e.Close(); err != nil {
-					return err
-				}
-			}
-			perOp := time.Since(start).Nanoseconds() / openIters
-			openNs[format] = perOp
-
-			// Residency: one open held alive, measured across forced GCs so
-			// only memory the engine actually retains is charged to it.
-			debug.FreeOSMemory()
-			heapBefore, rssBefore := memoryFootprint()
-			held, err := graphrep.OpenWithIndexFile(db, path)
-			if err != nil {
-				return err
-			}
-			debug.FreeOSMemory()
-			heapAfter, rssAfter := memoryFootprint()
-			if err := held.Close(); err != nil {
-				return err
-			}
+			openNs[mode] = cost.nsPerOp
 			report.Results = append(report.Results, LoadBenchResult{
-				N: n, Format: format,
+				N: n, Mode: mode,
 				IndexBytes:        fi.Size(),
-				OpenNsPerOp:       perOp,
+				OpenNsPerOp:       cost.nsPerOp,
 				OpenIters:         openIters,
-				HeapRetainedBytes: heapAfter - heapBefore,
-				RSSDeltaKB:        rssAfter - rssBefore,
+				HeapRetainedBytes: cost.heapRetained,
+				RSSDeltaKB:        cost.rssDeltaKB,
 			})
 			fmt.Fprintf(w, "n=%-6d %s  %7d bytes  open %v/op  heap +%d B  rss %+d KB\n",
-				n, format, fi.Size(),
-				time.Duration(perOp).Round(time.Microsecond),
-				heapAfter-heapBefore, rssAfter-rssBefore)
+				n, mode, fi.Size(),
+				time.Duration(cost.nsPerOp).Round(time.Microsecond),
+				cost.heapRetained, cost.rssDeltaKB)
 		}
-		if openNs["v4"] >= openNs["v3"] {
+		if openNs["mmap"] >= openNs["read"] {
 			slow = true
-			fmt.Fprintf(w, "REGRESSION: n=%d mapped v4 open (%v) not faster than v3 decode (%v)\n",
-				n, time.Duration(openNs["v4"]), time.Duration(openNs["v3"]))
+			fmt.Fprintf(w, "REGRESSION: n=%d mapped open (%v) not faster than reading the file (%v)\n",
+				n, time.Duration(openNs["mmap"]), time.Duration(openNs["read"]))
 		}
 	}
 
-	f, err := os.Create(outPath)
-	if err != nil {
+	if err := writeReport(w, outPath, report); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(report)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", outPath)
 	if slow {
-		return fmt.Errorf("mapped v4 open regressed against v3 decode (see report)")
+		return fmt.Errorf("mapped index open regressed against reading the file (see report)")
 	}
 	return nil
-}
-
-// memoryFootprint samples the post-GC heap in use and, on linux, the
-// process resident set from /proc/self/status (0 elsewhere).
-func memoryFootprint() (heapBytes, rssKB int64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	heapBytes = int64(ms.HeapInuse)
-	status, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return heapBytes, 0
-	}
-	for _, line := range strings.Split(string(status), "\n") {
-		if rest, ok := strings.CutPrefix(line, "VmRSS:"); ok {
-			fields := strings.Fields(rest)
-			if len(fields) > 0 {
-				if kb, err := strconv.ParseInt(fields[0], 10, 64); err == nil {
-					rssKB = kb
-				}
-			}
-			break
-		}
-	}
-	return heapBytes, rssKB
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -117,19 +115,8 @@ func benchShards(w io.Writer, outPath string, n, only int) error {
 		fmt.Fprintf(w, "shards=%d  build %v/op  query %v/op\n",
 			shards, time.Duration(buildNs).Round(time.Microsecond), time.Duration(queryNs).Round(time.Microsecond))
 	}
-	f, err := os.Create(outPath)
-	if err != nil {
+	if err := writeReport(w, outPath, report); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(report)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", outPath)
 	return nil
 }

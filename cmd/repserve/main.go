@@ -117,9 +117,11 @@ func loadDatabase(path, name string, n int, seed int64) (*graphrep.Database, err
 // openEngine loads a persisted index when available (its stored shard count
 // wins over the -shards flag), otherwise builds one (on up to workers
 // goroutines, split into shards partitions) and persists it to indexPath
-// (when given). Stored v4 indexes are memory-mapped — the process starts
-// serving immediately and index pages fault in on first use; the mapping
-// lives as long as the process, so the engine is never Closed here.
+// (when given). A stored file that does not open — another format, such as
+// the retired NBIDX001–NBIDX003, or a corrupt file — is rebuilt and replaced.
+// Stored indexes are memory-mapped — the process starts serving immediately
+// and index pages fault in on first use; the mapping lives as long as the
+// process, so the engine is never Closed here.
 func openEngine(db *graphrep.Database, indexPath string, seed int64, workers, shards int) (*graphrep.Engine, error) {
 	if indexPath != "" {
 		if _, err := os.Stat(indexPath); err == nil {

@@ -35,7 +35,6 @@
 package graphrep
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -391,12 +390,12 @@ func instrumentMetric(db *Database, custom Metric) (metric.Metric, *metric.Count
 
 // OpenWithIndex reopens a database with an index previously persisted by
 // SaveIndex, skipping index construction entirely. The database must be the
-// same one the index was built over. It is OpenWithIndexContext with no
-// cancellation. Current (v4, the zero-copy container), embedded-gob (v3),
-// pre-embedding (v2), and pre-shard (v1) index files all load and answer
-// identically; pre-embedding files come up with their embeddings recomputed
-// from the database (v1 as a single shard). To map the index file instead of
-// streaming it, use OpenWithIndexFile.
+// same one the index was built over. It reads r whole onto the heap and
+// serves the index from that copy; to map an index file instead, use
+// OpenWithIndexFile. Only the current format (NBIDX004) opens: any other
+// file, including the retired NBIDX001–NBIDX003 layouts, fails with an error
+// that names its magic, and the index must be rebuilt with Open. It is
+// OpenWithIndexContext with no cancellation.
 func OpenWithIndex(db *Database, r io.Reader, opts ...Options) (*Engine, error) {
 	return OpenWithIndexContext(context.Background(), db, r, opts...)
 }
@@ -412,13 +411,13 @@ func OpenWithIndexContext(ctx context.Context, db *Database, r io.Reader, opts .
 }
 
 // OpenWithIndexFile reopens a database with an index file previously written
-// by SaveIndex. v4 files are memory-mapped (unless Options.DisableMmap is
-// set or the platform lacks support) and served zero-copy: the open cost is
-// independent of the index size, pages fault in on first use, and concurrent
-// queries share one read-only mapping. Call Engine.Close when done to
-// release the mapping — after no queries remain in flight. Legacy formats
-// (v1–v3) are decoded to the heap as OpenWithIndex would; Close is then a
-// no-op. It is OpenWithIndexFileContext with no cancellation.
+// by SaveIndex. The file is memory-mapped (unless Options.DisableMmap is set
+// or the platform lacks support, in which case it is read into memory) and
+// served zero-copy: the open cost is independent of the index size, pages
+// fault in on first use, and concurrent queries share one read-only mapping.
+// Call Engine.Close when done to release the mapping — after no queries
+// remain in flight. Files in any other format fail as in OpenWithIndex. It
+// is OpenWithIndexFileContext with no cancellation.
 func OpenWithIndexFile(db *Database, path string, opts ...Options) (*Engine, error) {
 	return OpenWithIndexFileContext(context.Background(), db, path, opts...)
 }
@@ -435,22 +434,14 @@ func OpenWithIndexFileContext(ctx context.Context, db *Database, path string, op
 		if err != nil {
 			return nil, nil, err
 		}
-		data := f.Bytes()
-		if len(data) >= 8 && string(data[:8]) == "NBIDX004" {
-			set, err := shard.ReadBytesContext(ctx, data, db, m)
-			if err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-			// The set serves queries from views over data; the mapping must
-			// outlive it, so hand the file to the engine.
-			return set, f, nil
+		set, err := shard.ReadBytesContext(ctx, f.Bytes(), db, m)
+		if err != nil {
+			f.Close()
+			return nil, nil, err
 		}
-		// Legacy stream format: decode copies everything to the heap, so the
-		// file can be released immediately.
-		set, err := shard.ReadContext(ctx, bytes.NewReader(data), db, m)
-		f.Close()
-		return set, nil, err
+		// The set serves queries from views over the file's bytes; the
+		// mapping must outlive it, so hand the file to the engine.
+		return set, f, nil
 	})
 }
 
@@ -501,14 +492,10 @@ func openWithIndex(db *Database, opts []Options, load func(metric.Metric) (*shar
 
 // SaveIndex persists the engine's NB-Index so a later OpenWithIndex (or
 // OpenWithIndexFile, which memory-maps it) can skip construction — the
-// offline step of Fig. 6(k). The format (v4) is a flat offset-tabled layout
-// recording every shard along with its filter embeddings, readable in place.
+// offline step of Fig. 6(k). The format, NBIDX004, is a flat offset-tabled
+// layout recording every shard along with its filter embeddings, readable in
+// place.
 func (e *Engine) SaveIndex(w io.Writer) error { return e.set.Encode(w) }
-
-// SaveIndexV3 persists the index in the legacy v3 gob layout, for
-// interoperability with older tooling. OpenWithIndex loads either format and
-// answers identically.
-func (e *Engine) SaveIndexV3(w io.Writer) error { return e.set.EncodeV3(w) }
 
 // Shards returns the number of index shards (1 unless Options.Shards asked
 // for more, or the loaded index file recorded more).

@@ -7,33 +7,31 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"graphrep"
 )
 
-// The v4 (zero-copy mmap) persistence contract, as tests:
+// The NBIDX004 (zero-copy mmap) persistence contract, as tests:
 //
-//   - a v4 index opened from a mapped file answers byte-identically —
-//     answers, sweep curves, AND QueryStats — to the same index loaded from
-//     a v3 stream, for every shard count × worker count combination;
+//   - an index opened from a mapped file answers byte-identically —
+//     answers and sweep curves — to the engine that built it, and does the
+//     same search work, for every shard count × worker count combination;
 //   - one shared mapping serves any number of concurrent query goroutines
 //     (the -race build is the real assertion);
 //   - DisableMmap (and platforms without mmap) read the file instead, with
-//     identical results;
-//   - every committed golden blob (v1..v4, same dud-120 seed-7 database)
-//     loads, answers identically to a fresh build, and re-saves to the same
-//     v4 bytes a fresh engine writes.
+//     identical results, QueryStats included;
+//   - the committed golden file (dud-120 seed-7, two shards) is exactly what
+//     a fresh build saves, loads, answers identically, and re-saves to the
+//     same bytes;
+//   - any other format — the retired gob layouts NBIDX001–NBIDX003, or
+//     bytes that are no index at all — fails with an error naming it.
 
-// saveBoth persists engine in both formats: the legacy v3 stream and a v4
-// file on disk.
-func saveBoth(t *testing.T, engine *graphrep.Engine, dir string, tag string) ([]byte, string) {
+// saveIndexFile persists engine to a file named after tag in dir.
+func saveIndexFile(t *testing.T, engine *graphrep.Engine, dir string, tag string) string {
 	t.Helper()
-	var v3 bytes.Buffer
-	if err := engine.SaveIndexV3(&v3); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, tag+".nbx")
 	f, err := os.Create(path)
 	if err != nil {
@@ -45,14 +43,29 @@ func saveBoth(t *testing.T, engine *graphrep.Engine, dir string, tag string) ([]
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return v3.Bytes(), path
+	return path
 }
 
-// TestV4MmapEqualsV3Loaded is the tentpole acceptance matrix: the same index
-// opened from a v3 stream and from a v4 memory mapping must produce
-// byte-identical answers, sweep curves, and per-query work statistics — the
-// view-backed query path does exactly the work the heap-backed one does —
-// for shard counts 1, 2, 4 and session workers 1 and GOMAXPROCS.
+// searchWork is the part of QueryStats that a mapped engine must share with
+// the engine that built its index. The exact/pruned split of the distance
+// tests is left out: the build leaves the distance cache warm, which moves
+// tests from exact to pruned without changing how many are issued.
+type searchWork struct{ pops, leaves, scans, tests int }
+
+func searchWorkOf(stats []graphrep.QueryStats) []searchWork {
+	w := make([]searchWork, len(stats))
+	for i, s := range stats {
+		w[i] = searchWork{s.PQPops, s.VerifiedLeaves, s.CandidateScans, s.ExactDistances + s.PrunedDistances}
+	}
+	return w
+}
+
+// TestV4MmapEqualsV3Loaded is the persistence acceptance matrix: an index
+// opened from a memory mapping must produce byte-identical answers and sweep
+// curves to the engine that built it, and the same search work — heap pops,
+// verified leaves, candidate scans and threshold tests issued — for shard
+// counts 1, 2, 4 and session workers 1 and GOMAXPROCS. The mapped engine
+// must also re-save to the exact bytes it was opened from.
 func TestV4MmapEqualsV3Loaded(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 150, 5)
 	if err != nil {
@@ -64,61 +77,41 @@ func TestV4MmapEqualsV3Loaded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v3blob, v4path := saveBoth(t, engine, dir, fmt.Sprintf("s%d", shards))
-		wantAnswers, _, wantPoints := collectAnswers(t, engine, 5)
+		path := saveIndexFile(t, engine, dir, fmt.Sprintf("s%d", shards))
+		wantAnswers, wantStats, wantPoints := collectAnswers(t, engine, 5)
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			opts := graphrep.Options{Workers: workers}
-			fromV3, err := graphrep.OpenWithIndex(db, bytes.NewReader(v3blob), opts)
+			mapped, err := graphrep.OpenWithIndexFile(db, path, graphrep.Options{Workers: workers})
 			if err != nil {
-				t.Fatalf("shards=%d workers=%d: v3 load: %v", shards, workers, err)
+				t.Fatalf("shards=%d workers=%d: open: %v", shards, workers, err)
 			}
-			fromV4, err := graphrep.OpenWithIndexFile(db, v4path, opts)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: v4 open: %v", shards, workers, err)
+			if mapped.Shards() != shards {
+				t.Fatalf("mapped engine has %d shards, want %d", mapped.Shards(), shards)
 			}
-			v3Answers, v3Stats, v3Points := collectAnswers(t, fromV3, 5)
-			v4Answers, v4Stats, v4Points := collectAnswers(t, fromV4, 5)
-			for _, e := range []struct {
-				name    string
-				engine  *graphrep.Engine
-				answers []answer
-				points  []graphrep.ThetaPoint
-			}{{"v3-loaded", fromV3, v3Answers, v3Points}, {"v4-mmapped", fromV4, v4Answers, v4Points}} {
-				if e.engine.Shards() != shards {
-					t.Fatalf("%s engine has %d shards, want %d", e.name, e.engine.Shards(), shards)
-				}
-				if !reflect.DeepEqual(e.answers, wantAnswers) {
-					t.Errorf("shards=%d workers=%d: %s answers differ from the built engine:\n got %+v\nwant %+v",
-						shards, workers, e.name, e.answers, wantAnswers)
-				}
-				if !reflect.DeepEqual(e.points, wantPoints) {
-					t.Errorf("shards=%d workers=%d: %s sweep curve differs from the built engine",
-						shards, workers, e.name)
-				}
+			answers, stats, points := collectAnswers(t, mapped, 5)
+			if !reflect.DeepEqual(answers, wantAnswers) {
+				t.Errorf("shards=%d workers=%d: mapped answers differ from the built engine:\n got %+v\nwant %+v",
+					shards, workers, answers, wantAnswers)
 			}
-			// QueryStats are compared between the two LOADED engines, not
-			// against the builder: a fresh build leaves the distance cache
-			// warm, which legitimately shifts the pruned/exact split. The two
-			// cold-started engines must match each other field for field —
-			// the zero-copy path does exactly the work the heap path does.
-			if !reflect.DeepEqual(v4Stats, v3Stats) {
-				t.Errorf("shards=%d workers=%d: v4-mmapped query stats differ from v3-loaded:\n got %+v\nwant %+v",
-					shards, workers, v4Stats, v3Stats)
+			if !reflect.DeepEqual(points, wantPoints) {
+				t.Errorf("shards=%d workers=%d: mapped sweep curve differs from the built engine", shards, workers)
 			}
-			// A v4-mmapped engine re-saves to the exact bytes on disk.
+			if got, want := searchWorkOf(stats), searchWorkOf(wantStats); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d workers=%d: mapped search work differs from the built engine:\n got %+v\nwant %+v",
+					shards, workers, got, want)
+			}
 			var again bytes.Buffer
-			if err := fromV4.SaveIndex(&again); err != nil {
+			if err := mapped.SaveIndex(&again); err != nil {
 				t.Fatal(err)
 			}
-			disk, err := os.ReadFile(v4path)
+			disk, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(again.Bytes(), disk) {
-				t.Errorf("shards=%d workers=%d: v4-mmapped re-save differs from the file it was opened from",
+				t.Errorf("shards=%d workers=%d: mapped re-save differs from the file it was opened from",
 					shards, workers)
 			}
-			if err := fromV4.Close(); err != nil {
+			if err := mapped.Close(); err != nil {
 				t.Errorf("shards=%d workers=%d: close: %v", shards, workers, err)
 			}
 		}
@@ -138,11 +131,10 @@ func TestV4ConcurrentQueriesSharedMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	_, v4path := saveBoth(t, engine, dir, "conc")
+	path := saveIndexFile(t, engine, t.TempDir(), "conc")
 	wantAnswers, _, wantPoints := collectAnswers(t, engine, 5)
 
-	mapped, err := graphrep.OpenWithIndexFile(db, v4path)
+	mapped, err := graphrep.OpenWithIndexFile(db, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +189,8 @@ func TestV4ConcurrentQueriesSharedMapping(t *testing.T) {
 }
 
 // TestOpenWithIndexFileDisableMmap checks the read fallback: with mapping
-// disabled the same file produces identical answers, and Close stays safe
-// (idempotent, and a no-op for heap-backed engines).
+// disabled the same file produces identical answers and QueryStats, and
+// Close stays safe (idempotent).
 func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 100, 3)
 	if err != nil {
@@ -208,18 +200,17 @@ func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	v3blob, v4path := saveBoth(t, engine, dir, "fallback")
+	path := saveIndexFile(t, engine, t.TempDir(), "fallback")
 	// Baseline: the mapped open. (Not the builder — its warm distance cache
 	// legitimately shifts the pruned/exact stats split.)
-	mapped, err := graphrep.OpenWithIndexFile(db, v4path)
+	mapped, err := graphrep.OpenWithIndexFile(db, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
 	wantAnswers, wantStats, _ := collectAnswers(t, mapped, 4)
 
-	noMmap, err := graphrep.OpenWithIndexFile(db, v4path, graphrep.Options{DisableMmap: true})
+	noMmap, err := graphrep.OpenWithIndexFile(db, path, graphrep.Options{DisableMmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,84 +224,77 @@ func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	if err := noMmap.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// A legacy v3 file also opens through the file API (decoded to the heap).
-	v3path := filepath.Join(dir, "legacy_v3.nbx")
-	if err := os.WriteFile(v3path, v3blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := graphrep.OpenWithIndexFile(db, v3path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	answers, stats, _ = collectAnswers(t, legacy, 4)
-	if !reflect.DeepEqual(answers, wantAnswers) || !reflect.DeepEqual(stats, wantStats) {
-		t.Error("v3-file engine answers or stats differ from the mapped engine")
-	}
 }
 
-// TestIndexCompatMatrix loads every committed golden blob — one per format
-// generation, all over the same dud-120 seed-7 database — and checks the
-// full compatibility contract: each loads with its original shard layout,
-// answers exactly like a fresh build, and re-saves to the same v4 bytes a
-// fresh engine of the same shard count writes. (v1 predates sharding, so it
-// compares against a 1-shard save; v2–v4 were written with two shards.)
+// TestIndexCompatMatrix pins the one index format. The committed golden
+// file (dud-120 seed-7, two shards) must equal a fresh 2-shard save byte for
+// byte, load with its shard layout, answer exactly like a fresh build, and
+// re-save to the same bytes. Files in any other format — the retired gob
+// layouts NBIDX001–NBIDX003 and bytes that are no index — must fail through
+// both open paths with an error that names the magic and says to rebuild.
 func TestIndexCompatMatrix(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 120, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshSaves := map[int][]byte{}
-	var wantAnswers []answer
-	var wantPoints []graphrep.ThetaPoint
-	for _, shards := range []int{1, 2} {
-		fresh, err := graphrep.Open(db, graphrep.Options{Seed: 7, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := fresh.SaveIndex(&buf); err != nil {
-			t.Fatal(err)
-		}
-		freshSaves[shards] = buf.Bytes()
-		if shards == 2 {
-			wantAnswers, _, wantPoints = collectAnswers(t, fresh, 5)
-		}
+	fresh, err := graphrep.Open(db, graphrep.Options{Seed: 7, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		file   string
-		shards int
-	}{
-		{"index_v1_dud120_seed7.nbx", 1},
-		{"index_v2_dud120_seed7.nbx", 2},
-		{"index_v3_dud120_seed7.nbx", 2},
-		{"index_v4_dud120_seed7.nbx", 2},
-	} {
-		blob, err := os.ReadFile(filepath.Join("testdata", tc.file))
-		if err != nil {
+	var freshSave bytes.Buffer
+	if err := fresh.SaveIndex(&freshSave); err != nil {
+		t.Fatal(err)
+	}
+	wantAnswers, _, wantPoints := collectAnswers(t, fresh, 5)
+
+	golden, err := os.ReadFile(filepath.Join("testdata", "index_v4_dud120_seed7.nbx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(freshSave.Bytes(), golden) {
+		t.Fatalf("a fresh 2-shard save (%d bytes) differs from the committed golden file (%d bytes)",
+			freshSave.Len(), len(golden))
+	}
+	loaded, err := graphrep.OpenWithIndex(db, bytes.NewReader(golden))
+	if err != nil {
+		t.Fatalf("golden file no longer loads: %v", err)
+	}
+	if loaded.Shards() != 2 {
+		t.Fatalf("golden file loaded as %d shards, want 2", loaded.Shards())
+	}
+	answers, _, points := collectAnswers(t, loaded, 5)
+	if !reflect.DeepEqual(answers, wantAnswers) {
+		t.Errorf("golden answers differ from a fresh build:\n got %+v\nwant %+v", answers, wantAnswers)
+	}
+	if !reflect.DeepEqual(points, wantPoints) {
+		t.Error("golden sweep curve differs from a fresh build")
+	}
+	var resave bytes.Buffer
+	if err := loaded.SaveIndex(&resave); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resave.Bytes(), golden) {
+		t.Error("golden file re-saves to different bytes")
+	}
+
+	dir := t.TempDir()
+	for _, m := range []string{"NBIDX001", "NBIDX002", "NBIDX003", "GRDB001\x00", "garbage!"} {
+		// The golden body behind another magic.
+		blob := append([]byte(m), golden[8:]...)
+		path := filepath.Join(dir, "old.nbx")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := graphrep.OpenWithIndex(db, bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("%s no longer loads: %v", tc.file, err)
-		}
-		if loaded.Shards() != tc.shards {
-			t.Fatalf("%s loaded as %d shards, want %d", tc.file, loaded.Shards(), tc.shards)
-		}
-		answers, _, points := collectAnswers(t, loaded, 5)
-		if !reflect.DeepEqual(answers, wantAnswers) {
-			t.Errorf("%s answers differ from a fresh build:\n got %+v\nwant %+v", tc.file, answers, wantAnswers)
-		}
-		if !reflect.DeepEqual(points, wantPoints) {
-			t.Errorf("%s sweep curve differs from a fresh build", tc.file)
-		}
-		var resave bytes.Buffer
-		if err := loaded.SaveIndex(&resave); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resave.Bytes(), freshSaves[tc.shards]) {
-			t.Errorf("%s re-saved bytes differ from a fresh %d-shard v4 save", tc.file, tc.shards)
+		_, errStream := graphrep.OpenWithIndex(db, bytes.NewReader(blob))
+		_, errFile := graphrep.OpenWithIndexFile(db, path)
+		for _, err := range []error{errStream, errFile} {
+			if err == nil {
+				t.Errorf("%q: a file in another format opened", m)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", m)) || !strings.Contains(msg, "rebuild") {
+				t.Errorf("%q: error %q does not name the magic and say to rebuild", m, msg)
+			}
 		}
 	}
 }

@@ -69,16 +69,17 @@ func (*ViewHolder) String() string { return "ViewHolder" }
 // ScopePackages names the packages (by package name, so fixture stubs
 // qualify) whose functions are checked for mutations. Facts are derived
 // everywhere; only reporting is scoped — these are the packages that touch
-// v4 index sections or GRDB001 corpus sections.
+// NBIDX004 index sections or GRDB001 corpus sections.
 var ScopePackages = map[string]bool{
-	"mmapfile": true,
-	"vantage":  true,
-	"nbtree":   true,
-	"ged":      true,
-	"nbindex":  true,
-	"shard":    true,
-	"graph":    true,
-	"graphrep": true,
+	"mmapfile":  true,
+	"container": true,
+	"vantage":   true,
+	"nbtree":    true,
+	"ged":       true,
+	"nbindex":   true,
+	"shard":     true,
+	"graph":     true,
+	"graphrep":  true,
 }
 
 // ThawSites names the sanctioned copy-on-write mutation sites, keyed by
@@ -239,7 +240,7 @@ func (st *fnState) flowAssign(n *ast.AssignStmt) bool {
 	changed := false
 	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
 		// Tuple assignment: every slice-typed LHS inherits the call's
-		// taint (v, err := v4view(...)).
+		// taint (v, err := container.View(...)).
 		t := st.taint(n.Rhs[0])
 		al := st.aliasSet(n.Rhs[0])
 		for _, lhs := range n.Lhs {

@@ -105,35 +105,46 @@ func TestEmbeddingSubsumesRetiredTiers(t *testing.T) {
 	}
 }
 
-// Embeddings persist in the v3 index container, so the codec must round-trip
-// exactly: decode(encode(e)) re-encodes to the same bytes and proves the same
-// bounds. Byte-stability is what keeps index files identical across
-// save/load/save cycles.
+// Embeddings persist in the index as a Table, so the record codec must
+// round-trip exactly: a record decoded with At re-encodes to the same bytes
+// and proves the same bounds as the embedding it was written from, and the
+// table reopened from its offsets and blob — the two index sections — passes
+// NewTable's validation. Byte-stability is what keeps index files identical
+// across save/load/save cycles.
 func TestEmbeddingEncodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for i := 0; i < 200; i++ {
-		g := randGraph(rng, 14)
-		e := NewEmbedding(g)
-		var buf bytes.Buffer
-		if err := e.Encode(&buf); err != nil {
+	embs := make([]*Embedding, 200)
+	for i := range embs {
+		embs[i] = NewEmbedding(randGraph(rng, 14))
+	}
+	tab, err := NewTableFromEmbeddings(embs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := NewTable(tab.Offsets(), tab.Blob())
+	if err != nil {
+		t.Fatalf("NewTable rejected a written table: %v", err)
+	}
+	if reopened.Len() != len(embs) {
+		t.Fatalf("table holds %d records, want %d", reopened.Len(), len(embs))
+	}
+	for i, e := range embs {
+		var want bytes.Buffer
+		if err := e.Encode(&want); err != nil {
 			t.Fatal(err)
 		}
-		first := append([]byte(nil), buf.Bytes()...)
-		dec, err := DecodeEmbedding(&buf)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(reopened.Record(i), want.Bytes()) {
+			t.Fatalf("graph %d: table record differs from Encode", i)
 		}
-		if buf.Len() != 0 {
-			t.Fatalf("graph %d: decode left %d trailing bytes", i, buf.Len())
-		}
+		dec := reopened.At(i)
 		var again bytes.Buffer
 		if err := dec.Encode(&again); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again.Bytes(), first) {
+		if !bytes.Equal(again.Bytes(), want.Bytes()) {
 			t.Fatalf("graph %d: re-encoded bytes differ", i)
 		}
-		if dec.Stars() != e.Stars() || dec.Dims() != e.Dims() {
+		if dec.Stars() != e.Stars() || dec.Dims() != e.Dims() || reopened.Stars(i) != e.Stars() {
 			t.Fatalf("graph %d: decoded shape differs", i)
 		}
 		o := NewEmbedding(randGraph(rng, 14))
@@ -143,8 +154,9 @@ func TestEmbeddingEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// DecodeEmbedding must reject corrupt headers instead of allocating
-// absurd buffers or mis-framing the stream.
+// NewTable must reject corrupt records instead of allocating absurd buffers
+// or mis-framing the blob: each case is a one-record table whose offsets
+// frame the mutated record exactly, so only the record check can catch it.
 func TestDecodeEmbeddingRejectsCorrupt(t *testing.T) {
 	e := NewEmbedding(mkGraph(t, []graph.Label{1, 2}, [][3]int{{0, 1, 0}}))
 	var buf bytes.Buffer
@@ -152,6 +164,9 @@ func TestDecodeEmbeddingRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
+	if _, err := NewTable([]uint32{0, uint32(len(blob))}, blob); err != nil {
+		t.Fatalf("NewTable rejected a valid record: %v", err)
+	}
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -169,8 +184,9 @@ func TestDecodeEmbeddingRejectsCorrupt(t *testing.T) {
 			return c
 		}},
 	} {
-		if _, err := DecodeEmbedding(bytes.NewReader(tc.mutate(blob))); err == nil {
-			t.Errorf("%s: decode accepted corrupt input", tc.name)
+		rec := tc.mutate(blob)
+		if _, err := NewTable([]uint32{0, uint32(len(rec))}, rec); err == nil {
+			t.Errorf("%s: NewTable accepted a corrupt record", tc.name)
 		}
 	}
 }

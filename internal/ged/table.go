@@ -115,9 +115,8 @@ func validateEmbeddingRecord(rec []byte) error {
 	return nil
 }
 
-// decodeEmbeddingBytes decodes one validated record. It mirrors
-// DecodeEmbedding without the io.Reader plumbing; bounds are guaranteed by
-// NewTable's validation.
+// decodeEmbeddingBytes decodes one validated record written by
+// Embedding.Encode; bounds are guaranteed by NewTable's validation.
 func decodeEmbeddingBytes(rec []byte) *Embedding {
 	n := int(binary.LittleEndian.Uint32(rec[0:]))
 	nc := int(binary.LittleEndian.Uint32(rec[4:]))

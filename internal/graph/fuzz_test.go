@@ -130,7 +130,7 @@ func FuzzReadGRDB(f *testing.F) {
 			_ = db.Features(ID(i))
 		}
 		// A validated container must re-save into a container with identical
-		// content. (Not necessarily identical bytes: parseGRDB tolerates
+		// content. (Not necessarily identical bytes: container.Parse tolerates
 		// section orderings and padding gaps SaveDatabase never emits.)
 		var buf bytes.Buffer
 		if err := SaveDatabase(&buf, db); err != nil {

@@ -2,11 +2,14 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"graphrep/internal/container"
 )
 
 // testDatabase builds a deterministic heap database: n small random graphs
@@ -204,32 +207,57 @@ func mappedBase(db *Database) bool {
 	return ok
 }
 
-// TestGRDBRejectsCorruptLayout walks a catalogue of malformed containers
+// TestGRDBRejectsCorruptLayout walks a catalogue of containers whose header
+// and directory are sound but whose GRDB sections are missing or misshapen
 // through OpenDatabaseBytes: every one must fail at open, with no panic.
+// Header and directory corruption is internal/container's table test.
 func TestGRDBRejectsCorruptLayout(t *testing.T) {
 	db := testDatabase(t, 8, 1, 2)
 	blob := saveGRDB(t, db)
-	mutate := func(name string, fn func(b []byte) []byte) {
-		b := fn(append([]byte(nil), blob...))
+	le := binary.LittleEndian
+	// Directory entries follow SaveDatabase's section order, kinds 1..7.
+	entry := func(b []byte, kind uint32) []byte { return b[container.HeaderLen+int(kind-1)*container.EntryLen:] }
+	// meta returns the meta section of b, which aliases b.
+	meta := func(b []byte) []byte {
+		d, err := container.Parse(b, GRDBMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, err := d.Section(grdbMeta, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sec
+	}
+	mutate := func(name string, fn func(b []byte)) {
+		b := append([]byte(nil), blob...)
+		fn(b)
 		if _, err := OpenDatabaseBytes(b); err == nil {
 			t.Errorf("%s: corrupt container opened cleanly", name)
 		}
 	}
-	mutate("empty", func(b []byte) []byte { return nil })
-	mutate("short header", func(b []byte) []byte { return b[:10] })
-	mutate("bad magic", func(b []byte) []byte { b[0] = 'X'; return b })
-	mutate("truncated", func(b []byte) []byte { return b[:len(b)-16] })
-	mutate("oversized count", func(b []byte) []byte { b[8] = 0xFF; return b })
-	mutate("zero count", func(b []byte) []byte {
-		for i := 8; i < 16; i++ {
-			b[i] = 0
-		}
-		return b
+	mutate("missing section", func(b []byte) { le.PutUint32(entry(b, grdbFeatures), 99) })
+	mutate("section outside shard 0", func(b []byte) { le.PutUint32(entry(b, grdbMeta)[4:], 1) })
+	mutate("short meta", func(b []byte) { le.PutUint64(entry(b, grdbMeta)[16:], 24) })
+	mutate("labels not whole elements", func(b []byte) {
+		e := entry(b, grdbLabels)
+		le.PutUint64(e[16:], le.Uint64(e[16:])-1)
 	})
-	mutate("unaligned section", func(b []byte) []byte { b[grdbHeaderLen+8] = 1; return b })
-	mutate("dup kind", func(b []byte) []byte {
-		copy(b[grdbHeaderLen+grdbDirEntryLen:], b[grdbHeaderLen:grdbHeaderLen+grdbDirEntryLen])
-		return b
+	mutate("graph count", func(b []byte) { m := meta(b); le.PutUint64(m[0:], le.Uint64(m[0:])+1) })
+	mutate("feature dim", func(b []byte) { le.PutUint64(meta(b)[8:], 2) })
+	mutate("vertex count", func(b []byte) { m := meta(b); le.PutUint64(m[16:], le.Uint64(m[16:])+1) })
+	mutate("half-edge count", func(b []byte) { m := meta(b); le.PutUint64(m[24:], le.Uint64(m[24:])+2) })
+	mutate("vertex offsets end", func(b []byte) {
+		d, err := container.Parse(b, GRDBMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, err := d.Section(grdbVtxOff, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := sec[len(sec)-8:]
+		le.PutUint64(last, le.Uint64(last)+1)
 	})
 }
 
@@ -238,14 +266,14 @@ func TestGRDBRejectsCorruptLayout(t *testing.T) {
 func TestGRDBEnsureValidCatchesContent(t *testing.T) {
 	db := testDatabase(t, 8, 1, 4)
 	b := saveGRDB(t, db)
-	// parseGRDB returns subslices of b, so writing through the section view
-	// corrupts the container in place: point the first half-edge at an
-	// out-of-range vertex (MaxInt32).
-	d, err := parseGRDB(b)
+	// container.Parse returns subslices of b, so writing through the
+	// section view corrupts the container in place: point the first
+	// half-edge at an out-of-range vertex (MaxInt32).
+	d, err := container.Parse(b, GRDBMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec, err := d.section(grdbAdjTo)
+	sec, err := d.Section(grdbAdjTo, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

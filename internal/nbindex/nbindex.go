@@ -106,9 +106,8 @@ type Index struct {
 	// vector whose L1-style lower bound opens the bounded distance cascade.
 	// Embeddings are a pure function of the graphs — independent of the
 	// metric and of whether the bounded kernel is enabled — so index bytes
-	// stay identical either way. Persisted since the v3 container; recomputed
-	// on the v1/v2 compat load paths. View-backed indexes carry embTab
-	// instead and leave embs nil until thawed.
+	// stay identical either way. Built indexes compute them; view-backed
+	// indexes carry embTab instead and leave embs nil until thawed.
 	embs []*ged.Embedding
 	// embTab is the encoded embedding table of a view-backed index (nil for
 	// built indexes): the same vectors as embs, decoded on demand by the
@@ -253,10 +252,9 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 	return ix, nil
 }
 
-// computeEmbeddings fills embs from the database graphs — the build path and
-// the pre-embedding (v1/v2) load paths both land here. Each row is a pure
-// function of its graph, so the fill parallelizes freely without affecting
-// the result.
+// computeEmbeddings fills embs from the database graphs at build time. Each
+// row is a pure function of its graph, so the fill parallelizes freely
+// without affecting the result.
 func (ix *Index) computeEmbeddings(ctx context.Context, workers int) error {
 	embs := make([]*ged.Embedding, ix.vo.Len())
 	if err := pool.Ranges(ctx, len(embs), workers, 16, func(lo, hi int) {
@@ -473,8 +471,8 @@ func (ix *Index) thaw() {
 // Tree exposes the underlying NB-Tree in pointer form, materializing it from
 // the flat representation if the index was opened over a mapping. Queries
 // never call this — they navigate Flat — so view-backed indexes pay the
-// rebuild only when something genuinely needs pointer nodes (legacy encoders,
-// inspection, tests). Not safe concurrently with itself or with Insert.
+// rebuild only when something genuinely needs pointer nodes (inspection and
+// tests). Not safe concurrently with itself or with Insert.
 func (ix *Index) Tree() *nbtree.Tree {
 	if ix.tree == nil {
 		ix.tree = ix.flat.Rebuild()
@@ -1007,31 +1005,6 @@ func (h *entryHeap) pop() entry {
 		i = c
 	}
 	return top
-}
-
-// ChooseGridFromLog picks up to gridSize thresholds from a log of past
-// query thresholds by sampling quantiles of the logged distribution —
-// §7.1's scheme 1: "the thresholds to index can be sampled from that
-// distribution". Duplicate quantile values collapse, so the result may be
-// shorter than gridSize.
-func ChooseGridFromLog(log []float64, gridSize int) []float64 {
-	if gridSize <= 0 || len(log) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), log...)
-	sort.Float64s(sorted)
-	grid := make([]float64, 0, gridSize)
-	for i := 1; i <= gridSize; i++ {
-		q := float64(i) / float64(gridSize+1)
-		v := sorted[int(q*float64(len(sorted)-1))]
-		if len(grid) == 0 || v > grid[len(grid)-1] {
-			grid = append(grid, v)
-		}
-	}
-	if max := sorted[len(sorted)-1]; len(grid) == 0 || grid[len(grid)-1] < max {
-		grid = append(grid, max)
-	}
-	return grid
 }
 
 // ChooseGrid picks gridSize thresholds for the indexed grid from a sampled

@@ -387,28 +387,6 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-func TestChooseGridFromLog(t *testing.T) {
-	log := []float64{5, 12, 12, 16, 20, 25, 30, 35, 40, 75, 100}
-	grid := ChooseGridFromLog(log, 5)
-	if len(grid) == 0 || !sort.Float64sAreSorted(grid) {
-		t.Fatalf("grid = %v", grid)
-	}
-	if grid[len(grid)-1] != 100 {
-		t.Errorf("grid must cover the logged maximum: %v", grid)
-	}
-	for i := 1; i < len(grid); i++ {
-		if grid[i] == grid[i-1] {
-			t.Errorf("duplicate values: %v", grid)
-		}
-	}
-	if ChooseGridFromLog(nil, 5) != nil {
-		t.Error("empty log returned a grid")
-	}
-	if ChooseGridFromLog(log, 0) != nil {
-		t.Error("gridSize=0 returned a grid")
-	}
-}
-
 func TestChooseGrid(t *testing.T) {
 	db, m := clusteredDB(t, 5, 8, 16)
 	rng := rand.New(rand.NewSource(17))
@@ -473,5 +451,67 @@ func TestMoreVPsNeverHurtCandidateCounts(t *testing.T) {
 	few, many := run(1), run(8)
 	if many > few {
 		t.Errorf("8 VPs scanned %d candidates, 1 VP scanned %d", many, few)
+	}
+}
+
+func TestBatchUpdateAblation(t *testing.T) {
+	db, m := clusteredDB(t, 5, 12, 55)
+	ix := buildIndex(t, db, m, []float64{2, 4, 8, 16, 64}, 56)
+	relevance := func(f []float64) bool { return f[0] > 0.25 }
+	theta, k := 4.0, 10
+
+	on := ix.NewSession(relevance)
+	resOn, err := on.TopK(theta, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsOn := on.LastStats()
+
+	off := ix.NewSession(relevance)
+	off.SetBatchUpdates(false)
+	resOff, err := off.TopK(theta, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsOff := off.LastStats()
+
+	// Answers must be identical — the updates only tighten bounds.
+	if !reflect.DeepEqual(resOn.Answer, resOff.Answer) || resOn.Power != resOff.Power {
+		t.Fatalf("ablation changed the answer: %v vs %v", resOn.Answer, resOff.Answer)
+	}
+	// With updates disabled the search can only do more (or equal) work.
+	if statsOff.VerifiedLeaves < statsOn.VerifiedLeaves {
+		t.Errorf("batch updates off verified fewer leaves (%d) than on (%d)",
+			statsOff.VerifiedLeaves, statsOn.VerifiedLeaves)
+	}
+	t.Logf("verified leaves: updates on=%d off=%d", statsOn.VerifiedLeaves, statsOff.VerifiedLeaves)
+}
+
+func BenchmarkTopKBatchUpdatesOn(b *testing.B) {
+	db, m := clusteredDB(nil, 8, 20, 70)
+	ix := buildIndex(nil, db, m, []float64{2, 4, 8, 16, 64}, 71)
+	rel := func(f []float64) bool { return f[0] > 0.25 }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess := ix.NewSession(rel)
+		if _, err := sess.TopK(4, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTopKBatchUpdatesOff(b *testing.B) {
+	db, m := clusteredDB(nil, 8, 20, 70)
+	ix := buildIndex(nil, db, m, []float64{2, 4, 8, 16, 64}, 71)
+	rel := func(f []float64) bool { return f[0] > 0.25 }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess := ix.NewSession(rel)
+		sess.SetBatchUpdates(false)
+		if _, err := sess.TopK(4, 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

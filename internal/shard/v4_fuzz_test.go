@@ -2,10 +2,10 @@ package shard
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
+	"graphrep/internal/container"
 	"graphrep/internal/dataset"
 	"graphrep/internal/metric"
 )
@@ -29,7 +29,7 @@ func FuzzReadIndexV4(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := set.EncodeV4(&buf); err != nil {
+	if err := set.Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -74,7 +74,7 @@ func FuzzReadIndexV4(f *testing.F) {
 	})
 }
 
-// repeatOrderingEntry returns a copy of the v4 file data whose shard-0
+// repeatOrderingEntry returns a copy of the index file data whose shard-0
 // first-space ordering (the first row of its byDist section) lists its first
 // ID twice: entry 1 is overwritten with entry 0. Every entry stays in range,
 // so only the permutation check in vantage.Ordering.Validate catches it; the
@@ -82,18 +82,17 @@ func FuzzReadIndexV4(f *testing.F) {
 func repeatOrderingEntry(tb testing.TB, data []byte) []byte {
 	tb.Helper()
 	mut := append([]byte(nil), data...)
-	le := binary.LittleEndian
-	for i := 0; i < int(le.Uint64(mut[8:])); i++ {
-		ent := mut[v4HeaderLen+i*v4DirEntryLen:]
-		if le.Uint32(ent) != secByDist || le.Uint32(ent[4:]) != 0 {
-			continue
-		}
-		off := le.Uint64(ent[8:])
-		copy(mut[off+4:off+8], mut[off:off+4])
-		return mut
+	// Parse returns subslices of mut, so the section aliases the copy.
+	d, err := container.Parse(mut, magic)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	tb.Fatal("no shard-0 byDist section")
-	return nil
+	sec, err := d.Section(secByDist, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	copy(sec[4:8], sec[0:4])
+	return mut
 }
 
 // TestV4RepeatedOrderingEntry checks that a file whose first-space ordering
@@ -113,7 +112,7 @@ func TestV4RepeatedOrderingEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := set.EncodeV4(&buf); err != nil {
+	if err := set.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s, err := ReadBytes(repeatOrderingEntry(t, buf.Bytes()), db, m)

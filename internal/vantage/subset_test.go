@@ -165,7 +165,7 @@ func TestSubsetScanMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := built.EncodeV4(&buf); err != nil {
+	if err := built.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "index.nbx")
