@@ -213,7 +213,9 @@ type Options struct {
 	// kernel only ever changes how a decision is reached, never the decision —
 	// so this switch exists for baseline benchmarks (repbench -bench-kernel
 	// measures the savings against it) and for bisecting a suspected kernel
-	// difference.
+	// difference. The sketch test in each query's vantage pass is part of
+	// the index's leaf bound, not of the kernel, and runs either way, so
+	// both settings threshold-test the same candidate lists.
 	DisableBoundedKernel bool
 	// DisableMmap makes OpenWithIndexFile read the index file into memory
 	// instead of memory-mapping it. Queries, answers, and statistics are
@@ -347,9 +349,16 @@ func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, e
 // signature. View-backed shards (v4, typically mmapped) prime their encoded
 // table instead — the metric decodes records lazily on first use, so opening
 // a large index stays O(1) while the decoded values (and therefore every
-// decision and stage counter) are identical to eager priming. A no-op for
-// custom metrics (stages is nil) — they have no embedding tier.
+// decision and stage counter) are identical to eager priming. It also turns
+// on the sketch test of every query's vantage pass, which drops candidates
+// whose star-histogram sketches already prove them farther than θ. A no-op
+// for custom metrics (stages is nil): they have no embedding tier, and the
+// sketch bounds the star distance only, so their pass stays unfiltered.
 func primeEmbeddings(set *shard.Set, stages metric.StageCounter) {
+	if stages == nil {
+		return
+	}
+	set.UseSketchFilter()
 	for i := 0; i < set.Shards(); i++ {
 		part := set.Part(i)
 		if tab := part.EmbeddingTable(); tab != nil {
@@ -903,7 +912,7 @@ func (e *Engine) Explain(rel Relevance, answer []ID, theta float64) map[ID][]ID 
 // relevant set — shared by any number of TopK calls at different θ
 // (interactive refinement).
 type Session struct {
-	s shard.QuerySession
+	s *nbindex.Session
 }
 
 // NewSession prepares a session for the relevance function.

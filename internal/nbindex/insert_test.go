@@ -14,6 +14,9 @@ import (
 // one, and check that queries through the grown index match the baseline
 // greedy over the full database exactly — the strongest possible insert
 // correctness property, since index quality cannot affect answer exactness.
+// The pass's sketch filter is on, so every inserted graph's sketch row must
+// line up with its vantage row. A session opened before the inserts keeps
+// answering over the relevant set it was opened with.
 func TestInsertPreservesExactAnswers(t *testing.T) {
 	full, _ := clusteredDB(t, 5, 12, 400)
 	prefixLen := full.Len() * 2 / 3
@@ -31,6 +34,18 @@ func TestInsertPreservesExactAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.UseSketchFilter()
+	relevance := func(f []float64) bool { return f[0] > 0.3 }
+	thetas := []float64{3, 6, 12}
+	early := ix.NewSession(relevance)
+	var before []*core.Result
+	for _, theta := range thetas {
+		res, err := early.TopK(theta, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, res)
+	}
 	for i := prefixLen; i < full.Len(); i++ {
 		src := full.Graph(graph.ID(i))
 		g, err := src.Clone(graph.ID(i)).Build(graph.ID(i))
@@ -47,8 +62,10 @@ func TestInsertPreservesExactAnswers(t *testing.T) {
 	if err := ix.tree.Validate(db, m); err != nil {
 		t.Fatalf("tree invalid after inserts: %v", err)
 	}
-	relevance := func(f []float64) bool { return f[0] > 0.3 }
-	for _, theta := range []float64{3, 6, 12} {
+	for i, theta := range thetas {
+		if got, err := early.TopK(theta, 6); err != nil || !reflect.DeepEqual(got, before[i]) {
+			t.Fatalf("θ=%v: session opened before the inserts answered %+v (%v), want %+v", theta, got, err, before[i])
+		}
 		want, err := core.BaselineGreedy(db, m, core.Query{Relevance: relevance, Theta: theta, K: 6})
 		if err != nil {
 			t.Fatal(err)

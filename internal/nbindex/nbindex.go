@@ -5,47 +5,47 @@
 //     candidate neighborhoods N̂_θ(g) ⊇ N_θ(g) of Theorem 5, and
 //   - the NB-Tree (internal/nbtree): a hierarchical clustering whose nodes
 //     carry π̂ ceilings — upper bounds on representative power (Definition
-//     6) — enabling the best-first search of Alg. 2 and cluster-batched
-//     updates in the spirit of Theorems 6–8.
+//     6) — enabling the best-first search of Alg. 2.
 //
 // # Query processing
 //
 // A Session holds what no threshold changes: the relevant set L_q of one
-// relevance function. Each Session.TopK call opens with one vantage-scan
-// pass at the queried θ, run on the worker pool: relevant graph g's
-// candidate list N̂_θ(g) ∩ L_q (Theorem 5) is both its leaf bound — π̂
-// evaluated at θ itself — and the input of its first verification, which
-// filters the list against the covered set and threshold-tests the rest.
-// Ceilings propagate up the NB-Tree (Eq. 14) and the search-and-update
-// phase of Alg. 2 runs on them. Calling TopK again with a refined θ reuses
-// the session, which is the interactive zoom scenario of Fig. 6(i). The
-// indexed θ grid (§7.1) supplies SweepTheta's default thresholds.
+// relevance function, over one index or a forest of index parts (the shards
+// of internal/shard). Each TopK call runs one vantage-scan pass at the
+// queried θ, on the worker pool, then the greedy picks. Relevant
+// graph g's candidate list N̂_θ(g) ∩ L_q (Theorem 5) is both its leaf
+// bound — π̂ evaluated at θ itself — and the input of its first
+// verification, which filters the list against the covered set and
+// threshold-tests the rest. For the star metric the pass also drops every
+// candidate whose star-histogram sketch (ged.SketchWithin) proves it
+// farther than θ, so the bound counts only pairs no cheap test rules out.
+// Leaf bounds propagate up each tree as subtree maxima (Eq. 14), and one
+// best-first search pops the nodes of every part's tree from one heap.
+// Calling TopK again with a refined θ reuses the session, which is the
+// interactive zoom scenario of Fig. 6(i). The indexed θ grid (§7.1)
+// supplies SweepTheta's default thresholds.
 //
 // # Update rule
 //
-// Instead of re-deriving Theorems 6–8 literally, the update step uses an
-// equivalent credit-propagation formulation that is easier to prove sound:
-// when graph l becomes covered, one credit is added at the highest NB-Tree
-// ancestor a of l with diameter(a) ≤ θ. For every graph g' under a, l is
-// guaranteed inside N_θ(g') (d(g', l) ≤ diameter(a) ≤ θ, Theorem 7's
-// argument), so the marginal-gain bound of every such g' may permanently
-// drop by one. Summed over the members of a covered cluster this reproduces
-// the |c_q| batch subtraction of Theorems 7–8, and clusters beyond reach are
-// never credited, which is Theorem 6. Each covered graph is credited exactly
-// once, so bounds never under-count and Alg. 2's pruning stays admissible.
+// Bounds are lazy in the sense of Minoux's accelerated greedy (CELF): once
+// a leaf is verified its bound falls to the exact marginal gain the
+// verification returned, and once it is picked to −1; the new value is
+// re-propagated up the tree. By submodularity a graph's gain only falls as
+// coverage grows, so an exact gain stays a valid bound at every later pick
+// and Alg. 2's pruning stays admissible. Leaves never verified keep their
+// pass-list length. The paper's batch updates (Theorems 6–8) are not
+// implemented: with lazy bounds they no longer change the work measurably.
 package nbindex
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"graphrep/internal/bitset"
 	"graphrep/internal/core"
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
@@ -113,6 +113,17 @@ type Index struct {
 	// built indexes): the same vectors as embs, decoded on demand by the
 	// metric instead of eagerly at load.
 	embTab *ged.Table
+	// sketch holds one star-histogram sketch row per covered graph,
+	// ged.SketchWidth cells each (graph base+i at sketch[i*ged.SketchWidth:]):
+	// 50 bytes per graph, derived from the embeddings and never persisted.
+	// Built indexes compute the rows with their embeddings; view-backed
+	// indexes derive them from embTab in the deferred validation pass, which
+	// reads every record anyway, so every row exists once EnsureValid passed.
+	sketch []uint16
+	// sketchFilter turns on the sketch test in every query's vantage pass.
+	// The sketch bounds the star distance only, so the engine turns it on
+	// for the star metric alone (UseSketchFilter).
+	sketchFilter bool
 	// deferredCheck is the content validation a deferred construction
 	// (PartFromViewsDeferred) postponed; EnsureValid runs it exactly once
 	// before the first navigation and caches the verdict in checkErr. Nil
@@ -257,16 +268,26 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 // without affecting the result.
 func (ix *Index) computeEmbeddings(ctx context.Context, workers int) error {
 	embs := make([]*ged.Embedding, ix.vo.Len())
+	sketch := make([]uint16, len(embs)*ged.SketchWidth)
 	if err := pool.Ranges(ctx, len(embs), workers, 16, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			embs[i] = ged.NewEmbedding(ix.db.Graph(ix.base + graph.ID(i)))
+			// Appending to the empty slice capped at row i fills row i in place.
+			embs[i].AppendSketch(sketch[i*ged.SketchWidth : i*ged.SketchWidth : (i+1)*ged.SketchWidth])
 		}
 	}); err != nil {
 		return err
 	}
-	ix.embs = embs
+	ix.embs, ix.sketch = embs, sketch
 	return nil
 }
+
+// UseSketchFilter turns on the sketch test in every later query's vantage
+// pass, dropping candidates whose star-histogram sketch already proves them
+// farther than θ. The sketch is a lower bound on the star distance only:
+// call this only when the index's metric is the star metric. Not safe
+// concurrently with queries.
+func (ix *Index) UseSketchFilter() { ix.sketchFilter = true }
 
 // Embeddings returns the per-graph filter embeddings, indexed by covered
 // graph ID minus Base(). The engine hands them to the metric
@@ -283,9 +304,10 @@ func (ix *Index) Embeddings() []*ged.Embedding { return ix.embs }
 // lean on: the tree covers exactly the ordering's range (root size, every
 // centroid in range), the leaf map is a bijection between covered graphs and
 // leaves, and the embedding table matches the database graph for graph
-// (record count and per-record star count). The components are retained, not
-// copied; grid is copied. It is PartFromViewsDeferred followed immediately
-// by EnsureValid.
+// (record count and per-record star count). The validation also derives the
+// part's sketch rows from the embedding table. The components are retained,
+// not copied; grid is copied. It is PartFromViewsDeferred followed
+// immediately by EnsureValid.
 func PartFromViews(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, leafOf []int32, embTab *ged.Table, workers int) (*Index, error) {
 	ix, err := PartFromViewsDeferred(db, m, vo, flat, grid, leafOf, embTab, workers)
 	if err != nil {
@@ -376,12 +398,15 @@ func (ix *Index) validateViews() error {
 			return fmt.Errorf("nbindex: leaf map entry %d points at node %d holding graph %d", i, l, flat.Centroids[l])
 		}
 	}
+	sketch := make([]uint16, 0, count*ged.SketchWidth)
 	for i := 0; i < count; i++ {
 		if order := ix.db.Graph(base + graph.ID(i)).Order(); ix.embTab.Stars(i) != order {
 			return fmt.Errorf("nbindex: embedding %d has %d stars, graph %d has %d vertices",
 				i, ix.embTab.Stars(i), int(base)+i, order)
 		}
+		sketch = ix.embTab.AppendSketch(i, sketch)
 	}
+	ix.sketch = sketch
 	return nil
 }
 
@@ -429,7 +454,9 @@ func (ix *Index) Insert(id graph.ID) error {
 		return err
 	}
 	ix.tree.Insert(id, ix.m)
-	ix.embs = append(ix.embs, ged.NewEmbedding(ix.db.Graph(id)))
+	emb := ged.NewEmbedding(ix.db.Graph(id))
+	ix.embs = append(ix.embs, emb)
+	ix.sketch = emb.AppendSketch(ix.sketch)
 	// Rebuild the leaf map: inserting into a singleton tree restructures
 	// node indexes, so a full O(nodes) rebuild is the safe (and still
 	// cheap) choice. The flat form queries navigate is re-derived last, so
@@ -495,13 +522,6 @@ func (ix *Index) Base() graph.ID { return ix.base }
 // Count returns the number of graphs the index covers.
 func (ix *Index) Count() int { return ix.vo.Len() }
 
-// LeafIdx returns the tree node index of the leaf holding covered graph id.
-// Callers reach it through a Session, whose construction already ran
-// EnsureValid (NewSessionContext).
-//
-//lint:allow oncevalid validation ran in NewSessionContext before any Session method can call this
-func (ix *Index) LeafIdx(id graph.ID) int { return int(ix.leafOf[id-ix.base]) }
-
 // LeafOf returns the leaf map: covered graph ID minus Base() to flat node
 // index. Read-only; the persistence writer serializes it directly.
 func (ix *Index) LeafOf() []int32 { return ix.leafOf }
@@ -512,7 +532,8 @@ func (ix *Index) EmbeddingTable() *ged.Table { return ix.embTab }
 
 // Bytes approximates the index memory footprint: vantage orderings, the
 // NB-Tree (Fig. 6(l)), and the filter embeddings — encoded table or decoded
-// vectors, whichever form this index carries.
+// vectors, whichever form this index carries. The derived sketch rows, 50
+// bytes per graph, are not counted.
 func (ix *Index) Bytes() int64 {
 	b := ix.vo.Bytes() + ix.flat.Bytes()
 	if ix.embTab != nil {
@@ -524,8 +545,8 @@ func (ix *Index) Bytes() int64 {
 	return b
 }
 
-// Session is the initialization phase for one relevance function: the
-// relevant set L_q and its position map, which no threshold changes. A
+// Session is the initialization phase for one relevance function over a
+// forest of index parts: the relevant set L_q, which no threshold changes. A
 // Session answers any number of TopK calls at varying θ (interactive
 // refinement) without repeating it; whatever a call derives from θ —
 // candidate lists, leaf bounds, coverage — lives in that call's locals.
@@ -536,36 +557,28 @@ func (ix *Index) Bytes() int64 {
 // independent answer). The index must not be mutated (Insert) while queries
 // are in flight.
 type Session struct {
-	ix  *Index
-	rel []graph.ID
-	// relPos maps a database ID to its position in rel, or −1.
-	relPos []int
-	// batchUpdates enables the Theorems 6–8 style credit propagation; on by
-	// default, disabled only for ablation measurements.
-	batchUpdates bool
+	parts []*Index
+	rel   *relSet
 	// statsMu guards lastStats; every other Session field is immutable after
 	// initialization, which is what makes concurrent TopK calls safe.
 	statsMu   sync.Mutex
 	lastStats QueryStats // guarded by statsMu
 }
 
-// SetBatchUpdates toggles the cluster-batched bound updates (Theorems 6–8
-// equivalent). Disabling them keeps answers identical — bounds merely stay
-// looser, so the search verifies more leaves. Exists for the ablation bench.
-func (s *Session) SetBatchUpdates(on bool) { s.batchUpdates = on }
-
 // QueryStats describes the work one TopK call performed.
 type QueryStats struct {
+	// PQPops counts the best-first search's heap pops, summed over the
+	// call's greedy picks, for any number of parts.
 	PQPops int
 	// VerifiedLeaves counts candidate verifications, including the memoized
-	// re-verifications of a graph already verified earlier in the call
-	// (see NeighborMemo).
+	// re-verifications of a graph already verified earlier in the call.
 	VerifiedLeaves int
 	// CandidateScans counts the vantage candidates handed to first
-	// verifications: each verified graph's pass list minus the graphs
-	// already covered when it is first verified. The call's vantage pass
-	// itself scans every relevant graph, verified or not (see NeighborMemo),
-	// and a memoized re-verification scans nothing.
+	// verifications: each verified graph's pass list — already filtered by
+	// the sketch test where the pass runs it — minus the graphs already
+	// covered when it is first verified. The call's vantage pass itself
+	// scans every relevant graph, verified or not, and a memoized
+	// re-verification scans nothing.
 	CandidateScans int
 	// ExactDistances counts threshold tests resolved by a full distance
 	// computation (or an exact cached value); PrunedDistances counts tests
@@ -586,30 +599,45 @@ func (ix *Index) NewSession(q core.Relevance) *Session {
 
 // NewSessionContext is NewSession with cancellation: a context cancelled by
 // the time the relevance filter finishes returns ctx.Err() with no session.
+// The index must cover the whole database.
 func (ix *Index) NewSessionContext(ctx context.Context, q core.Relevance) (*Session, error) {
-	if err := ix.EnsureValid(); err != nil {
+	return NewForestSession(ctx, []*Index{ix}, q)
+}
+
+// NewForestSession runs the initialization phase for relevance function q
+// over a forest of parts: indexes over one database, sharing its metric, VP
+// set, θ grid and workers, whose ranges tile the database in ascending
+// order (internal/shard's parts). Every part's deferred validation runs
+// first. A context cancelled by the time the relevance filter finishes
+// returns ctx.Err() with no session.
+func NewForestSession(ctx context.Context, parts []*Index, q core.Relevance) (*Session, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("nbindex: a session needs at least one part")
+	}
+	next := graph.ID(0)
+	for _, part := range parts {
+		if err := part.EnsureValid(); err != nil {
+			return nil, err
+		}
+		if part.base != next {
+			return nil, fmt.Errorf("nbindex: part covers [%d, %d), want a part starting at %d",
+				part.base, int(part.base)+part.vo.Len(), next)
+		}
+		next += graph.ID(part.vo.Len())
+	}
+	db := parts[0].db
+	if int(next) != db.Len() {
+		return nil, fmt.Errorf("nbindex: sessions require parts covering the database, these cover [0, %d) of %d graphs", next, db.Len())
+	}
+	rel, err := newRelSet(ctx, db, q)
+	if err != nil {
 		return nil, err
 	}
-	if ix.base != 0 || ix.vo.Len() != ix.db.Len() {
-		return nil, fmt.Errorf("nbindex: sessions require a full-database index, this one covers [%d, %d); use internal/shard's coordinator for parts",
-			ix.base, int(ix.base)+ix.vo.Len())
-	}
-	s := &Session{ix: ix, rel: core.Relevant(ix.db, q), batchUpdates: true}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.relPos = make([]int, ix.db.Len())
-	for i := range s.relPos {
-		s.relPos[i] = -1
-	}
-	for i, id := range s.rel {
-		s.relPos[id] = i
-	}
-	return s, nil
+	return &Session{parts: parts, rel: rel}, nil
 }
 
 // RelevantCount returns |L_q| for the session.
-func (s *Session) RelevantCount() int { return len(s.rel) }
+func (s *Session) RelevantCount() int { return len(s.rel.ids) }
 
 // LastStats returns statistics from the most recently completed TopK call.
 // With concurrent TopK calls in flight, "most recent" means whichever call
@@ -629,382 +657,23 @@ func (s *Session) TopK(theta float64, k int) (*core.Result, error) {
 }
 
 // TopKContext is TopK with cancellation: the context is checked on entry,
-// inside the vantage pass, at every greedy pick, and periodically inside the
-// best-first search, so a cancelled or expired context makes the call return
-// ctx.Err() promptly without publishing stats for the abandoned query.
+// inside the vantage pass, at every greedy pick and every 256 heap pops, so
+// a cancelled or expired context makes the call return ctx.Err() promptly
+// without publishing stats for the abandoned query.
 func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.Result, error) {
-	if math.IsNaN(theta) {
-		return nil, fmt.Errorf("nbindex: theta is NaN")
-	}
-	if theta < 0 {
-		return nil, fmt.Errorf("nbindex: negative theta %v", theta)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("nbindex: non-positive k %d", k)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ix := s.ix
-	f := ix.flat
-	res := &core.Result{Relevant: len(s.rel)}
 	// Work stats accumulate in a local so concurrent TopK calls never share
 	// mutable state; the final store publishes them for LastStats and folds
 	// them into the index's telemetry aggregates.
 	var st QueryStats
-	finish := func() {
-		s.statsMu.Lock()
-		s.lastStats = st
-		s.statsMu.Unlock()
-		ix.tel.Load().Observe(st)
-	}
-	if len(s.rel) == 0 {
-		finish()
-		return res, nil
-	}
-
-	// The call's vantage pass over the relevant graphs' rows: each relevant
-	// graph's candidate list at θ, whose length is its leaf bound.
-	covered := bitset.New(len(s.rel))
-	inAnswer := make([]bool, len(s.rel))
-	memo, err := NewNeighborMemo(ctx, ix.m, s.rel, theta, []*vantage.Subset{ix.vo.Subset(s.rel)},
-		func(int32) int { return 0 }, ix.workers, covered, &st)
+	res, err := search(ctx, s.parts, s.rel, theta, k, &st)
 	if err != nil {
 		return nil, err
 	}
-	leafBound := func(idx int) int32 {
-		p := s.relPos[f.Centroids[idx]]
-		if p < 0 {
-			return -1 // irrelevant leaf: never selectable
-		}
-		return memo.Bound(int32(p))
-	}
-	// sub[nodeIdx]: permanent per-subtree gain subtraction (credits).
-	sub := make([]int32, f.Len())
-	// F[nodeIdx] = max over relevant leaves l under the node of
-	// (π̂(l) − Σ sub on the path l..node); −1 where no relevant leaf.
-	F := make([]int32, f.Len())
-	for i := f.Len() - 1; i >= 0; i-- {
-		if f.Leaves[i] == 1 {
-			F[i] = leafBound(i)
-			continue
-		}
-		best := int32(-1)
-		for c := f.FirstChild[i]; c != -1; c = f.NextSibling[c] {
-			if F[c] > best {
-				best = F[c]
-			}
-		}
-		F[i] = best
-	}
-	// subAbove sums the credits strictly above a node.
-	subAbove := func(n int32) int32 {
-		var t int32
-		for p := f.Parents[n]; p != -1; p = f.Parents[p] {
-			t += sub[p]
-		}
-		return t
-	}
-	currentBound := func(n int32) int32 { return F[n] - subAbove(n) }
-
-	// applyCredit records that relevant graph id became covered: one credit
-	// at its highest diameter ≤ θ ancestor, with F recomputed upward.
-	applyCredit := func(id graph.ID) {
-		//lint:allow oncevalid NewSessionContext validated the index before this Session method could run
-		a := ix.leafOf[id-ix.base]
-		for p := f.Parents[a]; p != -1 && f.Diameters[p] <= theta; p = f.Parents[p] {
-			a = p
-		}
-		sub[a]++
-		// Recompute F from a to the root.
-		for n := a; n != -1; n = f.Parents[n] {
-			var best int32
-			if f.Leaves[n] == 1 {
-				best = leafBound(int(n))
-			} else {
-				best = -1
-				for c := f.FirstChild[n]; c != -1; c = f.NextSibling[c] {
-					if F[c] > best {
-						best = F[c]
-					}
-				}
-			}
-			nf := best - sub[n]
-			if nf == F[n] && n != a {
-				break // no change propagates further
-			}
-			F[n] = nf
-		}
-	}
-
-	for len(res.Answer) < k {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		best, bestGain := graph.ID(-1), int32(0)
-		var bestNbrs []int32 // relevant positions newly covered by best
-		pq := &entryHeap{}
-		if b := currentBound(0); b > 0 {
-			pq.push(entry{bound: b, node: 0})
-		}
-		for len(*pq) > 0 {
-			e := pq.pop()
-			st.PQPops++
-			// Periodic cancellation check: cheap relative to a pop (one
-			// atomic load every 256), yet bounds the abort latency of even a
-			// pathological single-pick search.
-			if st.PQPops&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			// The heap is ordered by bound, so once the best remaining bound
-			// drops below the verified best gain the pick is settled. Bounds
-			// equal to the best gain are still explored so that ties resolve
-			// toward the lowest graph ID, matching the baseline greedy.
-			if e.bound < bestGain {
-				break
-			}
-			// Lazy re-evaluation: credits may have shrunk the bound since
-			// insertion.
-			if cur := currentBound(e.node); cur < e.bound {
-				if cur >= bestGain && cur > 0 {
-					pq.push(entry{bound: cur, node: e.node})
-				}
-				continue
-			}
-			if f.Leaves[e.node] == 1 {
-				cent := f.Centroids[e.node]
-				p := s.relPos[cent]
-				if p < 0 || inAnswer[p] {
-					continue
-				}
-				nbrs := memo.Verify(int32(p))
-				gain := int32(len(nbrs))
-				if gain > bestGain || (gain == bestGain && gain > 0 && cent < best) {
-					best, bestGain, bestNbrs = cent, gain, nbrs
-				}
-				continue
-			}
-			for c := f.FirstChild[e.node]; c != -1; c = f.NextSibling[c] {
-				if b := currentBound(c); b > 0 && b >= bestGain {
-					pq.push(entry{bound: b, node: c})
-				}
-			}
-		}
-		if best < 0 || bestGain == 0 {
-			break
-		}
-		// Pick best; update coverage and credits.
-		inAnswer[s.relPos[best]] = true
-		res.Answer = append(res.Answer, best)
-		res.Gains = append(res.Gains, int(bestGain))
-		for _, p := range bestNbrs {
-			covered.Add(int(p))
-			if s.batchUpdates {
-				applyCredit(s.rel[p])
-			}
-		}
-	}
-	res.Covered = covered.Count()
-	res.Power = float64(res.Covered) / float64(res.Relevant)
-	finish()
+	s.statsMu.Lock()
+	s.lastStats = st
+	s.statsMu.Unlock()
+	s.parts[0].tel.Load().Observe(st)
 	return res, nil
-}
-
-// candidateLists runs one query's vantage pass at theta over the relevant
-// graphs, keyed by rel position 0..n−1: lists[pos] holds the key of every
-// member of views inside the candidate neighborhood N̂_θ(rel[pos]) of
-// Theorem 5, views in order and each view's members in first-space order —
-// the order first verification tests them in. home(pos) names the view
-// holding pos's own coordinates; shards share one VP set, so those are a
-// valid query point for every view. Each worker writes only its own
-// positions' lists, so the result is identical for any worker count; a
-// cancelled ctx returns ctx.Err(). The lists of one chunk share a backing
-// array, sliced with cap == len so no list can grow into its neighbor.
-func candidateLists(ctx context.Context, views []*vantage.Subset, home func(pos int32) int, n int, theta float64, workers int) ([][]int32, error) {
-	lists := make([][]int32, n)
-	err := pool.Ranges(ctx, n, workers, 16, func(lo, hi int) {
-		var buf []int32
-		hit := func(key int32, _ float64) { buf = append(buf, key) }
-		ends := make([]int, hi-lo)
-		for pos := lo; pos < hi; pos++ {
-			q := views[home(int32(pos))].Coords(int32(pos))
-			for _, v := range views {
-				v.Scan(q, theta, nil, hit)
-			}
-			ends[pos-lo] = len(buf)
-		}
-		start := 0
-		for i, end := range ends {
-			lists[lo+i] = buf[start:end:end]
-			start = end
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return lists, nil
-}
-
-// NeighborMemo is one TopK call's record of θ-neighborhoods, built on the
-// call's vantage pass (candidateLists). Until rel[pos] is first verified,
-// its list is the whole pass candidate list, whose length is the graph's
-// leaf bound for the call (Bound). The first verification filters the list
-// against the covered set, threshold-tests the rest and keeps the rel
-// positions of the graph's uncovered θ-neighbors. Coverage only grows
-// during a call, so that list stays a superset of the graph's uncovered
-// neighborhood at every later pick, and re-verifying the graph is a filter
-// of the list against the covered set: no scan and no threshold test. A
-// memo lives in one call's locals, never on a Session, so concurrent TopK
-// calls on one session stay independent.
-//
-// Until the call returns, the memo holds 4 bytes per pass candidate, up to
-// twice that where the pass grew its buffer by appending, plus a 24-byte
-// slice header and a 4-byte bound per relevant graph.
-type NeighborMemo struct {
-	m       metric.Metric
-	rel     []graph.ID
-	theta   float64
-	covered *bitset.Set
-	st      *QueryStats
-	// lists[pos] is rel[pos]'s pass candidate list until known has pos, and
-	// its memoized neighbor list after.
-	lists [][]int32
-	// bounds[pos] is the unfiltered length of rel[pos]'s pass list.
-	bounds []int32
-	known  *bitset.Set
-}
-
-// NewNeighborMemo runs the vantage pass of one call at threshold theta over
-// the relevant set rel — candidateLists over views, from each graph's home
-// view, on up to workers goroutines — and returns the memo holding its
-// lists. The call tracks coverage in covered (indexed by rel position);
-// work is tallied into st, the call's local stats. A cancelled ctx returns
-// ctx.Err().
-func NewNeighborMemo(ctx context.Context, m metric.Metric, rel []graph.ID, theta float64,
-	views []*vantage.Subset, home func(pos int32) int, workers int,
-	covered *bitset.Set, st *QueryStats) (*NeighborMemo, error) {
-	lists, err := candidateLists(ctx, views, home, len(rel), theta, workers)
-	if err != nil {
-		return nil, err
-	}
-	bounds := make([]int32, len(lists))
-	for pos, l := range lists {
-		bounds[pos] = int32(len(l))
-	}
-	return &NeighborMemo{
-		m: m, rel: rel, theta: theta, covered: covered, st: st,
-		lists: lists, bounds: bounds,
-		known: bitset.New(len(rel)),
-	}, nil
-}
-
-// Bound returns rel[pos]'s leaf bound for the call: the length of its pass
-// list, an upper bound on |N_θ(rel[pos]) ∩ L_q| by Theorem 5 — π̂
-// (Definition 6) evaluated at θ itself. It stays fixed while the list is
-// filtered: the credits of Theorems 6–8 already subtract covered neighbors,
-// so shrinking the bound as well would subtract them twice.
-func (nm *NeighborMemo) Bound(pos int32) int32 { return nm.bounds[pos] }
-
-// Verify computes the exact marginal gain of rel[pos] at the memo's
-// threshold: it returns the rel positions picking the graph would newly
-// cover (pos itself included while uncovered), whose count is the gain.
-// Every call filters the graph's list against the covered set in place. The
-// first call also threshold-tests each remaining candidate other than pos
-// (Alg. 2 lines 8–11) through metric.Decide, so a bounded metric can prune
-// a test with a cheap bound instead of a full distance computation — the
-// decision is exactly d ≤ θ either way, which is why answers do not depend
-// on the kernel. The returned slice is the memo's own; callers must not
-// modify it.
-func (nm *NeighborMemo) Verify(pos int32) []int32 {
-	nm.st.VerifiedLeaves++
-	first := !nm.known.Contains(int(pos))
-	g := nm.rel[pos]
-	kept := nm.lists[pos][:0]
-	for _, key := range nm.lists[pos] {
-		if nm.covered.Contains(int(key)) {
-			continue
-		}
-		if first {
-			nm.st.CandidateScans++
-			if key != pos {
-				leq, pruned := metric.Decide(nm.m, g, nm.rel[key], nm.theta)
-				if pruned {
-					nm.st.PrunedDistances++
-				} else {
-					nm.st.ExactDistances++
-				}
-				if !leq {
-					continue
-				}
-			}
-		}
-		kept = append(kept, key)
-	}
-	nm.lists[pos] = kept
-	nm.known.Add(int(pos))
-	return kept
-}
-
-// entry is a PQ element: a flat NB-Tree node index with its gain upper bound.
-type entry struct {
-	bound int32
-	node  int32
-}
-
-// entryHeap is a typed max-heap on bound, ties toward lower node index for
-// determinism. Entries are stored by value in one slice — no container/heap,
-// no interface boxing, no per-push allocation. (bound, node) keys are
-// unique at any instant — a node is re-pushed only after its stale entry is
-// popped — so the pop order is a strict total order independent of the heap
-// implementation.
-type entryHeap []entry
-
-func (h entryHeap) less(i, j int) bool {
-	if h[i].bound != h[j].bound {
-		return h[i].bound > h[j].bound
-	}
-	return h[i].node < h[j].node
-}
-
-// push inserts e and sifts it up.
-func (h *entryHeap) push(e entry) {
-	*h = append(*h, e)
-	a := *h
-	for i := len(a) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !a.less(i, p) {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-}
-
-// pop removes and returns the top entry.
-func (h *entryHeap) pop() entry {
-	a := *h
-	top := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	*h = a
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && a.less(r, c) {
-			c = r
-		}
-		if !a.less(c, i) {
-			break
-		}
-		a[i], a[c] = a[c], a[i]
-		i = c
-	}
-	return top
 }
 
 // ChooseGrid picks gridSize thresholds for the indexed grid from a sampled

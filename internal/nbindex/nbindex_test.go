@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"graphrep/internal/core"
+	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
 	"graphrep/internal/vantage"
@@ -89,6 +90,9 @@ func buildIndex(t testing.TB, db *graph.Database, m metric.Metric, grid []float6
 	if err != nil {
 		panic(err)
 	}
+	// The star metric's production configuration; the soak test below
+	// builds without it and so covers the unfiltered pass.
+	ix.UseSketchFilter()
 	return ix
 }
 
@@ -225,10 +229,13 @@ func TestIndexSavesDistanceComputations(t *testing.T) {
 // verifications. Each relevant graph's list must be exactly the brute-force
 // candidate set — the members of L_q within θ of the graph in every vantage
 // space v ≥ 1, the first space bounded by the binary-searched window
-// q[0]−θ ≤ d ≤ q[0]+θ — in first-space order, views in order. That must
-// hold for one view and for 2- and 4-shard views of the same database, and
-// for any worker count. Each list's length must be ≥ the graph's exact
-// |N_θ(g) ∩ L_q| (Theorem 5). θ runs below, on, between and above the grid.
+// q[0]−θ ≤ d ≤ q[0]+θ, and, when the parts carry sketch rows, whose sketch
+// passes ged.SketchWithin against the graph's own — in first-space order,
+// views in order. Without sketch rows (a custom metric) the list is the
+// vantage rule alone. That must hold for one view and for 2- and 4-shard
+// views of the same database, and for any worker count. Each list's length
+// must be ≥ the graph's exact |N_θ(g) ∩ L_q| (Theorem 5 and the sketch's
+// admissibility). θ runs below, on, between and above the grid.
 func TestCandidateListsMatchBruteForce(t *testing.T) {
 	db, m := clusteredDB(t, 4, 8, 14)
 	grid := []float64{2, 4, 8, 16, 64}
@@ -241,11 +248,16 @@ func TestCandidateListsMatchBruteForce(t *testing.T) {
 	for k, id := range rel {
 		key[id] = int32(k)
 	}
+	sketches := make([][]uint16, db.Len())
+	for i := range sketches {
+		sketches[i] = ged.NewEmbedding(db.Graph(graph.ID(i))).AppendSketch(nil)
+	}
 	ctx := context.Background()
+	sketchDropped := 0
 	for _, shards := range []int{1, 2, 4} {
 		per := (db.Len() + shards - 1) / shards
 		var orders []*vantage.Ordering
-		var views []*vantage.Subset
+		var plain, sketched []*vantage.Subset
 		for base := 0; base < db.Len(); base += per {
 			part, err := BuildPartContext(ctx, db, m, vps, grid, graph.ID(base), min(per, db.Len()-base), 4, 1,
 				rand.New(rand.NewSource(int64(16+base))))
@@ -253,55 +265,159 @@ func TestCandidateListsMatchBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			orders = append(orders, part.VO())
-			views = append(views, part.VO().Subset(rel))
+			plain = append(plain, part.VO().Subset(rel, nil))
+			sketched = append(sketched, part.VO().Subset(rel, part.sketch))
 		}
 		home := func(pos int32) int { return int(rel[pos]) / per }
 		for _, theta := range []float64{0, 1, 2, 5.5, 8, 64, 100} {
-			lists, err := candidateLists(ctx, views, home, len(rel), theta, 1)
+			for _, views := range [][]*vantage.Subset{plain, sketched} {
+				withSketch := views[0] == sketched[0]
+				lists, err := candidateLists(ctx, views, len(rel), theta, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parallel, err := candidateLists(ctx, views, len(rel), theta, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pos, id := range rel {
+					cfg := fmt.Sprintf("%d shards, sketch=%v, θ=%v, graph %d", shards, withSketch, theta, id)
+					if !slices.Equal(parallel[pos], lists[pos]) {
+						t.Fatalf("%s: 4 workers listed %v, 1 worker %v", cfg, parallel[pos], lists[pos])
+					}
+					q := make([]float64, len(vps))
+					for v := range q {
+						q[v] = orders[home(int32(pos))].VPDistance(v, id)
+					}
+					var want []int32
+					for _, o := range orders {
+						for _, c := range o.ByDistRow(0) {
+							k, ok := key[c]
+							if !ok {
+								continue
+							}
+							d0 := o.VPDistance(0, c)
+							in := d0 >= q[0]-theta && d0 <= q[0]+theta
+							for v := 1; v < len(q) && in; v++ {
+								in = math.Abs(o.VPDistance(v, c)-q[v]) <= theta
+							}
+							if in && withSketch {
+								in = ged.SketchWithin(sketches[c], sketches[id], ged.SketchLimit(theta))
+								if !in {
+									sketchDropped++
+								}
+							}
+							if in {
+								want = append(want, k)
+							}
+						}
+					}
+					if !slices.Equal(lists[pos], want) {
+						t.Fatalf("%s: list %v, want %v", cfg, lists[pos], want)
+					}
+					exact := 0
+					for _, other := range rel {
+						if m.Distance(id, other) <= theta {
+							exact++
+						}
+					}
+					if len(lists[pos]) < exact {
+						t.Fatalf("%s: bound %d < true %d", cfg, len(lists[pos]), exact)
+					}
+				}
+			}
+		}
+	}
+	if sketchDropped == 0 {
+		t.Fatal("the sketch test never dropped a vantage candidate; the sketched lists went unexercised")
+	}
+	t.Logf("the sketch test dropped %d vantage candidates", sketchDropped)
+}
+
+// TestCELFBoundsAdmissible checks the invariant the lazy bounds rest on: at
+// every greedy pick of randomized queries, over one part and over a forest
+// of four, each unpicked relevant leaf's current bound is ≥ its exact
+// marginal gain, computed by brute force over the uncovered relevant set.
+// The test drives the call's picks itself; its answers and work must equal
+// the search's.
+func TestCELFBoundsAdmissible(t *testing.T) {
+	db, m := clusteredDB(t, 5, 10, 91)
+	grid := []float64{2, 4, 8, 16, 64}
+	rng := rand.New(rand.NewSource(92))
+	vps, err := vantage.SelectVPs(db, m, 5, vantage.SelectRandom, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, nparts := range []int{1, 4} {
+		per := (db.Len() + nparts - 1) / nparts
+		var parts []*Index
+		for base := 0; base < db.Len(); base += per {
+			part, err := BuildPartContext(ctx, db, m, vps, grid, graph.ID(base), min(per, db.Len()-base), 3, 1,
+				rand.New(rand.NewSource(int64(93+base))))
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := candidateLists(ctx, views, home, len(rel), theta, 4)
+			part.UseSketchFilter()
+			parts = append(parts, part)
+		}
+		for trial := 0; trial < 8; trial++ {
+			cut, theta, k := rng.Float64()*0.6, 1+rng.Float64()*12, 1+rng.Intn(8)
+			rs, err := newRelSet(ctx, db, func(f []float64) bool { return f[0] > cut })
 			if err != nil {
 				t.Fatal(err)
 			}
-			for pos, id := range rel {
-				if !slices.Equal(parallel[pos], lists[pos]) {
-					t.Fatalf("%d shards, θ=%v, graph %d: 4 workers listed %v, 1 worker %v", shards, theta, id, parallel[pos], lists[pos])
-				}
-				q := make([]float64, len(vps))
-				for v := range q {
-					q[v] = orders[home(int32(pos))].VPDistance(v, id)
-				}
-				var want []int32
-				for _, o := range orders {
-					for _, c := range o.ByDistRow(0) {
-						k, ok := key[c]
-						if !ok {
-							continue
-						}
-						d0 := o.VPDistance(0, c)
-						in := d0 >= q[0]-theta && d0 <= q[0]+theta
-						for v := 1; v < len(q) && in; v++ {
-							in = math.Abs(o.VPDistance(v, c)-q[v]) <= theta
-						}
-						if in {
-							want = append(want, k)
+			cfg := fmt.Sprintf("%d parts, cut %.3f, θ=%.3f, k=%d", nparts, cut, theta, k)
+			var st QueryStats
+			c, err := newCall(ctx, parts, rs, theta, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			picked := make([]bool, len(rs.ids))
+			var answer []graph.ID
+			for pick := 0; ; pick++ {
+				for pos, id := range rs.ids {
+					if picked[pos] {
+						continue
+					}
+					gain := int32(0)
+					for q, other := range rs.ids {
+						if !c.covered.Contains(q) && m.Distance(id, other) <= theta {
+							gain++
 						}
 					}
-				}
-				if !slices.Equal(lists[pos], want) {
-					t.Fatalf("%d shards, θ=%v, graph %d: list %v, want %v", shards, theta, id, lists[pos], want)
-				}
-				exact := 0
-				for _, other := range rel {
-					if m.Distance(id, other) <= theta {
-						exact++
+					p := 0
+					for p+1 < len(parts) && parts[p+1].base <= id {
+						p++
+					}
+					if b := c.bound[p][parts[p].leafOf[id-parts[p].base]]; b < gain {
+						t.Fatalf("%s, pick %d: graph %d has bound %d < exact gain %d", cfg, pick, id, b, gain)
 					}
 				}
-				if len(lists[pos]) < exact {
-					t.Fatalf("%d shards, θ=%v, graph %d: bound %d < true %d", shards, theta, id, len(lists[pos]), exact)
+				if pick == k {
+					break
 				}
+				best, pos, nbrs, err := c.pick(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pos < 0 {
+					break
+				}
+				c.setBound(best, -1)
+				picked[pos] = true
+				answer = append(answer, rs.ids[pos])
+				for _, q := range nbrs {
+					c.covered.Add(int(q))
+				}
+			}
+			var st2 QueryStats
+			res, err := search(ctx, parts, rs, theta, k, &st2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(answer, res.Answer) || st != st2 {
+				t.Fatalf("%s: driven picks %v (%+v), search %v (%+v)", cfg, answer, st, res.Answer, st2)
 			}
 		}
 	}
@@ -451,67 +567,5 @@ func TestMoreVPsNeverHurtCandidateCounts(t *testing.T) {
 	few, many := run(1), run(8)
 	if many > few {
 		t.Errorf("8 VPs scanned %d candidates, 1 VP scanned %d", many, few)
-	}
-}
-
-func TestBatchUpdateAblation(t *testing.T) {
-	db, m := clusteredDB(t, 5, 12, 55)
-	ix := buildIndex(t, db, m, []float64{2, 4, 8, 16, 64}, 56)
-	relevance := func(f []float64) bool { return f[0] > 0.25 }
-	theta, k := 4.0, 10
-
-	on := ix.NewSession(relevance)
-	resOn, err := on.TopK(theta, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsOn := on.LastStats()
-
-	off := ix.NewSession(relevance)
-	off.SetBatchUpdates(false)
-	resOff, err := off.TopK(theta, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsOff := off.LastStats()
-
-	// Answers must be identical — the updates only tighten bounds.
-	if !reflect.DeepEqual(resOn.Answer, resOff.Answer) || resOn.Power != resOff.Power {
-		t.Fatalf("ablation changed the answer: %v vs %v", resOn.Answer, resOff.Answer)
-	}
-	// With updates disabled the search can only do more (or equal) work.
-	if statsOff.VerifiedLeaves < statsOn.VerifiedLeaves {
-		t.Errorf("batch updates off verified fewer leaves (%d) than on (%d)",
-			statsOff.VerifiedLeaves, statsOn.VerifiedLeaves)
-	}
-	t.Logf("verified leaves: updates on=%d off=%d", statsOn.VerifiedLeaves, statsOff.VerifiedLeaves)
-}
-
-func BenchmarkTopKBatchUpdatesOn(b *testing.B) {
-	db, m := clusteredDB(nil, 8, 20, 70)
-	ix := buildIndex(nil, db, m, []float64{2, 4, 8, 16, 64}, 71)
-	rel := func(f []float64) bool { return f[0] > 0.25 }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess := ix.NewSession(rel)
-		if _, err := sess.TopK(4, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTopKBatchUpdatesOff(b *testing.B) {
-	db, m := clusteredDB(nil, 8, 20, 70)
-	ix := buildIndex(nil, db, m, []float64{2, 4, 8, 16, 64}, 71)
-	rel := func(f []float64) bool { return f[0] > 0.25 }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess := ix.NewSession(rel)
-		sess.SetBatchUpdates(false)
-		if _, err := sess.TopK(4, 10); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

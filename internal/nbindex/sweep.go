@@ -34,7 +34,7 @@ func (s *Session) SweepThetaContext(ctx context.Context, k int, extra ...float64
 	if k <= 0 {
 		return nil, fmt.Errorf("nbindex: non-positive k %d", k)
 	}
-	thetas := append(append([]float64(nil), s.ix.grid...), extra...)
+	thetas := append(append([]float64(nil), s.parts[0].grid...), extra...)
 	sort.Float64s(thetas)
 	// Deduplicate.
 	out := thetas[:0]

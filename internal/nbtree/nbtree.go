@@ -3,8 +3,10 @@
 // — at every level up to b pivots are chosen farthest-first, every graph is
 // assigned to its closest pivot, and the process recurses until clusters
 // shrink below b. Leaves are single graphs; every non-leaf node stores the
-// centroid, radius, and diameter of its cluster, the quantities Theorems 6–8
-// need for batch updates of representative power.
+// centroid, radius, and diameter of its cluster, the quantities the paper's
+// Theorems 6–8 use for batch updates of representative power. Queries here
+// bound leaves lazily instead (internal/nbindex) and read neither radius
+// nor diameter.
 //
 // Construction can be accelerated with vantage orderings: the vantage lower
 // bound discards pivot/graph pairs that cannot improve the current closest
@@ -42,8 +44,7 @@ type Options struct {
 // (Radius = Diameter = 0, Centroid = the graph itself).
 type Node struct {
 	// Idx is the node's position in Tree.Nodes(), assigned in DFS preorder.
-	// Query-time state (leaf bounds, credits) is kept in arrays indexed by
-	// Idx.
+	// Query-time state (leaf bounds) is kept in arrays indexed by Idx.
 	Idx      int
 	Centroid graph.ID
 	Radius   float64

@@ -1,9 +1,9 @@
 // Package shard partitions a graph database into contiguous ID ranges, each
 // owning its own NB-Index part (vantage rows + NB-Tree), and coordinates
 // top-k representative queries across them. A shard is just a top-level
-// cluster: the paper's bound machinery (π̂ bounds, Theorems 6–8) composes
-// across disjoint partitions, so sharding preserves exactness while
-// unlocking parallel builds and fine-grained write locking.
+// cluster: the paper's π̂ bounds compose across disjoint partitions, so
+// sharding preserves exactness while unlocking parallel builds and
+// fine-grained write locking.
 //
 // # Determinism contract
 //
@@ -15,19 +15,19 @@
 // candidate sets equals the unsharded candidate set exactly. A graph's
 // candidate list concatenated across shards is its unsharded list, so its
 // leaf bound is the unsharded one, bounds stay admissible, and the
-// coordinator's best-first search verifies every candidate whose bound
-// reaches the best verified gain — so answers are byte-identical to the
-// unsharded engine for any shard count (per-query work counters do vary
-// with the shard count, since each count's forest has its own shape).
-// With one shard the build passes the global RNG straight through and
-// produces bit-identical index bytes to the pre-shard engine.
+// coordinator's one best-first search over every shard's tree (an
+// nbindex.Session over the forest of parts) verifies every candidate whose
+// bound reaches the best verified gain — so answers are byte-identical to
+// the unsharded engine for any shard count (per-query work counters do vary
+// with the shard count, since each count's forest has its own shape). With
+// one shard the build passes the global RNG straight through and produces
+// bit-identical index bytes to the pre-shard engine.
 package shard
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"graphrep/internal/graph"
@@ -91,15 +91,10 @@ func Plan(n, shards int) []Range {
 // the shared θ grid. Immutable after Build apart from Insert (which extends
 // only the last shard) and the telemetry attachment.
 type Set struct {
-	db      *graph.Database
-	m       metric.Metric
-	grid    []float64
-	parts   []*nbindex.Index
-	workers int
-	timing  nbindex.BuildTiming
-	// tel, when set, aggregates QueryStats across every coordinator query;
-	// it is also attached to each part so single-shard sessions report to it.
-	tel atomic.Pointer[nbindex.Telemetry]
+	db     *graph.Database
+	grid   []float64
+	parts  []*nbindex.Index
+	timing nbindex.BuildTiming
 }
 
 // Build constructs a sharded NB-Index with no cancellation. See BuildContext.
@@ -137,11 +132,9 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 	tVPs := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
 	plan := Plan(db.Len(), opt.Shards)
 	s := &Set{
-		db:      db,
-		m:       m,
-		grid:    append([]float64(nil), opt.ThetaGrid...),
-		parts:   make([]*nbindex.Index, len(plan)),
-		workers: opt.Workers,
+		db:    db,
+		grid:  append([]float64(nil), opt.ThetaGrid...),
+		parts: make([]*nbindex.Index, len(plan)),
 	}
 	if len(plan) == 1 {
 		// Single shard: keep consuming the caller's RNG stream directly so
@@ -217,24 +210,26 @@ func (s *Set) Timing() nbindex.BuildTiming { return s.timing }
 // SetWorkers bounds the goroutines later queries' vantage passes use (≤ 0
 // means GOMAXPROCS). Useful after Read, which has no Options.
 func (s *Set) SetWorkers(w int) {
-	s.workers = w
 	for _, part := range s.parts {
 		part.SetWorkers(w)
 	}
 }
 
-// SetTelemetry attaches an aggregator: every TopK call on every session of
-// this set (coordinator or single-shard) folds its QueryStats in. Pass nil
-// to detach.
+// SetTelemetry attaches an aggregator to every part: every TopK call on
+// every session of this set folds its QueryStats in. Pass nil to detach.
 func (s *Set) SetTelemetry(t *nbindex.Telemetry) {
-	s.tel.Store(t)
 	for _, part := range s.parts {
 		part.SetTelemetry(t)
 	}
 }
 
-// Telemetry returns the attached aggregator, or nil.
-func (s *Set) Telemetry() *nbindex.Telemetry { return s.tel.Load() }
+// UseSketchFilter turns on the sketch test in every part's query pass (see
+// nbindex.Index.UseSketchFilter): call it only for the star metric.
+func (s *Set) UseSketchFilter() {
+	for _, part := range s.parts {
+		part.UseSketchFilter()
+	}
+}
 
 // PartFor returns the index of the shard owning graph id.
 func (s *Set) PartFor(id graph.ID) int {

@@ -192,7 +192,7 @@ func ReadBytesContext(ctx context.Context, data []byte, db *graph.Database, m me
 	// here means only bulk arrays reference the mapping.
 	grid := append([]float64(nil), gridView...)
 
-	s := &Set{db: db, m: m, grid: grid, parts: make([]*nbindex.Index, shardCount)}
+	s := &Set{db: db, grid: grid, parts: make([]*nbindex.Index, shardCount)}
 	next := graph.ID(0)
 	for p := range s.parts {
 		if err := ctx.Err(); err != nil {

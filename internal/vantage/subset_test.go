@@ -10,8 +10,8 @@ import (
 	"sort"
 	"testing"
 
-	"graphrep/internal/bitset"
 	"graphrep/internal/dataset"
+	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
 	"graphrep/internal/mmapfile"
@@ -22,34 +22,31 @@ import (
 
 // bruteScan is the reference a Subset scan must reproduce: walk the first
 // vantage space's order and keep the members whose distance to the query
-// point is ≤ θ in every vantage space, reporting max_v |Δ_v| as the lower
-// bound. The first space is tested as the window q[0]−θ ≤ d ≤ q[0]+θ, each
-// end rounded once — the rule every scan has used. Just below a gap it
-// admits a member |Δ_0| = θ + ulp away, whose lower bound then exceeds θ;
-// testing |Δ_0| ≤ θ instead would drop it.
-func bruteScan(o *vantage.Ordering, key map[graph.ID]int32, q []float64, theta float64, skip *bitset.Set) ([]int32, []float64) {
+// point is ≤ θ in every vantage space and, when sketches is non-nil, whose
+// sketch row passes ged.SketchWithin against the query's row qs. The first
+// space is tested as the window q[0]−θ ≤ d ≤ q[0]+θ, each end rounded once —
+// the rule every scan has used. Just below a gap it admits a member
+// |Δ_0| = θ + ulp away; testing |Δ_0| ≤ θ instead would drop it.
+func bruteScan(o *vantage.Ordering, key map[graph.ID]int32, q []float64, sketches map[graph.ID][]uint16, qs []uint16, theta float64) []int32 {
 	var keys []int32
-	var lbs []float64
 	for _, id := range o.ByDistRow(0) {
 		k, ok := key[id]
-		if !ok || (skip != nil && skip.Contains(int(k))) {
+		if !ok {
 			continue
 		}
 		d0 := o.VPDistance(0, id)
-		lb, within := math.Abs(d0-q[0]), d0 >= q[0]-theta && d0 <= q[0]+theta
+		within := d0 >= q[0]-theta && d0 <= q[0]+theta
 		for v := 1; v < o.NumVPs() && within; v++ {
-			d := math.Abs(o.VPDistance(v, id) - q[v])
-			if d > theta {
-				within = false
-			}
-			lb = math.Max(lb, d)
+			within = math.Abs(o.VPDistance(v, id)-q[v]) <= theta
+		}
+		if within && sketches != nil {
+			within = ged.SketchWithin(sketches[id], qs, ged.SketchLimit(theta))
 		}
 		if within {
 			keys = append(keys, k)
-			lbs = append(lbs, lb)
 		}
 	}
-	return keys, lbs
+	return keys
 }
 
 // coordsOf returns g's embedding coordinates from whichever part covers it;
@@ -64,11 +61,11 @@ func coordsOf(set *shard.Set, g graph.ID) []float64 {
 }
 
 // checkSubsetScans compares every part's Subset scans against bruteScan for
-// a shuffled ID subset (keys are positions in that shuffled slice), from
-// query points inside and outside the subset and in other parts, at θ = 0,
-// on every stored first-coordinate gap to the query (members exactly on a
-// window edge, from both sides), just beside those gaps, and at the
-// largest grid threshold.
+// a shuffled ID subset (keys are positions in that shuffled slice), without
+// and with sketch rows, from query points inside and outside the subset and
+// in other parts, at θ = 0, on every stored first-coordinate gap to the
+// query (members exactly on a window edge, from both sides), just beside
+// those gaps, and at the largest grid threshold.
 func checkSubsetScans(t *testing.T, set *shard.Set, db *graph.Database, rng *rand.Rand) {
 	t.Helper()
 	var ids []graph.ID
@@ -81,16 +78,18 @@ func checkSubsetScans(t *testing.T, set *shard.Set, db *graph.Database, rng *ran
 	for k, id := range ids {
 		key[id] = int32(k)
 	}
-	skip := bitset.New(len(ids))
-	for k := range ids {
-		if rng.Intn(4) == 0 {
-			skip.Add(k)
-		}
+	sketches := make(map[graph.ID][]uint16, db.Len())
+	for i := 0; i < db.Len(); i++ {
+		sketches[graph.ID(i)] = ged.NewEmbedding(db.Graph(graph.ID(i))).AppendSketch(nil)
 	}
 	grid := set.Grid()
 	for p := 0; p < set.Shards(); p++ {
 		o := set.Part(p).VO()
-		sub := o.Subset(ids)
+		var rows []uint16
+		for i := 0; i < o.Len(); i++ {
+			rows = append(rows, sketches[o.Base()+graph.ID(i)]...)
+		}
+		sub, sketched := o.Subset(ids, nil), o.Subset(ids, rows)
 		members := 0
 		for _, id := range ids {
 			if id >= o.Base() && int(id-o.Base()) < o.Len() {
@@ -98,15 +97,21 @@ func checkSubsetScans(t *testing.T, set *shard.Set, db *graph.Database, rng *ran
 				if got, want := sub.Coords(key[id]), coordsOf(set, id); !reflect.DeepEqual(got, want) {
 					t.Fatalf("part %d: Coords(%d) = %v, want %v", p, key[id], got, want)
 				}
+				if got := sketched.Sketch(key[id]); !reflect.DeepEqual(got, sketches[id]) {
+					t.Fatalf("part %d: Sketch(%d) = %v, want %v", p, key[id], got, sketches[id])
+				}
 			}
 		}
+		if sub.Sketch(0) != nil {
+			t.Fatalf("part %d: a subset built without sketches returned a sketch row", p)
+		}
 		all := 0
-		sub.Scan(coordsOf(set, 0), math.Inf(1), nil, func(int32, float64) { all++ })
+		sub.Scan(coordsOf(set, 0), nil, math.Inf(1), func(int32) { all++ })
 		if all != members {
 			t.Fatalf("part %d: subset holds %d members, want %d", p, all, members)
 		}
 		for g := 0; g < db.Len(); g += 3 {
-			q := coordsOf(set, graph.ID(g))
+			q, qs := coordsOf(set, graph.ID(g)), sketches[graph.ID(g)]
 			thetas := []float64{0, grid[len(grid)-1]}
 			for _, id := range o.ByDistRow(0) {
 				gap := math.Abs(o.VPDistance(0, id) - q[0])
@@ -117,17 +122,16 @@ func checkSubsetScans(t *testing.T, set *shard.Set, db *graph.Database, rng *ran
 				if i > 0 && theta == thetas[i-1] {
 					continue
 				}
-				for _, sk := range []*bitset.Set{nil, skip} {
+				for _, sk := range []map[graph.ID][]uint16{nil, sketches} {
+					scanned := sub
+					if sk != nil {
+						scanned = sketched
+					}
 					var keys []int32
-					var lbs []float64
-					sub.Scan(q, theta, sk, func(k int32, lb float64) {
-						keys = append(keys, k)
-						lbs = append(lbs, lb)
-					})
-					wantKeys, wantLBs := bruteScan(o, key, q, theta, sk)
-					if !reflect.DeepEqual(keys, wantKeys) || !reflect.DeepEqual(lbs, wantLBs) {
-						t.Fatalf("part %d, query %d, θ=%v, skip=%v:\n got keys %v lbs %v\nwant keys %v lbs %v",
-							p, g, theta, sk != nil, keys, lbs, wantKeys, wantLBs)
+					scanned.Scan(q, qs, theta, func(k int32) { keys = append(keys, k) })
+					if want := bruteScan(o, key, q, sk, qs, theta); !reflect.DeepEqual(keys, want) {
+						t.Fatalf("part %d, query %d, θ=%v, sketch=%v:\n got keys %v\nwant keys %v",
+							p, g, theta, sk != nil, keys, want)
 					}
 				}
 			}

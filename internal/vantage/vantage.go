@@ -225,11 +225,11 @@ func (o *Ordering) FPRSample(m metric.Metric, theta float64, samples int, rng *r
 	for i := range ids {
 		ids[i] = o.base + graph.ID(i)
 	}
-	all := o.Subset(ids)
+	all := o.Subset(ids, nil)
 	candidates, falsePos := 0, 0
 	for s := 0; s < samples; s++ {
 		q := int32(rng.Intn(n))
-		all.Scan(all.Coords(q), theta, nil, func(key int32, _ float64) {
+		all.Scan(all.Coords(q), nil, theta, func(key int32) {
 			if key == q {
 				return
 			}

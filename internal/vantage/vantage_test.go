@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"graphrep/internal/bitset"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
 )
@@ -72,22 +71,19 @@ func randDB(t testing.TB, n int, seed int64) (*graph.Database, metric.Metric) {
 	return db, metric.NewCache(metric.Star(db))
 }
 
-// candidates returns N̂_θ(g) over the whole ordering, in first-space order,
-// with each candidate's vantage lower bound — a Subset scan over every
-// covered graph.
-func candidates(o *Ordering, g graph.ID, theta float64) ([]graph.ID, []float64) {
+// candidates returns N̂_θ(g) over the whole ordering, in first-space order —
+// a Subset scan over every covered graph.
+func candidates(o *Ordering, g graph.ID, theta float64) []graph.ID {
 	ids := make([]graph.ID, o.Len())
 	for i := range ids {
 		ids[i] = o.Base() + graph.ID(i)
 	}
-	all := o.Subset(ids)
+	all := o.Subset(ids, nil)
 	var out []graph.ID
-	var lbs []float64
-	all.Scan(all.Coords(int32(g-o.Base())), theta, nil, func(key int32, lb float64) {
+	all.Scan(all.Coords(int32(g-o.Base())), nil, theta, func(key int32) {
 		out = append(out, ids[key])
-		lbs = append(lbs, lb)
 	})
-	return out, lbs
+	return out
 }
 
 func TestSelectVPs(t *testing.T) {
@@ -167,7 +163,7 @@ func TestCandidatesSuperset(t *testing.T) {
 		g := graph.ID(r.Intn(db.Len()))
 		theta := r.Float64() * 10
 		cands := make(map[graph.ID]bool)
-		ids, _ := candidates(o, g, theta)
+		ids := candidates(o, g, theta)
 		for _, id := range ids {
 			cands[id] = true
 		}
@@ -183,7 +179,7 @@ func TestCandidatesSuperset(t *testing.T) {
 	}
 }
 
-// A Subset holds only its members, and skip drops members by key.
+// A Subset holds only its members.
 func TestCandidatesIncludeFilter(t *testing.T) {
 	db, m := lineDB(t, 20)
 	o, err := Build(db, m, []graph.ID{0, 19})
@@ -194,11 +190,11 @@ func TestCandidatesIncludeFilter(t *testing.T) {
 	for id := graph.ID(0); id < 20; id += 2 {
 		even = append(even, id)
 	}
-	sub := o.Subset(even)
+	sub := o.Subset(even, nil)
 	q := sub.Coords(5) // graph 10
 	var filtered []graph.ID
-	sub.Scan(q, 5, nil, func(key int32, _ float64) { filtered = append(filtered, even[key]) })
-	all, _ := candidates(o, 10, 5)
+	sub.Scan(q, nil, 5, func(key int32) { filtered = append(filtered, even[key]) })
+	all := candidates(o, 10, 5)
 	var want []graph.ID
 	for _, id := range all {
 		if id%2 == 0 {
@@ -211,13 +207,6 @@ func TestCandidatesIncludeFilter(t *testing.T) {
 	if len(filtered) >= len(all) {
 		t.Errorf("subset did not shrink candidates: %d vs %d", len(filtered), len(all))
 	}
-	skip := bitset.New(len(even))
-	skip.Add(5)
-	sub.Scan(q, 5, skip, func(key int32, _ float64) {
-		if key == 5 {
-			t.Error("skipped key 5 was reported")
-		}
-	})
 }
 
 func TestCandidatesSelfIncluded(t *testing.T) {
@@ -225,7 +214,7 @@ func TestCandidatesSelfIncluded(t *testing.T) {
 	o, _ := Build(db, m, []graph.ID{0})
 	for i := 0; i < db.Len(); i++ {
 		found := false
-		ids, _ := candidates(o, graph.ID(i), 0)
+		ids := candidates(o, graph.ID(i), 0)
 		for _, id := range ids {
 			if id == graph.ID(i) {
 				found = true
@@ -245,8 +234,8 @@ func TestMoreVPsTightenCandidates(t *testing.T) {
 	many, _ := Build(db, m, vps)
 	totalFew, totalMany := 0, 0
 	for i := 0; i < db.Len(); i += 5 {
-		fewIDs, _ := candidates(few, graph.ID(i), 4)
-		manyIDs, _ := candidates(many, graph.ID(i), 4)
+		fewIDs := candidates(few, graph.ID(i), 4)
+		manyIDs := candidates(many, graph.ID(i), 4)
 		totalFew += len(fewIDs)
 		totalMany += len(manyIDs)
 	}
@@ -255,8 +244,9 @@ func TestMoreVPsTightenCandidates(t *testing.T) {
 	}
 }
 
-// Scan's lower bounds are the ordering's own vantage lower bounds: true
-// lower bounds on the metric distance, never above θ.
+// Every candidate Scan reports has a vantage lower bound within θ (up to the
+// first-space window's rounding), and that bound is a true lower bound on
+// the metric distance.
 func TestCandidatesWithLB(t *testing.T) {
 	db, m := randDB(t, 50, 12)
 	rng := rand.New(rand.NewSource(13))
@@ -268,16 +258,13 @@ func TestCandidatesWithLB(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		g := graph.ID(rng.Intn(db.Len()))
 		theta := rng.Float64() * 8
-		ids, lbs := candidates(o, g, theta)
-		for i, id := range ids {
-			if lbs[i] > theta+1e-12 {
-				t.Fatalf("LB %v exceeds θ %v", lbs[i], theta)
+		for _, id := range candidates(o, g, theta) {
+			lb := o.LowerBound(g, id)
+			if lb > theta+1e-12 {
+				t.Fatalf("LB %v exceeds θ %v", lb, theta)
 			}
-			if d := m.Distance(g, id); lbs[i] > d+1e-9 {
-				t.Fatalf("LB %v exceeds true distance %v", lbs[i], d)
-			}
-			if lbs[i] != o.LowerBound(g, id) {
-				t.Fatalf("LB %v != LowerBound %v", lbs[i], o.LowerBound(g, id))
+			if d := m.Distance(g, id); lb > d+1e-9 {
+				t.Fatalf("LB %v exceeds true distance %v", lb, d)
 			}
 		}
 	}
@@ -329,7 +316,7 @@ func TestUniformSpaceFPRBracketing(t *testing.T) {
 	count := func(o *Ordering) (cands, falsePos int) {
 		for s := 0; s < 150; s++ {
 			g := graph.ID(rng.Intn(n))
-			ids, _ := candidates(o, g, theta)
+			ids := candidates(o, g, theta)
 			for _, id := range ids {
 				if id == g {
 					continue

@@ -3,7 +3,10 @@ package graphrep_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -118,7 +121,8 @@ func sameResult(got, want *graphrep.Result) bool {
 
 // TestDifferentialOracle runs seeded random databases from the dud, dblp and
 // amazon generators (n ≤ 120) through every engine configuration — Shards
-// 1/2/4 × Workers 1/GOMAXPROCS × bounded kernel on/off — and checks:
+// 1/2/4 × Workers 1/GOMAXPROCS × bounded kernel on/off, plus the corpus
+// reopened from a GRDB001 container — and checks:
 //
 //   - one-shot queries (a fresh session each) with random relevance, θ on,
 //     between, below and past the grid points, and k in 1–8;
@@ -126,12 +130,17 @@ func sameResult(got, want *graphrep.Result) bool {
 //     pattern;
 //   - two goroutines calling TopK on one shared session at once.
 //
-// Every answer must equal TopKRepresentativeExact's.
+// Every answer must equal TopKRepresentativeExact's. A metric axis runs the
+// same relevance functions under a custom metric, |a − b| over graph IDs,
+// at 1, 2 and 4 shards: the pass's sketch filter bounds the star distance
+// only, so it must not reach a metric supplied through Options.Metric.
 func TestDifferentialOracle(t *testing.T) {
 	workers := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		workers = append(workers, p)
 	}
+	idMetric := graphrep.MetricFunc(func(a, b graphrep.ID) float64 { return math.Abs(float64(a - b)) })
+	idGrid := []float64{2, 5, 10, 30}
 	rng := rand.New(rand.NewSource(14))
 	for trial, name := range []string{"dud", "dblp", "amazon"} {
 		n := 40 + rng.Intn(81)
@@ -140,8 +149,9 @@ func TestDifferentialOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mapped := reopenMapped(t, db)
 		grid := oracleGrid(rng, db)
-		var queries []oracleQuery
+		var queries, idQueries []oracleQuery
 		for i := 0; i < 5; i++ {
 			rel, relDesc := oracleRelevance(rng, db)
 			theta, where := oracleTheta(rng, grid)
@@ -149,6 +159,11 @@ func TestDifferentialOracle(t *testing.T) {
 			queries = append(queries, oracleQuery{
 				desc: fmt.Sprintf("%s θ=%.4g (%s grid %v) k=%d", relDesc, theta, where, grid, k),
 				rel:  rel, theta: theta, k: k,
+			})
+			idTheta := idGrid[i%len(idGrid)]
+			idQueries = append(idQueries, oracleQuery{
+				desc: fmt.Sprintf("|a−b| metric, %s θ=%v k=%d", relDesc, idTheta, k),
+				rel:  rel, theta: idTheta, k: k,
 			})
 		}
 		walkRel, walkDesc := oracleRelevance(rng, db)
@@ -163,13 +178,37 @@ func TestDifferentialOracle(t *testing.T) {
 		walkK := 1 + rng.Intn(8)
 		t.Logf("trial %d: %s n=%d seed=%d grid %v", trial, name, n, seed, grid)
 
-		// The reference answers, from the first engine's exact path; they
-		// depend on the database and the metric only.
-		var exact []*graphrep.Result
+		// The reference answers, from an exact path; they depend on the
+		// database and the metric only.
+		exactOf := func(engine *graphrep.Engine, qs []oracleQuery) []*graphrep.Result {
+			var out []*graphrep.Result
+			for _, q := range qs {
+				res, err := engine.TopKRepresentativeExact(graphrep.Query{Relevance: q.rel, Theta: q.theta, K: q.k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res)
+			}
+			return out
+		}
+		checkQueries := func(cfg string, engine *graphrep.Engine, qs []oracleQuery, want []*graphrep.Result) {
+			for i, q := range qs {
+				got, err := engine.TopKRepresentative(graphrep.Query{Relevance: q.rel, Theta: q.theta, K: q.k})
+				if err != nil {
+					t.Fatalf("%s: %s: %v", cfg, q.desc, err)
+				}
+				if !sameResult(got, want[i]) {
+					t.Errorf("%s: %s:\n got %v gains %v covered %d\nwant %v gains %v covered %d",
+						cfg, q.desc, got.Answer, got.Gains, got.Covered, want[i].Answer, want[i].Gains, want[i].Covered)
+				}
+			}
+		}
+		var exact, idExact []*graphrep.Result
 		exactWalk := make(map[float64]*graphrep.Result)
 		for _, shards := range []int{1, 2, 4} {
-			// Build once per shard count; the other worker and kernel settings
-			// reopen the saved index, whose bytes neither setting changes.
+			// Build once per shard count; the other worker, kernel and store
+			// settings reopen the saved index, whose bytes none of them
+			// changes.
 			built, err := graphrep.Open(db, graphrep.Options{Seed: seed, Shards: shards, Workers: workers[0], ThetaGrid: grid})
 			if err != nil {
 				t.Fatal(err)
@@ -178,91 +217,129 @@ func TestDifferentialOracle(t *testing.T) {
 			if err := built.SaveIndex(&index); err != nil {
 				t.Fatal(err)
 			}
+			if exact == nil {
+				exact = exactOf(built, queries)
+				walkExact := exactOf(built, walkQueries(walkRel, walk, walkK))
+				for i, theta := range walk {
+					exactWalk[theta] = walkExact[i]
+				}
+			}
+			type config struct {
+				desc   string
+				db     *graphrep.Database
+				opts   graphrep.Options
+				engine *graphrep.Engine
+			}
+			configs := []config{{desc: fmt.Sprintf("workers=%d kernelOff=false", workers[0]), engine: built}}
 			for _, w := range workers {
 				for _, kernelOff := range []bool{false, true} {
-					cfg := fmt.Sprintf("trial %d (%s n=%d seed=%d) shards=%d workers=%d kernelOff=%v",
-						trial, name, n, seed, shards, w, kernelOff)
-					engine := built
 					if w != workers[0] || kernelOff {
-						engine, err = graphrep.OpenWithIndex(db, bytes.NewReader(index.Bytes()),
-							graphrep.Options{Workers: w, DisableBoundedKernel: kernelOff})
-						if err != nil {
-							t.Fatalf("%s: %v", cfg, err)
-						}
-					}
-					if exact == nil {
-						for _, q := range queries {
-							res, err := engine.TopKRepresentativeExact(graphrep.Query{Relevance: q.rel, Theta: q.theta, K: q.k})
-							if err != nil {
-								t.Fatal(err)
-							}
-							exact = append(exact, res)
-						}
-						for _, theta := range walk {
-							res, err := engine.TopKRepresentativeExact(graphrep.Query{Relevance: walkRel, Theta: theta, K: walkK})
-							if err != nil {
-								t.Fatal(err)
-							}
-							exactWalk[theta] = res
-						}
-					}
-					for i, q := range queries {
-						got, err := engine.TopKRepresentative(graphrep.Query{Relevance: q.rel, Theta: q.theta, K: q.k})
-						if err != nil {
-							t.Fatalf("%s: %s: %v", cfg, q.desc, err)
-						}
-						if !sameResult(got, exact[i]) {
-							t.Errorf("%s: %s:\n got %v gains %v covered %d\nwant %v gains %v covered %d",
-								cfg, q.desc, got.Answer, got.Gains, got.Covered, exact[i].Answer, exact[i].Gains, exact[i].Covered)
-						}
-					}
-					sess, err := engine.NewSession(walkRel)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, theta := range walk {
-						got, err := sess.TopK(theta, walkK)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want := exactWalk[theta]; !sameResult(got, want) {
-							t.Errorf("%s: θ walk %s k=%d at θ=%.4g: got %v gains %v, want %v gains %v",
-								cfg, walkDesc, walkK, theta, got.Answer, got.Gains, want.Answer, want.Gains)
-						}
-					}
-					// Two goroutines share the session, walking θ in opposite
-					// directions so their calls interleave at different θ.
-					var wg sync.WaitGroup
-					errs := make([]error, 2)
-					for g := 0; g < 2; g++ {
-						wg.Add(1)
-						go func(g int) {
-							defer wg.Done()
-							for i := range walk {
-								theta := walk[i]
-								if g == 1 {
-									theta = walk[len(walk)-1-i]
-								}
-								got, err := sess.TopK(theta, walkK)
-								if err != nil {
-									errs[g] = err
-									return
-								}
-								if want := exactWalk[theta]; !sameResult(got, want) {
-									errs[g] = fmt.Errorf("goroutine %d at θ=%.4g: got %v, want %v", g, theta, got.Answer, want.Answer)
-									return
-								}
-							}
-						}(g)
-					}
-					wg.Wait()
-					for _, err := range errs {
-						if err != nil {
-							t.Errorf("%s: shared session: %v", cfg, err)
-						}
+						configs = append(configs, config{desc: fmt.Sprintf("workers=%d kernelOff=%v", w, kernelOff),
+							db: db, opts: graphrep.Options{Workers: w, DisableBoundedKernel: kernelOff}})
 					}
 				}
 			}
+			configs = append(configs, config{desc: "GRDB001 store", db: mapped, opts: graphrep.Options{Workers: workers[0]}})
+			for _, c := range configs {
+				cfg := fmt.Sprintf("trial %d (%s n=%d seed=%d) shards=%d %s", trial, name, n, seed, shards, c.desc)
+				engine := c.engine
+				if engine == nil {
+					engine, err = graphrep.OpenWithIndex(c.db, bytes.NewReader(index.Bytes()), c.opts)
+					if err != nil {
+						t.Fatalf("%s: %v", cfg, err)
+					}
+				}
+				checkQueries(cfg, engine, queries, exact)
+				sess, err := engine.NewSession(walkRel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, theta := range walk {
+					got, err := sess.TopK(theta, walkK)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := exactWalk[theta]; !sameResult(got, want) {
+						t.Errorf("%s: θ walk %s k=%d at θ=%.4g: got %v gains %v, want %v gains %v",
+							cfg, walkDesc, walkK, theta, got.Answer, got.Gains, want.Answer, want.Gains)
+					}
+				}
+				// Two goroutines share the session, walking θ in opposite
+				// directions so their calls interleave at different θ.
+				var wg sync.WaitGroup
+				errs := make([]error, 2)
+				for g := 0; g < 2; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := range walk {
+							theta := walk[i]
+							if g == 1 {
+								theta = walk[len(walk)-1-i]
+							}
+							got, err := sess.TopK(theta, walkK)
+							if err != nil {
+								errs[g] = err
+								return
+							}
+							if want := exactWalk[theta]; !sameResult(got, want) {
+								errs[g] = fmt.Errorf("goroutine %d at θ=%.4g: got %v, want %v", g, theta, got.Answer, want.Answer)
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						t.Errorf("%s: shared session: %v", cfg, err)
+					}
+				}
+			}
+
+			// The metric axis: a custom metric's engine must answer with its
+			// own exact greedy.
+			idEngine, err := graphrep.Open(db, graphrep.Options{Seed: seed, Shards: shards, Workers: workers[0], ThetaGrid: idGrid, Metric: idMetric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if idExact == nil {
+				idExact = exactOf(idEngine, idQueries)
+			}
+			checkQueries(fmt.Sprintf("trial %d (%s n=%d seed=%d) shards=%d custom metric", trial, name, n, seed, shards),
+				idEngine, idQueries, idExact)
 		}
 	}
+}
+
+// walkQueries lists one query per θ of a refinement walk.
+func walkQueries(rel graphrep.Relevance, walk []float64, k int) []oracleQuery {
+	out := make([]oracleQuery, len(walk))
+	for i, theta := range walk {
+		out[i] = oracleQuery{rel: rel, theta: theta, k: k}
+	}
+	return out
+}
+
+// reopenMapped saves db as a GRDB001 container and reopens it, memory-mapped
+// where the platform allows; the mapping is released when the test ends.
+func reopenMapped(t *testing.T, db *graphrep.Database) *graphrep.Database {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "corpus.grdb")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphrep.SaveDatabase(f, db); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := graphrep.OpenDatabaseFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mapped.Close() })
+	return mapped
 }
