@@ -17,7 +17,7 @@ import (
 // report compares wall time and completed Hungarian solves after the index
 // was built. Answers must be byte-identical across the two runs;
 // benchKernel fails loudly if they are not, since that would violate the
-// kernel's core contract (Within ⇔ Distance ≤ θ).
+// kernel's core contract (DistanceAtMost(θ) ⇔ Distance ≤ θ).
 //
 // benchKernel is also a regression gate: it returns an error — repbench exits
 // non-zero — when the bounded side is not strictly faster than the exact side
@@ -26,21 +26,15 @@ import (
 // on per-pair O(n²) bound work than it saved), and the gate keeps it from
 // landing silently.
 
-// KernelPrune is the bound-cascade breakdown of one side's run.
+// KernelPrune is the threshold-test stage breakdown of one side's run.
 type KernelPrune struct {
-	Embedding int64 `json:"embedding"`
-	RowMin    int64 `json:"rowMin"`
-	// RowMinSolved is the subset of RowMin that spent a hardening solve
-	// (shallow miss); see metric.PruneStats.
-	RowMinSolved int64 `json:"rowMinSolved"`
+	Embedding    int64 `json:"embedding"`
 	Greedy       int64 `json:"greedy"`
-	Dual         int64 `json:"dual"`
 	BoundedExact int64 `json:"boundedExact"`
-	// GreedyTried / DualArmed are the adaptive tier gates' attempt
-	// denominators (see metric.PruneStats); a denominator far below
-	// BoundedExact means the gate retired the tier mid-run.
+	// GreedyTried is the adaptive greedy gate's attempt denominator (see
+	// metric.PruneStats); a denominator far below BoundedExact means the
+	// gate retired the greedy stage mid-run.
 	GreedyTried int64 `json:"greedyTried"`
-	DualArmed   int64 `json:"dualArmed"`
 }
 
 // KernelBenchSide is one configuration's measurements. Full solves are
@@ -235,13 +229,9 @@ func runKernelSide(db *graphrep.Database, rel graphrep.Relevance, k int, opts gr
 	side.QueryPruned = snap.Prune.Pruned() - built.Prune.Pruned()
 	side.Prune = KernelPrune{
 		Embedding:    snap.Prune.Embedding,
-		RowMin:       snap.Prune.RowMin,
-		RowMinSolved: snap.Prune.RowMinSolved,
 		Greedy:       snap.Prune.Greedy,
-		Dual:         snap.Prune.Dual,
 		BoundedExact: snap.Prune.BoundedExact,
 		GreedyTried:  snap.Prune.GreedyTried,
-		DualArmed:    snap.Prune.DualArmed,
 	}
 	return side, res, nil
 }

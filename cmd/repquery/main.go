@@ -171,8 +171,8 @@ func main() {
 		fmt.Printf("  per-query work totals  pq pops=%d verified leaves=%d candidate scans=%d exact distances=%d pruned distances=%d\n",
 			qt.PQPops, qt.VerifiedLeaves, qt.CandidateScans, qt.ExactDistances, qt.PrunedDistances)
 		if pr := snap.Prune; pr.Pruned()+pr.FullSolves() > 0 {
-			fmt.Printf("  bound cascade          embedding=%d rowmin=%d greedy=%d dual=%d full solves=%d\n",
-				pr.Embedding, pr.RowMin, pr.Greedy, pr.Dual, pr.FullSolves())
+			fmt.Printf("  threshold tests        embedding=%d greedy=%d full solves=%d\n",
+				pr.Embedding, pr.Greedy, pr.FullSolves())
 		}
 	}
 }

@@ -207,8 +207,8 @@ type Options struct {
 	Shards int
 	// DisableBoundedKernel turns off the threshold-aware distance kernel:
 	// every candidate test d(q, g) ≤ θ falls back to a full exact distance
-	// computation instead of the bound cascade (precomputed-embedding filter,
-	// row-minima, greedy upper bound, Hungarian dual early exit).
+	// computation instead of the three-stage test (precomputed-embedding
+	// lower bound, greedy upper bound, warm-started exact solve).
 	// Answers, sweeps, and index bytes are byte-identical either way — the
 	// kernel only ever changes how a decision is reached, never the decision —
 	// so this switch exists for baseline benchmarks (repbench -bench-kernel
@@ -383,8 +383,8 @@ func instrumentMetric(db *Database, custom Metric) (metric.Metric, *metric.Count
 		star := metric.Star(db)
 		counter := metric.NewCounter(star)
 		cache := metric.NewCache(counter)
-		// The star metric tracks which cascade stage resolved each bounded
-		// threshold test; surface that breakdown to the telemetry layer.
+		// The star metric tracks which stage resolved each bounded threshold
+		// test; surface that breakdown to the telemetry layer.
 		stages, _ := star.(metric.StageCounter)
 		return cache, counter, cache, stages, nil
 	}
@@ -595,32 +595,17 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 		return nil, err
 	}
 	if stages != nil {
-		// Bound-cascade breakdown of the default metric's threshold tests.
-		// Each stage name is a literal so the metricname analyzer can audit
-		// the namespace; the closures re-read the atomic counters per scrape.
+		// Stage breakdown of the default metric's threshold tests. Each
+		// stage name is a literal so the metricname analyzer can audit the
+		// namespace; the closures re-read the atomic counters per scrape.
 		if err := reg.NewCounterFunc("graphrep_metric_prune_embedding_total",
 			"Threshold tests resolved by the precomputed-embedding lower bound.",
 			func() int64 { return stages.PruneStats().Embedding }); err != nil {
 			return nil, err
 		}
-		if err := reg.NewCounterFunc("graphrep_metric_prune_rowmin_total",
-			"Threshold tests decided by the row-minima lower bound.",
-			func() int64 { return stages.PruneStats().RowMin }); err != nil {
-			return nil, err
-		}
-		if err := reg.NewCounterFunc("graphrep_metric_rowmin_solved_total",
-			"Row-minima decisions that also completed a hardening Hungarian solve.",
-			func() int64 { return stages.PruneStats().RowMinSolved }); err != nil {
-			return nil, err
-		}
 		if err := reg.NewCounterFunc("graphrep_metric_prune_greedy_total",
 			"Threshold tests resolved by the greedy-assignment upper bound.",
 			func() int64 { return stages.PruneStats().Greedy }); err != nil {
-			return nil, err
-		}
-		if err := reg.NewCounterFunc("graphrep_metric_prune_dual_total",
-			"Threshold tests resolved by the Hungarian dual-objective early exit.",
-			func() int64 { return stages.PruneStats().Dual }); err != nil {
 			return nil, err
 		}
 		if err := reg.NewCounterFunc("graphrep_metric_bounded_exact_total",
@@ -629,13 +614,8 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 			return nil, err
 		}
 		if err := reg.NewCounterFunc("graphrep_metric_greedy_tried_total",
-			"Threshold tests on which the greedy upper-bound tier ran (adaptive gate attempt denominator).",
+			"Threshold tests on which the greedy upper-bound stage ran (adaptive gate attempt denominator).",
 			func() int64 { return stages.PruneStats().GreedyTried }); err != nil {
-			return nil, err
-		}
-		if err := reg.NewCounterFunc("graphrep_metric_dual_armed_total",
-			"Exact solves run with the dual abort armed (adaptive gate attempt denominator).",
-			func() int64 { return stages.PruneStats().DualArmed }); err != nil {
 			return nil, err
 		}
 	}
@@ -766,16 +746,17 @@ type TelemetrySnapshot struct {
 	Queries int64
 	// QueryTotals sums the per-query QueryStats of those calls.
 	QueryTotals QueryStats
-	// Prune is the bound-cascade breakdown of the default metric's threshold
-	// tests — which stage resolved each Within decision, and how many needed
-	// a completed Hungarian solve. All zero when a custom metric is
-	// configured (no cascade) or DisableBoundedKernel is set (no bounded
-	// tests are ever issued).
+	// Prune is the stage breakdown of the default metric's threshold tests —
+	// how many the embedding and greedy bounds resolved, and how many needed
+	// a completed Hungarian solve. Its RowMin, RowMinSolved and Dual fields
+	// name retired tiers and are always 0. All zero when a custom metric is
+	// configured (no bounded test) or DisableBoundedKernel is set (no
+	// bounded tests are ever issued).
 	Prune PruneStats
 }
 
-// PruneStats is the bound-cascade breakdown tracked by the default star
-// metric; see TelemetrySnapshot.Prune.
+// PruneStats is the threshold-test stage breakdown tracked by the default
+// star metric; see TelemetrySnapshot.Prune.
 type PruneStats = metric.PruneStats
 
 // Snapshot copies the current aggregate values. Individual fields are read

@@ -5,13 +5,12 @@
 //
 // The Solver type implements the O(n³) Jonker-style shortest augmenting path
 // variant of the Hungarian (Kuhn–Munkres) algorithm with reusable scratch
-// arenas, plus a threshold-bounded AtMost that aborts via the dual objective.
-// Solve is the historical one-shot entry point, now a thin wrapper over a
-// pooled Solver with bit-identical results. Greedy provides a fast
-// approximate assignment used where optimality is not required.
+// arenas: a cold solve (Total, Solve), a warm-started one seeded with the row
+// minima (TotalWarm), and a swap-polished greedy upper bound with a threshold
+// exit (UpperBoundAtMost and its fused twin UpperBoundAtMostWithMins). Solve
+// is the one-shot entry point, a thin wrapper over a pooled Solver with
+// bit-identical results.
 package assignment
-
-import "math"
 
 // Solve returns a minimum-cost assignment for the square cost matrix, as a
 // slice perm where row i is assigned to column perm[i], along with the total
@@ -20,31 +19,10 @@ import "math"
 //
 // It borrows a pooled Solver, so the only allocation in steady state is the
 // returned perm slice; callers that do not need the permutation should hold a
-// Solver and use Total or AtMost instead.
+// Solver and use Total instead.
 func Solve(cost [][]float64) (perm []int, total float64) {
 	s := Get()
 	perm, total = s.Solve(cost)
 	Put(s)
-	return perm, total
-}
-
-// Greedy returns an approximate assignment by repeatedly taking each row's
-// cheapest unused column, and its total cost. It is an upper bound on the
-// optimal cost and runs in O(n²).
-func Greedy(cost [][]float64) (perm []int, total float64) {
-	n := len(cost)
-	perm = make([]int, n)
-	used := make([]bool, n)
-	for i := 0; i < n; i++ {
-		best, bestJ := math.MaxFloat64, -1
-		for j := 0; j < n; j++ {
-			if !used[j] && cost[i][j] < best {
-				best, bestJ = cost[i][j], j
-			}
-		}
-		used[bestJ] = true
-		perm[i] = bestJ
-		total += best
-	}
 	return perm, total
 }

@@ -96,21 +96,25 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// The greedy heuristic behind UpperBoundAtMost (run to completion, no
+// threshold exit) must leave a valid permutation in the solver's assignment
+// scratch and cost at least the optimum.
 func TestGreedyIsValidUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	s := NewSolver()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(8)
 		cost := randomCost(r, n)
-		gp, gt := Greedy(cost)
-		_, ot := Solve(cost)
+		gt := s.UpperBoundAtMost(cost, math.Inf(-1))
 		seen := make(map[int]bool)
-		for _, j := range gp {
+		for _, j := range s.p[:n] {
 			if j < 0 || j >= n || seen[j] {
 				return false
 			}
 			seen[j] = true
 		}
+		_, ot := Solve(cost)
 		return gt >= ot-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rng}); err != nil {

@@ -40,100 +40,6 @@ func integralCost(rng *rand.Rand, n int) [][]float64 {
 	return c
 }
 
-// The load-bearing kernel property: on integral costs (the star kernel's
-// domain), AtMost(cost, tau) decides exactly Solve(cost) total ≤ tau, for any
-// tau — including tau right at the optimum — and an aborted solve always
-// means "above tau".
-func TestAtMostMatchesSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	s := NewSolver()
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(8)
-		cost := integralCost(r, n)
-		_, opt := Solve(cost)
-		for _, tau := range []float64{opt - 1, opt - 0.5, opt, opt + 0.5, opt + 1, 0, opt / 2, opt * 2} {
-			leq, aborted := s.AtMost(cost, tau)
-			if leq != (opt <= tau) {
-				t.Logf("n=%d tau=%v opt=%v: AtMost=%v", n, tau, opt, leq)
-				return false
-			}
-			if aborted && leq {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAtMostEmpty(t *testing.T) {
-	s := NewSolver()
-	if leq, aborted := s.AtMost(nil, 0); !leq || aborted {
-		t.Errorf("AtMost(nil, 0) = %v, %v, want true, false", leq, aborted)
-	}
-	if leq, _ := s.AtMost(nil, -1); leq {
-		t.Error("AtMost(nil, -1) = true, want false")
-	}
-}
-
-// The dual early exit must actually fire on a clearly-over-threshold matrix;
-// otherwise the bounded path silently degrades to a full solve.
-func TestAtMostAborts(t *testing.T) {
-	n := 16
-	cost := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-		for j := range cost[i] {
-			cost[i][j] = 10 + float64((i+j)%5)
-		}
-	}
-	s := NewSolver()
-	leq, aborted := s.AtMost(cost, 1)
-	if leq {
-		t.Fatal("AtMost reported ≤ 1 for a matrix whose optimum is ≥ 160")
-	}
-	if !aborted {
-		t.Error("dual early exit did not fire for tau far below the optimum")
-	}
-}
-
-func TestGreedyTotalMatchesGreedy(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	s := NewSolver()
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(10)
-		cost := randomCost(rng, n)
-		_, want := Greedy(cost)
-		if got := s.GreedyTotal(cost); got != want {
-			t.Fatalf("trial %d: GreedyTotal %v != Greedy total %v", trial, got, want)
-		}
-	}
-}
-
-// UpperBound must sandwich between the exact optimum and the plain greedy
-// total: it is a feasible assignment's cost (≥ optimum) that the swap polish
-// never makes worse than greedy alone.
-func TestUpperBoundSandwich(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	s := NewSolver()
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(12)
-		cost := integralCost(rng, n)
-		_, opt := Solve(cost)
-		greedy := s.GreedyTotal(cost)
-		ub := s.UpperBound(cost)
-		if ub < opt {
-			t.Fatalf("trial %d: UpperBound %v below optimum %v", trial, ub, opt)
-		}
-		if ub > greedy {
-			t.Fatalf("trial %d: UpperBound %v above greedy %v", trial, ub, greedy)
-		}
-	}
-}
-
 // TotalWarm's warm start must be a pure speedup: whatever partial matching
 // the zero-reduced-cost pre-match happens to build, the returned optimum is
 // bit-identical to Total's on integral costs. Tight moduli force heavy cost
@@ -180,7 +86,7 @@ func TestTotalWarmEmpty(t *testing.T) {
 
 // The fused greedy+minima scan must agree with its unfused halves: rowMin
 // holds the exact per-row minima, rowSum is the assignment-relaxed lower
-// bound (≤ optimum), ub is a feasible assignment's cost (≥ optimum), and
+// bound (≤ optimum), ub is a feasible assignment's cost (≥ Total), and
 // whenever the rowSum short-circuit cannot fire the value is bit-identical to
 // UpperBoundAtMost at the same tau.
 func TestUpperBoundAtMostWithMinsAgrees(t *testing.T) {
@@ -190,7 +96,7 @@ func TestUpperBoundAtMostWithMinsAgrees(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(12)
 		cost := integralCost(rng, n)
-		_, opt := Solve(cost)
+		opt := plain.Total(cost)
 		for _, tau := range []float64{-1, 0, opt / 2, opt - 1, opt, opt + 1, 2 * opt, math.Inf(-1)} {
 			ub, rowSum := fused.UpperBoundAtMostWithMins(cost, tau, rowMin)
 			wantSum := 0.0
@@ -213,13 +119,37 @@ func TestUpperBoundAtMostWithMinsAgrees(t *testing.T) {
 				t.Fatalf("trial %d: rowSum %v above optimum %v — not a lower bound", trial, rowSum, opt)
 			}
 			if ub < opt {
-				t.Fatalf("trial %d tau=%v: ub %v below optimum %v — not a feasible assignment's cost", trial, tau, ub, opt)
+				t.Fatalf("trial %d tau=%v: ub %v below Total %v — not a feasible assignment's cost", trial, tau, ub, opt)
 			}
 			if rowSum <= tau {
 				if want := plain.UpperBoundAtMost(cost, tau); ub != want {
 					t.Fatalf("trial %d tau=%v: fused ub %v != UpperBoundAtMost %v", trial, tau, ub, want)
 				}
 			}
+		}
+	}
+}
+
+// The fully polished upper bound (UpperBoundAtMost with no threshold exit)
+// must sandwich between the exact optimum and the plain greedy total: it is a
+// feasible assignment's cost (≥ optimum) that the swap polish never makes
+// worse than greedy alone. Below every row-minima sum the fused scan skips
+// the polish, so at tau = -Inf it returns the plain greedy total.
+func TestUpperBoundSandwich(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	s := NewSolver()
+	rowMin := make([]float64, 12)
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(12)
+		cost := integralCost(rng, n)
+		opt := s.Total(cost)
+		greedy, _ := s.UpperBoundAtMostWithMins(cost, math.Inf(-1), rowMin)
+		ub := s.UpperBoundAtMost(cost, math.Inf(-1))
+		if ub < opt {
+			t.Fatalf("trial %d: UpperBoundAtMost %v below optimum %v", trial, ub, opt)
+		}
+		if ub > greedy {
+			t.Fatalf("trial %d: UpperBoundAtMost %v above greedy %v", trial, ub, greedy)
 		}
 	}
 }
@@ -256,14 +186,8 @@ func TestSolverAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { s.Total(cost) }); allocs != 0 {
 		t.Errorf("Solver.Total allocates %v per op after warmup, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(50, func() { s.AtMost(cost, 1e9) }); allocs != 0 {
-		t.Errorf("Solver.AtMost allocates %v per op after warmup, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() { s.GreedyTotal(cost) }); allocs != 0 {
-		t.Errorf("Solver.GreedyTotal allocates %v per op after warmup, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() { s.UpperBound(cost) }); allocs != 0 {
-		t.Errorf("Solver.UpperBound allocates %v per op after warmup, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { s.UpperBoundAtMost(cost, math.Inf(-1)) }); allocs != 0 {
+		t.Errorf("Solver.UpperBoundAtMost allocates %v per op after warmup, want 0", allocs)
 	}
 	rowMin := make([]float64, len(cost))
 	s.UpperBoundAtMostWithMins(cost, 1e9, rowMin) // also fills rowMin for TotalWarm
@@ -284,23 +208,4 @@ func BenchmarkSolverTotal32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Total(cost)
 	}
-}
-
-func BenchmarkAtMost32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	cost := randomCost(rng, 32)
-	s := NewSolver()
-	_, opt := Solve(cost)
-	b.Run("prune", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.AtMost(cost, opt/4)
-		}
-	})
-	b.Run("exact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.AtMost(cost, opt)
-		}
-	})
 }

@@ -25,9 +25,9 @@ import (
 // exactly, which Theorems 3–8 of the paper rely on.
 //
 // Every ground cost is a small non-negative integer, so all arithmetic in the
-// kernel — including the threshold-bounded cascade below — is exact in
-// float64. That integrality is what makes DistanceAtMost(b, τ) equivalent to
-// Distance(b) ≤ τ bit for bit.
+// kernel — including the threshold test below — is exact in float64. That
+// integrality is what makes DistanceAtMost(b, τ) equivalent to Distance(b) ≤ τ
+// bit for bit.
 //
 // StarDistance is the default database distance d(g,g') of this library and
 // corresponds to the mapping distance of the paper's GED citation [28].
@@ -119,31 +119,7 @@ func (a *StarSig) Distance(b *StarSig) float64 {
 	return total
 }
 
-// DistanceWarm computes the same exact distance as Distance through the
-// warm-started solve: one extra memory-speed pass collects the row minima,
-// which then seed the solver's row-reduction duals and zero-reduced pre-
-// matching (assignment.TotalWarm). On the reference workload the pass costs a
-// fraction of what the pre-matched augmentations save, so the bounded
-// kernel's exact computations — cache promotions above all — route through
-// here. The plain Distance path is left classic: it serves the kernel-off
-// baseline, which must remain the untouched reference implementation.
-func (a *StarSig) DistanceWarm(b *StarSig) float64 {
-	n := len(a.stars)
-	if len(b.stars) > n {
-		n = len(b.stars)
-	}
-	if n == 0 {
-		return 0
-	}
-	sc := getScratch(n)
-	fillCost(sc, &a.pack, &b.pack, n)
-	rowMins(sc, n)
-	total := sc.solver.TotalWarm(sc.cost, sc.rowMin)
-	putScratch(sc)
-	return total
-}
-
-// Stage identifies where the bounded distance cascade terminated.
+// Stage identifies where the bounded threshold test terminated.
 type Stage uint8
 
 const (
@@ -153,23 +129,15 @@ const (
 	// per-pair assignment work. Subsumes the retired size and histogram
 	// tiers (Embedding.LowerBound is ≥ both, always).
 	StageEmbedding Stage = iota
-	// StageRowMin: decided by the row-minima bound (O(n²), computed while
-	// filling the cost matrix). Deep misses return the bound alone; shallow
-	// misses (within rowMinDeepMargin of τ) additionally complete the solve
-	// on the already-filled matrix so the memoized interval is exact — the
-	// decision then carries Lo == Hi.
-	StageRowMin
 	// StageGreedy: decided ≤ τ by the swap-polished greedy-assignment upper
 	// bound (O(n²)).
 	StageGreedy
-	// StageDual: pruned mid-solve by the Hungarian dual objective.
-	StageDual
 	// StageExact: the solve ran to completion; Lo == Hi == Distance.
 	StageExact
 	numStages
 )
 
-// NumStages is the number of cascade stages, for sizing per-stage counters.
+// NumStages is the number of stages, for sizing per-stage counters.
 const NumStages = int(numStages)
 
 // String names the stage for stats output.
@@ -177,12 +145,8 @@ func (s Stage) String() string {
 	switch s {
 	case StageEmbedding:
 		return "embedding"
-	case StageRowMin:
-		return "rowmin"
 	case StageGreedy:
 		return "greedy"
-	case StageDual:
-		return "dual"
 	case StageExact:
 		return "exact"
 	}
@@ -190,219 +154,90 @@ func (s Stage) String() string {
 }
 
 // Decision is the outcome of DistanceAtMost: the threshold verdict plus the
-// distance interval [Lo, Hi] the cascade proved along the way (Hi is +Inf
-// when no upper bound was established). Lo ≤ Distance ≤ Hi always holds, and
-// Leq is false only when Lo > τ, true only when Hi ≤ τ. The interval is
-// exact (Lo == Hi) when the solve ran to completion: always at StageExact,
-// and at StageRowMin when a shallow miss hardened the interval (see the
-// stage comments).
+// distance interval [Lo, Hi] proven along the way (Hi is +Inf when no upper
+// bound was established). Lo ≤ Distance ≤ Hi always holds, and Leq is false
+// only when Lo > τ, true only when Hi ≤ τ. The interval is exact (Lo == Hi)
+// exactly at StageExact.
 type Decision struct {
 	Leq   bool
 	Stage Stage
 	Lo    float64
 	Hi    float64
-	// DualArmed records that the decision reached the exact solve with the
-	// dual-abort tier armed (the threshold was pinched against the proven
-	// lower bound and the caller's policy allowed arming). The metric layer's
-	// adaptive tier gate uses it as the attempt denominator for StageDual's
-	// live fire rate.
-	DualArmed bool
 }
 
-// Exact reports whether the cascade computed the exact distance — the
-// interval collapsed to a point. True for every completed solve, whichever
-// stage spent it.
+// Exact reports whether the test computed the exact distance — the interval
+// collapsed to a point.
 func (d Decision) Exact() bool { return d.Lo == d.Hi }
 
-// DistanceAtMost decides Distance(a,b) ≤ tau through a cascade of provable
-// bounds, running the exact Hungarian solve only when no cheaper stage is
-// conclusive: precomputed-embedding bound → row-minima bound → greedy
-// upper bound → dual-bounded Hungarian. The cascade order follows the
-// measured fire-rate-per-nanosecond on the reference dud workload: the
-// embedding tier decides most far pairs from two cached vectors before any
-// per-pair work, and the former standalone size and histogram tiers — which
-// fired zero times there — are folded into it (LowerBound dominates both).
-// Because every ground cost is a non-negative integer, the decision equals
-// Distance(a,b) ≤ tau exactly, for every tau.
+// DistanceAtMost decides Distance(a,b) ≤ tau in three stages, running the
+// exact Hungarian solve only when neither bound is conclusive: the
+// precomputed-embedding lower bound, then the greedy upper bound, then the
+// warm-started exact solve. Because every ground cost is a non-negative
+// integer, the decision equals Distance(a,b) ≤ tau exactly, for every tau.
 func (a *StarSig) DistanceAtMost(b *StarSig, tau float64) Decision {
-	return a.DistanceAtMostWithLower(b, tau, a.emb.LowerBound(b.emb))
+	return a.DistanceAtMostTiers(b, tau, a.emb.LowerBound(b.emb), true)
 }
 
-// DistanceAtMostWithLower is DistanceAtMost for callers that already hold the
+// DistanceAtMostTiers is DistanceAtMost for callers that already hold the
 // embedding lower bound of the pair (the metric layer computes it from the
-// cached vectors before deciding whether to materialize the signatures, and
-// passing it down avoids a second L1 scan per decision). emblo must equal
-// a.Embedding().LowerBound(b.Embedding()).
-func (a *StarSig) DistanceAtMostWithLower(b *StarSig, tau, emblo float64) Decision {
-	return a.decideAtMost(b, tau, emblo, true, true)
-}
-
-// DistanceAtMostTiers is DistanceAtMostWithLower under an explicit tier
-// policy: tryGreedy enables the greedy upper-bound tier, tryDual the
-// dual-abort arming of the exact solve. The lower-bound tiers and the exact
-// solve always run; disabling a tier never changes a verdict — a skipped
-// greedy success falls through to the exact solve, which proves the same
-// answer with Lo == Hi, and an unarmed solve simply completes. The metric
-// layer drives the flags from its adaptive tier gates, which retire a tier
-// once its measured fire rate on the live workload drops below the tier's
-// solve-cost breakeven (see metric's greedyGateMinRate / dualGateMinRate): on
-// workloads dominated by far pairs the upper bound almost never lands, and
-// arming the abort forfeits the warm-started solve for an exit that never
-// fires.
-func (a *StarSig) DistanceAtMostTiers(b *StarSig, tau, emblo float64, tryGreedy, tryDual bool) Decision {
-	return a.decideAtMost(b, tau, emblo, tryGreedy, tryDual)
-}
-
-func (a *StarSig) decideAtMost(b *StarSig, tau, emblo float64, tryGreedy, tryDual bool) Decision {
-	n1, n2 := len(a.stars), len(b.stars)
-	n := n1
-	if n2 > n {
-		n = n2
+// cached vectors before deciding whether to materialize the signatures;
+// emblo must equal a.Embedding().LowerBound(b.Embedding())), under an
+// explicit greedy policy: tryGreedy enables the greedy upper-bound stage.
+// Disabling it never changes a verdict — a skipped greedy success falls
+// through to the exact solve, which proves the same answer with Lo == Hi.
+// The metric layer drives the flag from its adaptive gate, which retires the
+// stage once its measured success rate on the live workload drops below its
+// solve-cost breakeven (see metric's greedyGateMinRate): on workloads
+// dominated by far pairs the upper bound almost never lands.
+func (a *StarSig) DistanceAtMostTiers(b *StarSig, tau, emblo float64, tryGreedy bool) Decision {
+	n := len(a.stars)
+	if len(b.stars) > n {
+		n = len(b.stars)
 	}
 	if n == 0 {
 		return Decision{Leq: 0 <= tau, Stage: StageExact, Lo: 0, Hi: 0}
 	}
-	inf := math.Inf(1)
 
 	// Stage 1 — embedding filter: the max of the size/padding bound and the
 	// center+spoke histogram L1 bound, straight off the cached vectors.
-	lo := emblo
-	if lo > tau {
-		return Decision{Leq: false, Stage: StageEmbedding, Lo: lo, Hi: inf}
+	if emblo > tau {
+		return Decision{Leq: false, Stage: StageEmbedding, Lo: emblo, Hi: math.Inf(1)}
 	}
 
-	// Stages 2+3 — fill the cost matrix, then one fused scan produces both
-	// bounds: every row is assigned somewhere, so Σ_i min_j c[i][j] bounds the
-	// optimum from below (StageRowMin), while the greedy row-by-row assignment
-	// the same cell reads build bounds it from above (StageGreedy). The row
-	// bound is checked first — it is admissible, so its verdicts take
-	// precedence and the greedy total is discarded when it fires. (The
-	// transposed column-minima sum is an equally valid lower bound, but
-	// measuring it needs a second, column-major O(n²) scan of the matrix; on
-	// the reference workload it decided under 1% of the fills that paid for
-	// it, so only the row bound — free inside the greedy scan — is kept.)
+	// Stage 2 — fill the cost matrix, then one fused scan records each row's
+	// minimum (the warm start below needs them) while building the greedy
+	// row-by-row assignment from the same cell reads. Any feasible assignment
+	// bounds the optimum from above, so greedy (with swap polish, exiting the
+	// moment the running total reaches τ) ≤ τ already proves the answer. The
+	// row-minima sum bounds the optimum from below; when it exceeds τ the
+	// scan skips the polish, since no assignment can then reach τ. That
+	// miss still needs the solve: in a θ sweep a pair whose bound only just
+	// clears τ is re-probed at a nearby higher threshold, and the exact value
+	// the solve memoizes answers every such probe.
 	sc := getScratch(n)
 	fillCost(sc, &a.pack, &b.pack, n)
-	ub, rowSum := inf, 0.0
 	if tryGreedy {
-		ub, rowSum = sc.solver.UpperBoundAtMostWithMins(sc.cost, tau, sc.rowMin)
-	} else {
-		rowSum = rowMins(sc, n)
-	}
-	if rowSum > lo {
-		lo = rowSum
-	}
-	if lo > tau {
-		if lo > tau+rowMinDeepMargin {
+		ub, rowSum := sc.solver.UpperBoundAtMostWithMins(sc.cost, tau, sc.rowMin)
+		if ub <= tau {
 			putScratch(sc)
-			return Decision{Leq: false, Stage: StageRowMin, Lo: lo, Hi: inf}
+			return Decision{Leq: true, Stage: StageGreedy, Lo: math.Max(emblo, rowSum), Hi: ub}
 		}
-		// Shallow miss: the bound already proves d > τ, but only barely —
-		// under a threshold sweep this pair is near-certain to be re-probed
-		// at a nearby higher threshold, where the memoized [lo, ∞) interval
-		// fails to decide and the cache promotes the pair to a full fill and
-		// solve anyway. The matrix is already paid for; completing the solve
-		// now costs only the Hungarian run and settles the pair exactly for
-		// every future threshold, where pruning would forfeit this fill and
-		// repeat it at the promotion. (Greedy polish and the dual gate are
-		// skipped: the optimum is ≥ rowSum > τ, so no upper bound can reach
-		// τ.) The stage stays StageRowMin — the row bound decided the verdict;
-		// the solve only hardened the interval — with Lo == Hi marking that a
-		// full solve was nonetheless spent.
-		total := sc.solver.TotalWarm(sc.cost, sc.rowMin)
-		putScratch(sc)
-		return Decision{Leq: total <= tau, Stage: StageRowMin, Lo: total, Hi: total}
-	}
-	if ub <= tau {
-		// Greedy upper bound: any feasible assignment bounds the optimum from
-		// above, so greedy (with swap polish, exiting the moment the running
-		// total reaches τ) ≤ τ already proves the answer.
-		putScratch(sc)
-		return Decision{Leq: true, Stage: StageGreedy, Lo: lo, Hi: ub}
+	} else {
+		rowMins(sc, n)
 	}
 
-	// The dual tier only pays off when the threshold is pinched against the
-	// proven lower bound: its abort needs the optimum over a *prefix* of the
-	// rows to exceed τ, which on the reference workload happens exclusively at
-	// τ − lo ≤ 1 (measured: every dual fire had lo == τ). Only those
-	// decisions get the row reordering the abort depends on — for the rest
-	// the sort is a pure tax on the solve's row-processing order — and only
-	// those run the solve with the abort armed.
-	nearTau := tryDual && tau-lo <= dualGateMargin
-	if nearTau {
-		// Reorder the matrix rows by descending row minimum (the assignment
-		// optimum is permutation-invariant, and integer costs keep the
-		// completed total bit-identical). The Hungarian partial dual bound is
-		// otherwise back-loaded — early rows grab the globally cheap columns,
-		// so the bound crosses τ only in the final rows, exactly where
-		// aborting no longer saves anything. Expensive, conflict-prone rows
-		// first means a far pair pushes the dual objective past τ within the
-		// gated early rows instead.
-		sortRowsByMinDesc(sc, n)
-	}
-
-	// Stage 4/5 — the exact solve. Pinched decisions (nearTau) run the
-	// dual-bounded Hungarian: the early exit is gated to the first half of the
-	// rows, because an abort there skips ≥ ~half the solve while a late abort
-	// would save almost nothing and forfeit the exact value — under a
-	// memoizing cache and a threshold sweep that trades one completed,
-	// cacheable solve for a nearly-full partial solve redone at every
-	// subsequent threshold (the measured cause of the bounded path losing to
-	// the exact baseline on the reference workload). Everything else runs the
-	// warm-started solve, reusing the row minima the fused scan already paid
-	// for as row-reduction duals (see assignment.TotalWarm) — the cascade's
-	// bound computations double as the solver's initialization, an advantage
-	// the plain Distance path does not have.
-	if nearTau {
-		total, aborted := sc.solver.TotalAtMostEarly(sc.cost, tau, n/dualAbortDenominator)
-		putScratch(sc)
-		if aborted {
-			if total > lo {
-				lo = total
-			}
-			return Decision{Leq: false, Stage: StageDual, Lo: lo, Hi: inf, DualArmed: true}
-		}
-		return Decision{Leq: total <= tau, Stage: StageExact, Lo: total, Hi: total, DualArmed: true}
-	}
+	// Stage 3 — the exact solve, warm-started from the row minima the scan
+	// already paid for (see assignment.TotalWarm): they seed the solver's
+	// row-reduction duals and its zero-reduced-cost pre-matching.
 	total := sc.solver.TotalWarm(sc.cost, sc.rowMin)
 	putScratch(sc)
 	return Decision{Leq: total <= tau, Stage: StageExact, Lo: total, Hi: total}
 }
 
-// dualAbortDenominator gates the StageDual early exit to the first
-// n/dualAbortDenominator augmented rows of the Hungarian solve. The partial
-// dual objective grows roughly linearly in the augmented rows, so an abort
-// inside the first half fires only when τ is well below the true distance
-// and saves at least half the solve; beyond that the savings no longer cover
-// the cost of losing the exact value (see the stage 4/5 comment in
-// DistanceAtMost).
-const dualAbortDenominator = 2
-
-// rowMinDeepMargin splits row-minima misses into durable and ephemeral
-// prunes. A miss is worth returning early only when the proven lower bound
-// clears the threshold by more than the span a sweeping workload walks: the
-// memoized interval [lo, ∞) then decides every future probe of the pair, and
-// the solve really is saved. A shallower miss would be re-probed undecided at
-// the next grid point and promoted to a second fill and solve — measured at
-// the reference n=4000 workload, nearly every shallow row-minima prune came
-// back as a promotion, turning the "saved" solve into a doubled fill. The
-// margin approximates the observed sweep spans (≈ 60 across the reference
-// grids) at half, trading a few durable prunes for none of the doubling.
-const rowMinDeepMargin = 32
-
-// dualGateMargin selects which decisions arm the dual tier at all: only
-// those whose threshold sits within this margin of the proven lower bound.
-// A prefix of the rows can only push the dual objective past τ when τ is
-// already pinched against the row-minima sum (the prefix optimum exceeds the
-// prefix's row minima by at most the assignment conflicts in it); with a
-// wide gap the solve always completes, so sorting and checking would be
-// wasted work on the far more common near-miss "yes" decisions.
-const dualGateMargin = 1
-
 // starScratch is the pooled per-solve arena: the flat cost matrix, the
-// per-row minima used to order rows for the dual bound, plus the assignment
-// solver's own scratch. One scratch serves one solve at a time; concurrency
-// gets distinct instances from the pool.
+// per-row minima that warm-start the solve, plus the assignment solver's own
+// scratch. One scratch serves one solve at a time; concurrency gets distinct
+// instances from the pool.
 type starScratch struct {
 	flat   []float64
 	cost   [][]float64
@@ -463,14 +298,12 @@ func fillCost(sc *starScratch, p1, p2 *starPack, n int) {
 	}
 }
 
-// rowMins scans the just-filled (cache-resident) cost matrix for each row's
-// minimum, storing it in sc.rowMin and returning the row-minima sum — the
-// StageRowMin lower bound. It is the greedy-bypassed counterpart of the fused
-// scan in assignment.UpperBoundAtMostWithMins: when the adaptive tier gate has
-// retired the upper bound, this dedicated pass runs at memory speed with none
-// of greedy's assignment bookkeeping, and the minima still feed the dual-tier
-// row ordering and the warm-started solve.
-func rowMins(sc *starScratch, n int) (rowSum float64) {
+// rowMins stores each row's minimum of the just-filled (cache-resident) cost
+// matrix in sc.rowMin for the warm-started solve. It is the greedy-bypassed
+// counterpart of the fused scan in assignment.UpperBoundAtMostWithMins: when
+// the adaptive gate has retired the greedy stage, this dedicated pass runs at
+// memory speed with none of greedy's assignment bookkeeping.
+func rowMins(sc *starScratch, n int) {
 	for i := 0; i < n; i++ {
 		row := sc.cost[i]
 		m := row[0]
@@ -480,25 +313,6 @@ func rowMins(sc *starScratch, n int) (rowSum float64) {
 			}
 		}
 		sc.rowMin[i] = m
-		rowSum += m
-	}
-	return rowSum
-}
-
-// sortRowsByMinDesc permutes the cost-matrix rows (pointer swaps only) into
-// descending row-minimum order, ties kept in original row order. Insertion
-// sort: n is small relative to the O(n²·spokes) fill that precedes this, and
-// near-sorted inputs (padding rows share one cost) finish in a linear pass.
-func sortRowsByMinDesc(sc *starScratch, n int) {
-	cost, mins := sc.cost, sc.rowMin
-	for i := 1; i < n; i++ {
-		r, m := cost[i], mins[i]
-		j := i
-		for j > 0 && mins[j-1] < m {
-			cost[j], mins[j] = cost[j-1], mins[j-1]
-			j--
-		}
-		cost[j], mins[j] = r, m
 	}
 }
 

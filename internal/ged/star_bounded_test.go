@@ -5,12 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"graphrep/internal/dataset"
-	"graphrep/internal/graph"
 )
 
-// The tentpole property: on random graph pairs, the bound cascade never
+// The tentpole property: on random graph pairs, the threshold test never
 // contradicts the exact star distance — Leq ⇔ Distance ≤ τ for every τ, the
 // proven interval always sandwiches the distance, and a false verdict always
 // carries a lower bound above τ. This is the ground truth behind the
@@ -53,10 +50,9 @@ func TestBoundedKernelNeverContradictsExact(t *testing.T) {
 	}
 }
 
-// The tier-policy contract behind the metric layer's adaptive gates: no
-// (tryGreedy, tryDual) combination may change a verdict or break the
-// sandwich, a disabled tier never appears as the deciding stage, and the
-// dual-armed flag is set exactly when arming was permitted and reached.
+// The policy contract behind the metric layer's adaptive greedy gate: the
+// tryGreedy flag may not change a verdict or break the sandwich, and a
+// disabled greedy stage never appears as the deciding stage.
 func TestDistanceAtMostTiersPolicyInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	f := func(seed int64) bool {
@@ -67,30 +63,20 @@ func TestDistanceAtMostTiersPolicyInvariant(t *testing.T) {
 		emblo := a.Embedding().LowerBound(b.Embedding())
 		for _, tau := range []float64{d - 1, d - 0.5, d, d + 1, 0, d / 2, 2 * d} {
 			for _, tryGreedy := range []bool{false, true} {
-				for _, tryDual := range []bool{false, true} {
-					dec := a.DistanceAtMostTiers(b, tau, emblo, tryGreedy, tryDual)
-					if dec.Leq != (d <= tau) {
-						t.Logf("seed=%d tau=%v d=%v greedy=%v dual=%v: Leq=%v stage=%v",
-							seed, tau, d, tryGreedy, tryDual, dec.Leq, dec.Stage)
-						return false
-					}
-					if dec.Lo > d || dec.Hi < d {
-						t.Logf("seed=%d tau=%v greedy=%v dual=%v: interval [%v,%v] excludes d=%v",
-							seed, tau, tryGreedy, tryDual, dec.Lo, dec.Hi, d)
-						return false
-					}
-					if !tryGreedy && dec.Stage == StageGreedy {
-						t.Logf("seed=%d tau=%v: disabled greedy tier decided", seed, tau)
-						return false
-					}
-					if !tryDual && (dec.Stage == StageDual || dec.DualArmed) {
-						t.Logf("seed=%d tau=%v: disabled dual tier armed (stage=%v)", seed, tau, dec.Stage)
-						return false
-					}
-					if dec.Stage == StageDual && !dec.DualArmed {
-						t.Logf("seed=%d tau=%v: dual abort fired without DualArmed", seed, tau)
-						return false
-					}
+				dec := a.DistanceAtMostTiers(b, tau, emblo, tryGreedy)
+				if dec.Leq != (d <= tau) {
+					t.Logf("seed=%d tau=%v d=%v greedy=%v: Leq=%v stage=%v",
+						seed, tau, d, tryGreedy, dec.Leq, dec.Stage)
+					return false
+				}
+				if dec.Lo > d || dec.Hi < d {
+					t.Logf("seed=%d tau=%v greedy=%v: interval [%v,%v] excludes d=%v",
+						seed, tau, tryGreedy, dec.Lo, dec.Hi, d)
+					return false
+				}
+				if !tryGreedy && dec.Stage == StageGreedy {
+					t.Logf("seed=%d tau=%v: disabled greedy stage decided", seed, tau)
+					return false
 				}
 			}
 		}
@@ -101,26 +87,28 @@ func TestDistanceAtMostTiersPolicyInvariant(t *testing.T) {
 	}
 }
 
-// DistanceWarm serves cache promotions on the bounded path; it must return
-// the same value as the classic Distance, which stays the kernel-off
-// reference implementation.
+// The exact stage runs the warm-started solve; it must return the same value
+// as the classic Distance, which stays the kernel-off reference
+// implementation. With the greedy stage off and the embedding bound below τ,
+// every decision reaches that solve.
 func TestDistanceWarmMatchesDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 300; trial++ {
 		a := NewStarSig(randGraph(rng, 12))
 		b := NewStarSig(randGraph(rng, 12))
-		if got, want := a.DistanceWarm(b), a.Distance(b); got != want {
-			t.Fatalf("trial %d: DistanceWarm %v != Distance %v", trial, got, want)
+		dec := a.DistanceAtMostTiers(b, math.Inf(1), 0, false)
+		if want := a.Distance(b); dec.Stage != StageExact || dec.Lo != want || dec.Hi != want {
+			t.Fatalf("trial %d: exact stage %+v, Distance %v", trial, dec, want)
 		}
 	}
 	empty := NewStarSig(mkGraph(t, nil, nil))
-	if got := empty.DistanceWarm(empty); got != 0 {
-		t.Errorf("empty DistanceWarm = %v, want 0", got)
+	if dec := empty.DistanceAtMostTiers(empty, math.Inf(1), 0, false); dec.Lo != 0 || dec.Hi != 0 {
+		t.Errorf("empty exact stage = %+v, want [0, 0]", dec)
 	}
 }
 
-// Every cascade stage must be reachable — otherwise a bound has quietly
-// become dead code and the kernel degrades to always-exact.
+// Every stage must be reachable — otherwise a bound has quietly become dead
+// code and the kernel degrades to always-exact.
 func TestBoundedKernelStagesFire(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	seen := make(map[Stage]int)
@@ -132,40 +120,7 @@ func TestBoundedKernelStagesFire(t *testing.T) {
 			seen[a.DistanceAtMost(b, tau).Stage]++
 		}
 	}
-	// The dual stage requires assignment conflicts — rows competing for the
-	// same cheap columns — inside the gated prefix of the solve, which
-	// uniform random graphs almost never produce once the row-minima sum has
-	// been checked. Family-structured molecule-like graphs (small label
-	// alphabet, shared scaffolds, valence cap) do; sweep those until every
-	// stage has been observed.
-	allSeen := func() bool {
-		for _, st := range []Stage{StageEmbedding, StageRowMin, StageGreedy, StageDual, StageExact} {
-			if seen[st] == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	db, err := dataset.DUDLike(120, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigs := make([]*StarSig, db.Len())
-	for i := range sigs {
-		sigs[i] = NewStarSig(db.Graph(graph.ID(i)))
-	}
-	for i := 0; i < len(sigs) && !allSeen(); i++ {
-		for j := i + 1; j < len(sigs) && !allSeen(); j++ {
-			d := sigs[i].Distance(sigs[j])
-			for _, tau := range []float64{math.Floor(3 * d / 4), d - 1, d - 2} {
-				if tau < 0 {
-					continue
-				}
-				seen[sigs[i].DistanceAtMost(sigs[j], tau).Stage]++
-			}
-		}
-	}
-	for _, st := range []Stage{StageEmbedding, StageRowMin, StageGreedy, StageDual, StageExact} {
+	for _, st := range []Stage{StageEmbedding, StageGreedy, StageExact} {
 		if seen[st] == 0 {
 			t.Errorf("stage %v never fired across the corpus (distribution %v)", st, seen)
 		}

@@ -7,18 +7,6 @@ import (
 	"graphrep/internal/graph"
 )
 
-// BoundedMetric is a Metric that can decide the threshold test
-// d(a,b) ≤ theta without necessarily computing the exact distance. The
-// contract is strict: Within(a, b, theta) ⇔ Distance(a, b) ≤ theta, for
-// every theta — a bounded implementation may be faster, never different.
-// Every built-in metric (Star, Counter, Cache, Matrix) satisfies it; the
-// engine's verify paths rely on the equivalence to keep answers byte-
-// identical whether or not the bounded kernel is enabled.
-type BoundedMetric interface {
-	Metric
-	Within(a, b graph.ID, theta float64) (leq bool)
-}
-
 // decision is the internal detailed outcome of a bounded test: the verdict,
 // whether it was reached without a completed exact solve (pruned), and the
 // proven interval lo ≤ d ≤ hi (hi is +Inf when no upper bound exists). The
@@ -29,87 +17,71 @@ type decision struct {
 	lo, hi float64
 }
 
-// decider is implemented by the built-in metrics to expose the detailed
-// decision to each other (Cache needs the inner interval to memoize it) and
-// to Decide.
+// decider is implemented by the metrics with a bounded path (Star, Counter,
+// Cache) to expose the detailed decision to each other (Cache needs the
+// inner interval to memoize it) and to Decide. The contract is strict: the
+// verdict equals Distance(a, b) ≤ theta, for every theta — a bounded path
+// may be faster, never different, which is what keeps answers byte-identical
+// whether or not the bounded kernel is enabled.
 type decider interface {
 	boundedDecide(a, b graph.ID, theta float64) decision
 }
 
 // Decide resolves d(a,b) ≤ theta through m, preferring the bounded path when
-// m supports it, and additionally reports whether the decision was pruned —
-// reached without a completed exact Hungarian solve. The verify loops use it
-// to split QueryStats between PrunedDistances and ExactDistances while
-// keeping a single call site.
+// m has one, and additionally reports whether the decision was pruned —
+// reached without a completed exact Hungarian solve. It is the one decision
+// entry point: the verify loops use it to split QueryStats between
+// PrunedDistances and ExactDistances while keeping a single call site.
 func Decide(m Metric, a, b graph.ID, theta float64) (leq, pruned bool) {
 	d := boundedDecide(m, a, b, theta)
 	return d.leq, d.pruned
 }
 
-// boundedDecide dispatches to the richest interface m offers. For a foreign
-// BoundedMetric the interval is reconstructed from the verdict alone (d > θ
-// implies d ≥ nextafter(θ), d ≤ θ implies d ∈ [0, θ]); for a plain Metric
+// boundedDecide takes m's bounded path when it has one; for any other Metric
 // the exact distance is computed and compared.
 func boundedDecide(m Metric, a, b graph.ID, theta float64) decision {
-	switch mm := m.(type) {
-	case decider:
+	if mm, ok := m.(decider); ok {
 		return mm.boundedDecide(a, b, theta)
-	case BoundedMetric:
-		if mm.Within(a, b, theta) {
-			return decision{leq: true, pruned: false, lo: 0, hi: theta}
-		}
-		return decision{leq: false, pruned: false, lo: math.Nextafter(theta, math.Inf(1)), hi: math.Inf(1)}
-	default:
-		d := m.Distance(a, b)
-		return decision{leq: d <= theta, pruned: false, lo: d, hi: d}
 	}
+	d := m.Distance(a, b)
+	return decision{leq: d <= theta, lo: d, hi: d}
 }
 
-// PruneStats is the cascade breakdown of a Star metric: how many bounded
-// decisions each lower/upper-bound stage resolved without a completed
-// Hungarian solve, how many bounded decisions needed the full solve
-// (BoundedExact), and how many plain Distance computations were issued
-// (ExactValues — always a full solve). FullSolves is therefore the number of
-// complete Hungarian runs; Pruned the number avoided.
+// PruneStats is the threshold-test breakdown of a Star metric: how many
+// bounded decisions each bound stage resolved without a completed Hungarian
+// solve, how many bounded decisions needed the full solve (BoundedExact), and
+// how many plain Distance computations were issued (ExactValues — always a
+// full solve). FullSolves is therefore the number of complete Hungarian
+// runs; Pruned the number avoided.
 type PruneStats struct {
-	// Embedding counts decisions the precomputed filter tier resolved from
+	// Embedding counts decisions the precomputed filter stage resolved from
 	// two cached vectors alone (the max of the padding/size bound and the
 	// center+spoke histogram L1 bound; O(dims), no per-pair assignment
 	// work). It subsumes the retired size and histogram tiers.
 	Embedding int64
-	RowMin    int64 // decisions the row-minima lower bound made (O(n²))
 	Greedy    int64 // greedy-assignment upper bound (O(n²))
-	Dual      int64 // Hungarian dual objective early exit (partial solve)
 
-	// RowMinSolved is the subset of RowMin whose miss was shallow — within
-	// rowMinDeepMargin of τ — so the cascade spent a full solve hardening the
-	// memoized interval to an exact value. Those decisions were made by the
-	// bound but still cost a Hungarian run, so they count in FullSolves and
-	// not in Pruned.
-	RowMinSolved int64
+	// RowMin, RowMinSolved and Dual belonged to the retired row-minima and
+	// dual-abort tiers and are always 0. They stay only because the
+	// end-to-end benchmark module still reads them.
+	RowMin, RowMinSolved, Dual int64
 
 	BoundedExact int64
 	ExactValues  int64
 
-	// GreedyTried and DualArmed are the adaptive tier gates' attempt
-	// denominators: decisions on which the greedy tier actually ran, and
-	// decisions whose exact solve ran with the dual abort armed. Greedy/
-	// GreedyTried and Dual/DualArmed are the live fire rates the gates weigh
-	// against each tier's breakeven; a denominator that stops growing while
-	// decisions continue means the gate has retired the tier.
+	// GreedyTried is the adaptive greedy gate's attempt denominator: the
+	// decisions on which the greedy stage actually ran. Greedy/GreedyTried
+	// is the live success rate the gate weighs against the stage's
+	// breakeven; a denominator that stops growing while decisions continue
+	// means the gate has retired the stage.
 	GreedyTried int64
-	DualArmed   int64
 }
 
 // Pruned returns the decisions resolved without a completed exact solve.
-func (p PruneStats) Pruned() int64 {
-	return p.Embedding + (p.RowMin - p.RowMinSolved) + p.Greedy + p.Dual
-}
+func (p PruneStats) Pruned() int64 { return p.Embedding + p.Greedy }
 
 // FullSolves returns the number of completed Hungarian solves issued.
-func (p PruneStats) FullSolves() int64 {
-	return p.BoundedExact + p.RowMinSolved + p.ExactValues
-}
+func (p PruneStats) FullSolves() int64 { return p.BoundedExact + p.ExactValues }
 
 // StageCounter is implemented by metrics that track the PruneStats
 // breakdown; the Star metric does, and the engine telemetry exports the
@@ -137,11 +109,6 @@ type EmbeddingTablePrimer interface {
 	PrimeEmbeddingTable(base graph.ID, tab *ged.Table)
 }
 
-// Within implements BoundedMetric via the ged bound cascade.
-func (m *starMetric) Within(a, b graph.ID, theta float64) bool {
-	return m.boundedDecide(a, b, theta).leq
-}
-
 func (m *starMetric) boundedDecide(a, b graph.ID, theta float64) decision {
 	if a == b {
 		return decision{leq: 0 <= theta, pruned: true, lo: 0, hi: 0}
@@ -149,8 +116,8 @@ func (m *starMetric) boundedDecide(a, b graph.ID, theta float64) decision {
 	// Embedding-first: with both filter vectors cached (primed from a loaded
 	// index, or left behind by earlier sig materializations), a far pair is
 	// decided without touching the star signatures at all. The bound is then
-	// handed down so the cascade does not re-scan the vectors. Signatures and
-	// vectors are snapshotted in one reader-lock round.
+	// handed down so the threshold test does not re-scan the vectors.
+	// Signatures and vectors are snapshotted in one reader-lock round.
 	sa, sb, ea, eb := m.pairState(a, b)
 	lb := -1.0
 	if ea != nil && eb != nil {
@@ -170,46 +137,35 @@ func (m *starMetric) boundedDecide(a, b graph.ID, theta float64) decision {
 		lb = sa.Embedding().LowerBound(sb.Embedding())
 	}
 	tryGreedy := m.greedyGateOpen()
-	dec := sa.DistanceAtMostTiers(sb, theta, lb, tryGreedy, m.dualGateOpen())
-	if tryGreedy && dec.Stage >= ged.StageGreedy {
+	dec := sa.DistanceAtMostTiers(sb, theta, lb, tryGreedy)
+	if tryGreedy && dec.Stage != ged.StageEmbedding {
 		m.greedyTried.Add(1)
 	}
-	if dec.DualArmed {
-		m.dualTried.Add(1)
-	}
 	m.stages[dec.Stage].Add(1)
-	if dec.Stage == ged.StageRowMin && dec.Exact() {
-		m.rowMinSolved.Add(1)
-	}
 	return decision{leq: dec.Leq, pruned: !dec.Exact(), lo: dec.Lo, hi: dec.Hi}
 }
 
-// The adaptive tier gates. The greedy upper bound and the dual abort are the
-// two cascade tiers whose economics depend on the workload rather than the
-// data alone. A greedy success durably prunes one warm-started Hungarian
-// solve, while a failure pays the assignment bookkeeping and swap polish on
-// top of the solve it failed to avoid — against the measured costs on the
-// reference workload, roughly a quarter of a warm solve per attempt, so the
-// tier breaks even when about one attempt in four lands. Arming the dual
-// abort costs the row reordering plus the warm start the classic abortable
-// solve cannot use — about half of what an abort saves (the abort skips at
-// least half the solve) — so that tier breaks even when about half its armed
-// attempts fire. Each gate watches its tier's live fire rate over the
-// decisions that actually ran it and retires the tier for the metric's
-// lifetime once, past the metric's warmup (gateWarmupFor at construction),
-// the rate sits below the tier's breakeven. Retiring a tier never changes a verdict (a skipped
-// greedy success falls through to the exact solve, which proves the same
-// answer and memoizes more; an unarmed solve simply completes), so answers
-// stay byte-identical; only the stage composition shifts. Once closed a gate
-// stays closed: no further attempts run, so the rate that closed it is
+// The adaptive greedy gate. The greedy upper bound is the one stage whose
+// economics depend on the workload rather than the data alone. A greedy
+// success durably prunes one warm-started Hungarian solve, while a failure
+// pays the assignment bookkeeping and swap polish on top of the solve it
+// failed to avoid — against the measured costs on the reference workload,
+// roughly a quarter of a warm solve per attempt, so the stage breaks even
+// when about one attempt in four lands. The gate watches the stage's live
+// success rate over the decisions that actually ran it and retires the stage
+// for the metric's lifetime once, past the metric's warmup (gateWarmupFor at
+// construction), the rate sits below that breakeven. Retiring the stage
+// never changes a verdict (a skipped greedy success falls through to the
+// exact solve, which proves the same answer and memoizes more), so answers
+// stay byte-identical; only the stage composition shifts. Once closed the
+// gate stays closed: no further attempts run, so the rate that closed it is
 // frozen. Reference points: the n=400 workload finishes inside the warmup
-// with greedy landing ≈48%, so both tiers stay live there; the n=4000
-// workload sits near 12% greedy and 0% dual and retires both shortly after
-// warmup, shedding their cost on the ~90% of decisions they were losing.
+// with greedy landing about half the time, so the stage stays live there;
+// the n=4000 workload sits near 20% and retires it at the warmup, shedding
+// its cost on the decisions it was losing.
 const (
 	gateWarmupFloor   = 4096
 	greedyGateMinRate = 0.25
-	dualGateMinRate   = 0.5
 )
 
 // gateWarmupFor sizes the gate warmup for an n-graph database:
@@ -240,80 +196,38 @@ func (m *starMetric) greedyGateOpen() bool {
 	return float64(m.stages[ged.StageGreedy].Load()) >= greedyGateMinRate*float64(tried)
 }
 
-// dualGateOpen is greedyGateOpen's counterpart for the dual-abort tier, over
-// the decisions that armed it.
-func (m *starMetric) dualGateOpen() bool {
-	tried := m.dualTried.Load()
-	if tried < m.gateWarmup {
-		return true
-	}
-	return float64(m.stages[ged.StageDual].Load()) >= dualGateMinRate*float64(tried)
-}
-
 // PruneStats implements StageCounter.
 func (m *starMetric) PruneStats() PruneStats {
 	return PruneStats{
 		Embedding:    m.stages[ged.StageEmbedding].Load(),
-		RowMin:       m.stages[ged.StageRowMin].Load(),
 		Greedy:       m.stages[ged.StageGreedy].Load(),
-		Dual:         m.stages[ged.StageDual].Load(),
-		RowMinSolved: m.rowMinSolved.Load(),
 		BoundedExact: m.stages[ged.StageExact].Load(),
 		ExactValues:  m.exactValues.Load(),
 		GreedyTried:  m.greedyTried.Load(),
-		DualArmed:    m.dualTried.Load(),
 	}
 }
 
-// Within implements BoundedMetric: the call counts as one distance
-// computation (the paper's efficiency measure charges threshold tests and
-// value computations alike) and delegates the decision to the inner metric.
-func (c *Counter) Within(a, b graph.ID, theta float64) bool {
-	return c.boundedDecide(a, b, theta).leq
-}
-
+// boundedDecide counts the call as one distance computation (the paper's
+// efficiency measure charges threshold tests and value computations alike)
+// and delegates the decision to the inner metric.
 func (c *Counter) boundedDecide(a, b graph.ID, theta float64) decision {
 	c.n.Add(1)
 	return boundedDecide(c.inner, a, b, theta)
 }
 
-// Within implements BoundedMetric with interval memoization: an entry whose
-// interval already decides the test answers it as a hit (pruned unless the
-// entry is exact); otherwise the inner decision is issued (a miss, keeping
-// Misses == inner computations) and the interval it proves is merged into
-// the table, tightening it for future calls at any threshold. Exact values
-// always win: once lo == hi the entry never widens.
-func (c *Cache) Within(a, b graph.ID, theta float64) bool {
-	return c.boundedDecide(a, b, theta).leq
-}
-
-// exactWarmer is implemented by metrics whose exact distance can run through
-// the warm-started solve (the star metric's distanceExactWarm). The Cache's
-// promotions — exact computations issued from inside the bounded kernel —
-// prefer it; plain Distance calls are untouched, keeping the kernel-off
-// baseline on the classic solve.
-type exactWarmer interface {
-	distanceExactWarm(a, b graph.ID) float64
-}
-
-// exactDistance computes the exact distance for kernel-internal use,
-// routing through the warm solve when m supports it.
-func exactDistance(m Metric, a, b graph.ID) float64 {
-	if ew, ok := m.(exactWarmer); ok {
-		return ew.distanceExactWarm(a, b)
-	}
-	return m.Distance(a, b)
-}
-
-// promoteProbes is the undecided-repeat count at which the Cache stops
-// issuing partial cascades for a pair and computes its exact distance: the
-// first repeat probe inside the stored interval (second miss overall) pays
-// for one full solve so every later test is a table hit. A repeat inside the
-// interval means the pair straddles the workload's thresholds — θ sweeps walk
-// the same pairs through a grid of nearby values — and every further partial
-// cascade on it is near-full-solve work that proves nothing reusable.
-const promoteProbes = 1
-
+// boundedDecide memoizes intervals: an entry whose interval already decides
+// the test answers it as a hit (pruned unless the entry is exact); otherwise
+// the inner decision is issued (a miss, keeping Misses == inner
+// computations) and the interval it proves is merged into the table,
+// tightening it for future calls at any threshold. Exact values always win:
+// once lo == hi the entry never widens.
+//
+// A stored interval that fails to decide means the pair is being probed
+// again at a threshold inside its bounds — repeat traffic (θ sweeps walk the
+// same pairs through a grid of thresholds). Such a probe promotes the pair:
+// it computes the exact distance, so every later test on the pair is a hit
+// instead of another partial decision that proves nothing reusable. The
+// probe counts as a miss like any other inner computation.
 func (c *Cache) boundedDecide(a, b graph.ID, theta float64) decision {
 	if a == b {
 		return decision{leq: 0 <= theta, pruned: true, lo: 0, hi: 0}
@@ -334,41 +248,17 @@ func (c *Cache) boundedDecide(a, b graph.ID, theta float64) decision {
 		case e.hi <= theta:
 			c.hits.Add(1)
 			return decision{leq: true, pruned: true, lo: e.lo, hi: e.hi}
-		default:
-			// A stored interval that fails to decide means this pair is
-			// being probed again at a threshold inside its bounds — repeat
-			// traffic (θ sweeps walk the same pairs through a grid of
-			// thresholds). After a couple of such repeats, promote to exact:
-			// one full computation makes every future test on the pair a
-			// hit, instead of re-running a partial cascade per threshold.
-			// Either way the probe counts as a miss like any other inner
-			// computation.
+		default: // an undecided repeat: promote the pair to exact
 			c.misses.Add(1)
-			if sh.bumpProbes(k) >= promoteProbes {
-				d := exactDistance(c.inner, a, b)
-				sh.store(k, d, d)
-				return decision{leq: d <= theta, pruned: false, lo: d, hi: d}
-			}
-			d := boundedDecide(c.inner, a, b, theta)
-			sh.store(k, d.lo, d.hi)
-			return d
+			d := c.inner.Distance(a, b)
+			sh.store(k, d, d)
+			return decision{leq: d <= theta, lo: d, hi: d}
 		}
 	}
 	c.misses.Add(1)
 	d := boundedDecide(c.inner, a, b, theta)
 	sh.store(k, d.lo, d.hi)
 	return d
-}
-
-// Within implements BoundedMetric; the matrix is precomputed, so the lookup
-// is already exact.
-func (m *Matrix) Within(a, b graph.ID, theta float64) bool {
-	return m.Distance(a, b) <= theta
-}
-
-func (m *Matrix) boundedDecide(a, b graph.ID, theta float64) decision {
-	d := m.Distance(a, b)
-	return decision{leq: d <= theta, pruned: false, lo: d, hi: d}
 }
 
 // ExactOnly hides any bounded-decision capability of m: the returned metric
@@ -384,11 +274,11 @@ type exactOnly struct{ inner Metric }
 // Distance implements Metric.
 func (e exactOnly) Distance(a, b graph.ID) float64 { return e.inner.Distance(a, b) }
 
-// Compile-time checks: every built-in metric supports the bounded path.
+// Compile-time checks: the star metric and its wrappers keep the bounded
+// path.
 var (
-	_ BoundedMetric = (*starMetric)(nil)
-	_ BoundedMetric = (*Counter)(nil)
-	_ BoundedMetric = (*Cache)(nil)
-	_ BoundedMetric = (*Matrix)(nil)
-	_ StageCounter  = (*starMetric)(nil)
+	_ decider      = (*starMetric)(nil)
+	_ decider      = (*Counter)(nil)
+	_ decider      = (*Cache)(nil)
+	_ StageCounter = (*starMetric)(nil)
 )

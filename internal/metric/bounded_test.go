@@ -9,14 +9,19 @@ import (
 	"graphrep/internal/graph"
 )
 
-// Every built-in metric must satisfy the BoundedMetric contract exactly:
-// Within(a, b, θ) ⇔ Distance(a, b) ≤ θ, at thresholds on, below, and above
-// the true distance.
+// within is the verdict half of Decide.
+func within(m Metric, a, b graph.ID, theta float64) bool {
+	leq, _ := Decide(m, a, b, theta)
+	return leq
+}
+
+// Every built-in metric must decide threshold tests exactly:
+// Decide(m, a, b, θ) ⇔ Distance(a, b) ≤ θ, at thresholds on, below, and
+// above the true distance.
 func TestWithinMatchesDistance(t *testing.T) {
 	db := testDB(t, 40, 3)
-	star := Star(db)
-	metrics := map[string]BoundedMetric{
-		"star":    star.(BoundedMetric),
+	metrics := map[string]Metric{
+		"star":    Star(db),
 		"counter": NewCounter(Star(db)),
 		"cache":   NewCache(NewCounter(Star(db))),
 		"matrix":  NewMatrix(db, Star(db), 2),
@@ -28,16 +33,16 @@ func TestWithinMatchesDistance(t *testing.T) {
 			b := graph.ID(rng.Intn(db.Len()))
 			d := m.Distance(a, b)
 			for _, theta := range []float64{d - 1, d - 0.5, d, d + 0.5, d + 1, 0, -1, d * 2} {
-				if got := m.Within(a, b, theta); got != (d <= theta) {
-					t.Fatalf("%s: Within(%d,%d,%v) = %v but Distance = %v", name, a, b, theta, got, d)
+				if got := within(m, a, b, theta); got != (d <= theta) {
+					t.Fatalf("%s: Decide(%d,%d,%v) = %v but Distance = %v", name, a, b, theta, got, d)
 				}
 			}
 		}
 	}
 }
 
-// Decide must agree with Within for bounded metrics and fall back to an
-// exact comparison (never pruned) for plain metrics.
+// Decide must fall back to an exact comparison (never pruned) for metrics
+// without a bounded path.
 func TestDecideFallback(t *testing.T) {
 	db := testDB(t, 20, 5)
 	star := Star(db)
@@ -62,18 +67,16 @@ func TestDecideFallback(t *testing.T) {
 	}
 }
 
-// ExactOnly must hide the bounded capability entirely.
+// ExactOnly must hide the bounded threshold test entirely, so
+// DisableBoundedKernel forces a full solve for every test.
 func TestExactOnlyHidesWithin(t *testing.T) {
 	m := ExactOnly(NewCache(Star(testDB(t, 5, 1))))
-	if _, ok := m.(BoundedMetric); ok {
-		t.Error("ExactOnly metric still exposes Within")
-	}
 	if _, ok := m.(decider); ok {
 		t.Error("ExactOnly metric still exposes the detailed decision path")
 	}
 }
 
-// A pruned Within must still help later calls: the interval it stores
+// A pruned decision must still help later calls: the interval it stores
 // answers a repeat of the same test from the table (a hit with no inner
 // computation), and Misses continues to equal the inner computations issued.
 func TestCacheIntervalMemoization(t *testing.T) {
@@ -111,25 +114,25 @@ func TestCacheIntervalMemoization(t *testing.T) {
 	if !found {
 		t.Fatal("no pair with a pruned open-interval decision in test database")
 	}
-	if c.Within(a, b, theta) {
-		t.Fatalf("Within(%v) true but distance is %v", theta, d)
+	if within(c, a, b, theta) {
+		t.Fatalf("Decide(%v) true but distance is %v", theta, d)
 	}
 	if c.Misses() != 1 || c.Size() != 1 {
-		t.Fatalf("after first Within: misses=%d size=%d, want 1, 1", c.Misses(), c.Size())
+		t.Fatalf("after first Decide: misses=%d size=%d, want 1, 1", c.Misses(), c.Size())
 	}
 	// Identical repeat: decided by the stored interval, no inner computation.
-	if c.Within(a, b, theta) {
-		t.Fatal("repeat Within changed its verdict")
+	if within(c, a, b, theta) {
+		t.Fatal("repeat Decide changed its verdict")
 	}
 	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Fatalf("repeat Within: hits=%d misses=%d, want 1, 1", c.Hits(), c.Misses())
+		t.Fatalf("repeat Decide: hits=%d misses=%d, want 1, 1", c.Hits(), c.Misses())
 	}
 	// A lower threshold is decided by the same lower bound (lo > θ' too).
-	if c.Within(a, b, theta-5) {
-		t.Fatal("Within at lower threshold changed its verdict")
+	if within(c, a, b, theta-5) {
+		t.Fatal("Decide at lower threshold changed its verdict")
 	}
 	if c.Hits() != 2 || c.Misses() != 1 {
-		t.Fatalf("lower-threshold Within: hits=%d misses=%d, want 2, 1", c.Hits(), c.Misses())
+		t.Fatalf("lower-threshold Decide: hits=%d misses=%d, want 2, 1", c.Hits(), c.Misses())
 	}
 	if got := counter.Count(); got != c.Misses() {
 		t.Fatalf("inner computations %d != misses %d", got, c.Misses())
@@ -145,7 +148,7 @@ func TestCacheIntervalMemoization(t *testing.T) {
 	}
 	// Now exact: every further call at any threshold is a hit.
 	hits := c.Hits()
-	if c.Within(a, b, d) != true || c.Within(a, b, d-0.5) != false || c.Distance(a, b) != d {
+	if within(c, a, b, d) != true || within(c, a, b, d-0.5) != false || c.Distance(a, b) != d {
 		t.Fatal("exact entry answered incorrectly")
 	}
 	if c.Hits() != hits+3 || c.Misses() != 2 {
@@ -174,10 +177,6 @@ func (f *weakBounded) Distance(a, b graph.ID) float64 {
 	return f.d
 }
 
-func (f *weakBounded) Within(a, b graph.ID, theta float64) bool {
-	return f.boundedDecide(a, b, theta).leq
-}
-
 func (f *weakBounded) boundedDecide(a, b graph.ID, theta float64) decision {
 	f.calls++
 	if f.d > theta {
@@ -186,9 +185,9 @@ func (f *weakBounded) boundedDecide(a, b graph.ID, theta float64) decision {
 	return decision{leq: true, pruned: true, lo: 0, hi: theta}
 }
 
-// Repeated undecided probes on one pair must promote the entry to exact after
-// promoteProbes repeats, after which every test at any threshold is a table
-// hit and the inner metric is never consulted again.
+// The first undecided repeat probe on a pair must promote the entry to exact,
+// after which every test at any threshold is a table hit and the inner metric
+// is never consulted again.
 func TestCachePromoteToExact(t *testing.T) {
 	inner := &weakBounded{d: 10}
 	c := NewCache(inner)
@@ -197,11 +196,11 @@ func TestCachePromoteToExact(t *testing.T) {
 	// Ascending thresholds below d: each probe stores lo just above its θ,
 	// so the next θ is always inside the stored interval — an undecided
 	// repeat. Probe 1 is the initial miss; probe 2 is the first repeat, which
-	// reaches promoteProbes and computes the exact distance instead of
-	// issuing another partial cascade.
+	// computes the exact distance instead of issuing another partial
+	// decision.
 	for i, theta := range []float64{4, 5} {
-		if c.Within(a, b, theta) {
-			t.Fatalf("probe %d: Within(%v) = true, distance %v", i+1, theta, inner.d)
+		if within(c, a, b, theta) {
+			t.Fatalf("probe %d: Decide(%v) = true, distance %v", i+1, theta, inner.d)
 		}
 	}
 	if inner.calls != 2 {
@@ -212,7 +211,7 @@ func TestCachePromoteToExact(t *testing.T) {
 	}
 	// Promoted: every further call, at any threshold, is a hit.
 	hits := c.Hits()
-	if c.Within(a, b, 9) || !c.Within(a, b, 10) || c.Distance(a, b) != 10 {
+	if within(c, a, b, 9) || !within(c, a, b, 10) || c.Distance(a, b) != 10 {
 		t.Fatal("promoted entry answered incorrectly")
 	}
 	if inner.calls != 2 {
@@ -223,7 +222,7 @@ func TestCachePromoteToExact(t *testing.T) {
 	}
 }
 
-// Concurrent Within/Distance storms on one Cache must converge to exact
+// Concurrent Decide/Distance storms on one Cache must converge to exact
 // values that agree with an uncached reference, with the hit/miss invariant
 // (hits + misses == non-identity lookups, misses == inner computations)
 // intact. Run under -race this also checks the striped locking around the
@@ -253,8 +252,8 @@ func TestCacheBoundedConcurrent(t *testing.T) {
 						errs <- "Distance diverged from reference"
 						return
 					}
-				} else if got, want := c.Within(a, b, theta), ref.Distance(a, b) <= theta; got != want {
-					errs <- "Within diverged from reference"
+				} else if got, want := within(c, a, b, theta), ref.Distance(a, b) <= theta; got != want {
+					errs <- "Decide diverged from reference"
 					return
 				}
 			}
@@ -287,7 +286,6 @@ func TestStarPruneStats(t *testing.T) {
 	db := testDB(t, 30, 17)
 	star := Star(db)
 	sc := star.(StageCounter)
-	bounded := star.(BoundedMetric)
 	if s := sc.PruneStats(); s != (PruneStats{}) {
 		t.Fatalf("fresh metric has nonzero stats: %+v", s)
 	}
@@ -299,7 +297,7 @@ func TestStarPruneStats(t *testing.T) {
 		if a == b {
 			continue
 		}
-		bounded.Within(a, b, float64(rng.Intn(14)))
+		Decide(star, a, b, float64(rng.Intn(14)))
 		tests++
 	}
 	s := sc.PruneStats()

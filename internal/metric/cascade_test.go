@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"graphrep/internal/dataset"
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 )
@@ -55,14 +54,9 @@ func randSpec(rng *rand.Rand, maxN int) graphSpec {
 	return s
 }
 
-// findStagePair deterministically searches graph pairs for one whose bounded
-// decision terminates at the wanted cascade stage, returning the pair and the
-// threshold that forces it. The deeper stages (dual, exact) depend on how the
-// Hungarian solve unfolds, which is impractical to craft by hand: exact is
-// dense in seeded random pairs, while dual needs assignment conflicts inside
-// the gated prefix of the solve, which uniform random graphs almost never
-// produce — the family-structured molecule-like corpus (small label alphabet,
-// shared scaffolds, valence cap) does. The returned graphs carry placeholder
+// findStagePair deterministically searches seeded random graph pairs for one
+// whose bounded decision terminates at the wanted stage, returning the pair
+// and the threshold that forces it. The returned graphs carry placeholder
 // IDs; callers re-ID them via Clone when assembling a database.
 func findStagePair(t *testing.T, want ged.Stage) (a, b *graph.Graph, tau float64) {
 	t.Helper()
@@ -80,49 +74,26 @@ func findStagePair(t *testing.T, want ged.Stage) (a, b *graph.Graph, tau float64
 			}
 		}
 	}
-	db, err := dataset.DUDLike(120, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigs := make([]*ged.StarSig, db.Len())
-	for i := range sigs {
-		sigs[i] = ged.NewStarSig(db.Graph(graph.ID(i)))
-	}
-	for i := 0; i < len(sigs); i++ {
-		for j := i + 1; j < len(sigs); j++ {
-			d := sigs[i].Distance(sigs[j])
-			for _, tau := range []float64{math.Floor(3 * d / 4), d - 1, d - 2} {
-				if tau < 0 {
-					continue
-				}
-				if dec := sigs[i].DistanceAtMost(sigs[j], tau); dec.Stage == want {
-					return db.Graph(graph.ID(i)), db.Graph(graph.ID(j)), tau
-				}
-			}
-		}
-	}
 	t.Fatalf("no pair terminating at stage %v within the search budget", want)
 	return
 }
 
-// TestCascadeTiersCrafted drives one pair through each cascade tier and
-// pins the attribution: every bounded decision must land on the intended
-// tier's prune counter, and only there. The first three tiers use
-// hand-crafted pairs whose bound values are derivable on paper:
+// TestCascadeTiersCrafted drives one pair through each stage of the
+// threshold test and pins the attribution: every bounded decision must land
+// on the intended stage's counter, and only there. Hand-crafted pairs whose
+// bound values are derivable on paper:
 //
 //   - embedding: a single far-off vertex vs a labelled ring — the cached
 //     vectors alone prove d > θ;
-//   - rowMin (deep): many copies of a motif pair with identical center and
+//   - rowsum-miss: many copies of a motif pair with identical center and
 //     spoke histograms (the embedding bound is 0) whose asymmetric stars
-//     each cost ≥ 1 to pair, pushing the row-minima sum past θ by more than
-//     rowMinDeepMargin — the bound prunes outright;
-//   - rowMin (shallow): one motif copy, row-minima sum 2 > θ = 1 but within
-//     the margin — the bound decides, and a hardening solve is spent;
+//     each cost ≥ 1 to pair, pushing the row-minima sum far past θ. No
+//     stage prunes on that sum, so the miss falls through to the exact
+//     solve: one completed solve, verdict false;
 //   - greedy: two isomorphic graphs under distinct IDs at θ = 0 — only the
 //     greedy upper bound (a zero-cost assignment) can prove d ≤ 0;
 //
-// and the solve-dependent tiers (dual, exact) use deterministically searched
-// pairs.
+// and the exact stage uses a deterministically searched pair.
 func TestCascadeTiersCrafted(t *testing.T) {
 	// Crafted specs (see the derivations in the doc comment).
 	embedA := graphSpec{labels: []graph.Label{9}}
@@ -134,7 +105,7 @@ func TestCascadeTiersCrafted(t *testing.T) {
 	rowMinB := graphSpec{labels: []graph.Label{1, 2, 1, 2}, edges: [][3]int{{0, 1, 0}, {2, 3, 0}}}
 	// Each motif copy contributes 2 to the row-minima sum (the two stars with
 	// mismatched spoke counts cost ≥ 1 against every counterpart); 17 copies
-	// give rowSum = 34 > θ + rowMinDeepMargin at θ = 1, forcing a deep prune.
+	// give rowSum = 34, far above θ = 1.
 	motifs := func(base graphSpec, k int) graphSpec {
 		var s graphSpec
 		for c := 0; c < k; c++ {
@@ -149,17 +120,16 @@ func TestCascadeTiersCrafted(t *testing.T) {
 	rowMinDeepA, rowMinDeepB := motifs(rowMinA, 17), motifs(rowMinB, 17)
 	iso := graphSpec{labels: []graph.Label{1, 2}, edges: [][3]int{{0, 1, 0}}}
 
-	dualA, dualB, dualTau := findStagePair(t, ged.StageDual)
 	exactA, exactB, exactTau := findStagePair(t, ged.StageExact)
 
-	crafted := []graphSpec{embedA, embedB, rowMinDeepA, rowMinDeepB, rowMinA, rowMinB, iso, iso}
-	graphs := make([]*graph.Graph, 0, len(crafted)+4)
+	crafted := []graphSpec{embedA, embedB, rowMinDeepA, rowMinDeepB, iso, iso}
+	graphs := make([]*graph.Graph, 0, len(crafted)+2)
 	for i, s := range crafted {
 		graphs = append(graphs, s.build(t, graph.ID(i)))
 	}
-	// Searched pairs carry placeholder IDs; re-build them at their database
+	// The searched pair carries placeholder IDs; re-build it at its database
 	// positions.
-	for _, g := range []*graph.Graph{dualA, dualB, exactA, exactB} {
+	for _, g := range []*graph.Graph{exactA, exactB} {
 		id := graph.ID(len(graphs))
 		gg, err := g.Clone(id).Build(id)
 		if err != nil {
@@ -172,7 +142,6 @@ func TestCascadeTiersCrafted(t *testing.T) {
 		t.Fatal(err)
 	}
 	star := Star(db)
-	bm := star.(BoundedMetric)
 	sc := star.(StageCounter)
 
 	rows := []struct {
@@ -182,26 +151,23 @@ func TestCascadeTiersCrafted(t *testing.T) {
 		leq  bool
 		tier func(PruneStats) int64
 		// solves is how many completed Hungarian runs the decision spends:
-		// 0 for a pure prune, 1 for the exact stage and for a shallow
-		// row-minima miss (which hardens the memoized interval).
+		// 0 for a pure prune, 1 for the exact stage.
 		solves int64
 	}{
 		{"embedding", 0, 1, 1, false, func(p PruneStats) int64 { return p.Embedding }, 0},
-		{"rowmin-deep", 2, 3, 1, false, func(p PruneStats) int64 { return p.RowMin }, 0},
-		{"rowmin-solved", 4, 5, 1, false, func(p PruneStats) int64 { return p.RowMin }, 1},
-		{"greedy", 6, 7, 0, true, func(p PruneStats) int64 { return p.Greedy }, 0},
-		{"dual", 8, 9, dualTau, false, func(p PruneStats) int64 { return p.Dual }, 0},
-		{"exact", 10, 11, exactTau, true, func(p PruneStats) int64 { return p.BoundedExact }, 1},
+		{"rowsum-miss", 2, 3, 1, false, func(p PruneStats) int64 { return p.BoundedExact }, 1},
+		{"greedy", 4, 5, 0, true, func(p PruneStats) int64 { return p.Greedy }, 0},
+		{"exact", 6, 7, exactTau, true, func(p PruneStats) int64 { return p.BoundedExact }, 1},
 	}
 	// The searched exact-stage pair may resolve either verdict; derive it.
-	rows[5].leq = ged.NewStarSig(graphs[10]).Distance(ged.NewStarSig(graphs[11])) <= exactTau
+	rows[3].leq = ged.NewStarSig(graphs[6]).Distance(ged.NewStarSig(graphs[7])) <= exactTau
 
 	for _, row := range rows {
 		before := sc.PruneStats()
-		got := bm.Within(row.a, row.b, row.tau)
+		got := within(star, row.a, row.b, row.tau)
 		after := sc.PruneStats()
 		if got != row.leq {
-			t.Errorf("%s: Within(%d,%d,%v) = %v, want %v", row.name, row.a, row.b, row.tau, got, row.leq)
+			t.Errorf("%s: Decide(%d,%d,%v) = %v, want %v", row.name, row.a, row.b, row.tau, got, row.leq)
 		}
 		if delta := row.tier(after) - row.tier(before); delta != 1 {
 			t.Errorf("%s: tier counter moved by %d, want 1 (before %+v, after %+v)",
@@ -225,7 +191,7 @@ func TestCascadeTiersCrafted(t *testing.T) {
 
 // Priming the metric with index-carried embeddings must let far pairs be
 // decided from the vectors alone — before any star signature exists — and
-// must attribute those decisions to the embedding tier.
+// must attribute those decisions to the embedding stage.
 func TestPrimedEmbeddingsDecideWithoutSigs(t *testing.T) {
 	db := testDB(t, 12, 21)
 	star := Star(db)
@@ -234,14 +200,13 @@ func TestPrimedEmbeddingsDecideWithoutSigs(t *testing.T) {
 		embs[i] = ged.NewEmbedding(db.Graph(graph.ID(i)))
 	}
 	star.(EmbeddingPrimer).PrimeEmbeddings(0, embs)
-	bm := star.(BoundedMetric)
 	sc := star.(StageCounter)
 	decided := 0
 	for a := graph.ID(0); int(a) < db.Len(); a++ {
 		for b := a + 1; int(b) < db.Len(); b++ {
 			if lb := embs[a].LowerBound(embs[b]); lb > 0 {
-				if bm.Within(a, b, lb-0.5) {
-					t.Fatalf("Within(%d,%d,%v) = true below the embedding lower bound", a, b, lb-0.5)
+				if within(star, a, b, lb-0.5) {
+					t.Fatalf("Decide(%d,%d,%v) = true below the embedding lower bound", a, b, lb-0.5)
 				}
 				decided++
 			}
@@ -251,6 +216,6 @@ func TestPrimedEmbeddingsDecideWithoutSigs(t *testing.T) {
 		t.Fatal("no pair had a positive embedding bound; test corpus degenerate")
 	}
 	if s := sc.PruneStats(); s.Embedding != int64(decided) {
-		t.Errorf("embedding tier decided %d of %d primed far-pair tests (%+v)", s.Embedding, decided, s)
+		t.Errorf("embedding stage decided %d of %d primed far-pair tests (%+v)", s.Embedding, decided, s)
 	}
 }

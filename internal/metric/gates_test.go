@@ -1,10 +1,8 @@
 package metric
 
 import (
-	"math/rand"
 	"testing"
 
-	"graphrep/internal/dataset"
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 )
@@ -38,21 +36,21 @@ func pairDB(t *testing.T, a, b *graph.Graph) *graph.Database {
 func hammerPair(t *testing.T, a, b *graph.Graph, tau float64) PruneStats {
 	t.Helper()
 	star := Star(pairDB(t, a, b))
-	bm, sc := star.(BoundedMetric), star.(StageCounter)
-	want := bm.Within(0, 1, tau)
+	want := within(star, 0, 1, tau)
 	for i := 1; i < gateSpins; i++ {
-		if got := bm.Within(0, 1, tau); got != want {
+		if got := within(star, 0, 1, tau); got != want {
 			t.Fatalf("verdict flipped at decision %d: %v -> %v (gate closure changed an answer)", i, want, got)
 		}
 	}
-	return sc.PruneStats()
+	return star.(StageCounter).PruneStats()
 }
 
 // A pair deciding at the exact stage is a greedy attempt that never lands:
 // the tier runs and is counted, but the verdict always comes from the
 // completed solve. The gate must retire the tier exactly at the warmup
-// boundary — the attempt denominator freezes at the warmup (the floor, for this two-graph database) — while every
-// decision before and after still lands on the exact stage.
+// boundary — the attempt denominator freezes at the warmup (the floor, for
+// this two-graph database) — while every decision before and after still
+// lands on the exact stage.
 func TestGreedyGateRetiresMissingTier(t *testing.T) {
 	a, b, tau := findStagePair(t, ged.StageExact)
 	s := hammerPair(t, a, b, tau)
@@ -76,84 +74,6 @@ func TestGreedyGateKeepsLandingTier(t *testing.T) {
 	if s.Greedy != gateSpins || s.GreedyTried != gateSpins {
 		t.Errorf("always-landing greedy tier was throttled: %d successes over %d attempts, want %d over %d",
 			s.Greedy, s.GreedyTried, int64(gateSpins), int64(gateSpins))
-	}
-}
-
-// findDualArmedExactPair searches for a pair whose decision completes as an
-// exact solve with the dual abort armed but never firing — the arming pattern
-// the dual gate exists to retire. Random pairs rarely sit near-τ with a
-// conflict-free solve; the molecule-like corpus is the reliable fallback,
-// mirroring findStagePair.
-func findDualArmedExactPair(t *testing.T) (a, b *graph.Graph, tau float64) {
-	t.Helper()
-	check := func(ga, gb *graph.Graph, taus ...float64) (float64, bool) {
-		siga, sigb := ged.NewStarSig(ga), ged.NewStarSig(gb)
-		emblo := siga.Embedding().LowerBound(sigb.Embedding())
-		for _, tau := range taus {
-			if tau < 0 {
-				continue
-			}
-			dec := siga.DistanceAtMostTiers(sigb, tau, emblo, true, true)
-			if dec.Stage == ged.StageExact && dec.DualArmed {
-				return tau, true
-			}
-		}
-		return 0, false
-	}
-	for seed := int64(0); seed < 2000; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ga, gb := randSpec(rng, 12).build(t, 0), randSpec(rng, 12).build(t, 0)
-		d := ged.NewStarSig(ga).Distance(ged.NewStarSig(gb))
-		if tau, ok := check(ga, gb, d, d-1); ok {
-			return ga, gb, tau
-		}
-	}
-	db, err := dataset.DUDLike(120, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigs := make([]*ged.StarSig, db.Len())
-	for i := range sigs {
-		sigs[i] = ged.NewStarSig(db.Graph(graph.ID(i)))
-	}
-	for i := 0; i < len(sigs); i++ {
-		for j := i + 1; j < len(sigs); j++ {
-			ga, gb := db.Graph(graph.ID(i)), db.Graph(graph.ID(j))
-			d := sigs[i].Distance(sigs[j])
-			if tau, ok := check(ga, gb, d, d-1); ok {
-				return ga, gb, tau
-			}
-		}
-	}
-	t.Fatal("no dual-armed exact-stage pair within the search budget")
-	return
-}
-
-// A decision that keeps arming the dual abort without the abort ever firing
-// must have the arming retired at the warmup boundary, with every decision
-// still completing as an exact solve.
-func TestDualGateRetiresUnfiringArm(t *testing.T) {
-	a, b, tau := findDualArmedExactPair(t)
-	s := hammerPair(t, a, b, tau)
-	if s.Dual != 0 {
-		t.Fatalf("fixture fired %d dual aborts, want 0 (%+v)", s.Dual, s)
-	}
-	if s.DualArmed != gateWarmupFloor {
-		t.Errorf("dual attempt denominator = %d, want frozen at warmup %d", s.DualArmed, int64(gateWarmupFloor))
-	}
-	if s.BoundedExact != gateSpins {
-		t.Errorf("exact stage fired %d of %d decisions: retiring the arming moved decisions off the exact stage", s.BoundedExact, int64(gateSpins))
-	}
-}
-
-// A pair whose armed solve always aborts holds the dual fire rate at 1: the
-// gate must keep the tier live for the whole run.
-func TestDualGateKeepsFiringTier(t *testing.T) {
-	a, b, tau := findStagePair(t, ged.StageDual)
-	s := hammerPair(t, a, b, tau)
-	if s.Dual != gateSpins || s.DualArmed != gateSpins {
-		t.Errorf("always-firing dual tier was throttled: %d aborts over %d armed, want %d over %d",
-			s.Dual, s.DualArmed, int64(gateSpins), int64(gateSpins))
 	}
 }
 

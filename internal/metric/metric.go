@@ -58,30 +58,23 @@ type starMetric struct {
 	// first use and cached. Guarded by mu (the table contents themselves are
 	// immutable).
 	tabs []tableRange
-	// gateWarmup is the adaptive tier gates' warmup length, sized to the
+	// gateWarmup is the adaptive greedy gate's warmup length, sized to the
 	// database at construction (see gateWarmupFor).
 	gateWarmup int64
-	// stages[s] counts bounded decisions terminating at cascade stage s;
-	// exactValues counts plain Distance computations (always a full solve).
-	// Together they form the PruneStats breakdown (see bounded.go).
-	stages [ged.NumStages]paddedCounter
-	// rowMinSolved counts the StageRowMin subset whose shallow miss completed
-	// a hardening solve (Decision.Exact() true): decided by the bound, but a
-	// full Hungarian run was still spent and must show up in FullSolves.
-	rowMinSolved paddedCounter
-	exactValues  paddedCounter
+	// stages[s] counts bounded decisions terminating at stage s; exactValues
+	// counts plain Distance computations (always a full solve). Together they
+	// form the PruneStats breakdown (see bounded.go).
+	stages      [ged.NumStages]paddedCounter
+	exactValues paddedCounter
 	// greedyTried counts bounded decisions on which the greedy upper-bound
-	// tier actually ran (the adaptive tier gate was open and the decision got
-	// past the lower-bound tiers); dualTried those that reached the exact
-	// solve with the dual abort armed. Together with the matching stage
-	// counters they yield the live fire rates the adaptive tier gates compare
-	// against each tier's breakeven.
+	// stage actually ran (the gate was open and the decision got past the
+	// embedding bound). With the greedy stage counter it yields the live
+	// success rate the adaptive gate compares against the stage's breakeven.
 	greedyTried paddedCounter
-	dualTried   paddedCounter
 }
 
 // paddedCounter is an atomic.Int64 alone on its cache line. One of these
-// counters is bumped by every worker on every decision, and packing the five
+// counters is bumped by every worker on every decision, and packing the
 // stage counters (plus exactValues) into adjacent words would make each bump
 // invalidate the others' line — measurable false sharing on the query path's
 // parallel verify loops.
@@ -131,7 +124,7 @@ func (m *starMetric) pairState(a, b graph.ID) (sa, sb *ged.StarSig, ea, eb *ged.
 	m.mu.RUnlock()
 	// Vectors primed as encoded tables decode on first use. The decoded value
 	// is identical to an eagerly primed one (the encoding round-trips), so
-	// cascade decisions and stage attribution do not depend on which priming
+	// threshold decisions and stage attribution do not depend on which priming
 	// path the engine used.
 	if len(tabs) > 0 {
 		if ea == nil {
@@ -233,26 +226,6 @@ func (m *starMetric) Distance(a, b graph.ID) float64 {
 	return sa.Distance(sb)
 }
 
-// distanceExactWarm is Distance through the warm-started solve
-// (ged.StarSig.DistanceWarm); same value, same exactValues accounting. It
-// implements exactWarmer, so the Cache routes its promotions here — they are
-// bounded-kernel-internal work, while the public Distance stays on the
-// classic solve the kernel-off baseline is measured against.
-func (m *starMetric) distanceExactWarm(a, b graph.ID) float64 {
-	if a == b {
-		return 0
-	}
-	m.exactValues.Add(1)
-	sa, sb, _, _ := m.pairState(a, b)
-	if sa == nil {
-		sa = m.sig(a)
-	}
-	if sb == nil {
-		sb = m.sig(b)
-	}
-	return sa.DistanceWarm(sb)
-}
-
 // BipartiteGED returns the Riesen–Bunke bipartite GED upper bound as a
 // metric-interface distance over db. Note: unlike Star, bipartite GED can
 // violate the triangle inequality slightly; it is provided for ablations.
@@ -304,8 +277,8 @@ const cacheShards = 64
 //
 // Each entry is a monotonically tightening interval [lo, hi] around the true
 // distance, exact iff lo == hi. Distance stores exact values; the bounded
-// Within path (see bounded.go) also stores the partial intervals a pruned
-// decision proves, so a pruned test still helps later calls at nearby
+// path behind Decide (see bounded.go) also stores the partial intervals a
+// pruned decision proves, so a pruned test still helps later calls at nearby
 // thresholds. Merging keeps lo non-decreasing and hi non-increasing, and an
 // exact value always wins.
 type Cache struct {
@@ -315,13 +288,8 @@ type Cache struct {
 }
 
 // interval is one memo entry: lo ≤ d(a,b) ≤ hi, exact iff lo == hi (hi is
-// +Inf until some stage proves an upper bound). probes counts undecided
-// repeat tests — misses on a pair that already had an entry — and drives the
-// promote-to-exact policy in boundedDecide (see bounded.go).
-type interval struct {
-	lo, hi float64
-	probes uint8
-}
+// +Inf until some stage proves an upper bound).
+type interval struct{ lo, hi float64 }
 
 func (e interval) exact() bool { return e.lo == e.hi }
 
@@ -358,7 +326,7 @@ func (c *Cache) shard(k uint64) *cacheShard {
 
 // Distance implements Metric with memoization. Identity pairs (a == b) are
 // answered without touching the table and count as neither hit nor miss. An
-// interval-only entry (from a pruned Within) cannot answer a value lookup, so
+// interval-only entry (from a pruned decision) cannot answer a value lookup, so
 // it counts as a miss; the computed exact value then replaces the interval.
 //
 // Two goroutines that miss on the same key concurrently both compute the
@@ -391,7 +359,6 @@ func (c *Cache) Distance(a, b graph.ID) float64 {
 // same true distance, so the merge keeps lo ≤ hi.
 func (sh *cacheShard) store(k uint64, lo, hi float64) {
 	sh.mu.Lock()
-	var probes uint8
 	if e, ok := sh.memo[k]; ok {
 		if e.lo > lo {
 			lo = e.lo
@@ -399,37 +366,20 @@ func (sh *cacheShard) store(k uint64, lo, hi float64) {
 		if e.hi < hi {
 			hi = e.hi
 		}
-		probes = e.probes
 	}
-	sh.memo[k] = interval{lo: lo, hi: hi, probes: probes}
+	sh.memo[k] = interval{lo: lo, hi: hi}
 	sh.mu.Unlock()
-}
-
-// bumpProbes increments (saturating) the undecided-repeat count of k's entry
-// and returns the new value. Zero if the entry vanished (a concurrent Clear).
-func (sh *cacheShard) bumpProbes(k uint64) uint8 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.memo[k]
-	if !ok {
-		return 0
-	}
-	if e.probes < ^uint8(0) {
-		e.probes++
-	}
-	sh.memo[k] = e
-	return e.probes
 }
 
 // Hits returns the number of calls answered from the memo table — exact
 // entries answering Distance, plus exact or interval entries conclusively
-// answering Within.
+// answering a threshold test.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
 
 // Misses returns the number of calls that fell through to the wrapped
 // metric — i.e. the expensive inner computations actually issued through
 // this cache, whether they produced a value (Distance) or a threshold
-// decision (Within).
+// decision (Decide).
 func (c *Cache) Misses() int64 { return c.misses.Load() }
 
 // Size returns the number of memoized pairs — exact and interval-only

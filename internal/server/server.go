@@ -502,20 +502,18 @@ type StatsResponse struct {
 	Queries         int64 `json:"queries"`
 	ExactDistances  int   `json:"exactDistances"`
 	PrunedDistances int   `json:"prunedDistances"`
-	// Prune is the bound-cascade stage breakdown of every bounded threshold
-	// test the default metric decided (index build and queries alike); all
-	// zero with a custom metric or a disabled kernel.
+	// Prune is the stage breakdown of every bounded threshold test the
+	// default metric decided (index build and queries alike); all zero with
+	// a custom metric or a disabled kernel.
 	Prune PruneResponse `json:"prune"`
 }
 
 // PruneResponse mirrors graphrep.PruneStats for the JSON API: how many
-// bounded threshold tests each cascade stage resolved, and how many fell
-// through to a completed Hungarian solve.
+// bounded threshold tests the embedding and greedy bounds resolved, and how
+// many fell through to a completed Hungarian solve.
 type PruneResponse struct {
 	Embedding    int64 `json:"embedding"`
-	RowMin       int64 `json:"rowMin"`
 	Greedy       int64 `json:"greedy"`
-	Dual         int64 `json:"dual"`
 	BoundedExact int64 `json:"boundedExact"`
 }
 
@@ -543,9 +541,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PrunedDistances: snap.QueryTotals.PrunedDistances,
 		Prune: PruneResponse{
 			Embedding:    snap.Prune.Embedding,
-			RowMin:       snap.Prune.RowMin,
 			Greedy:       snap.Prune.Greedy,
-			Dual:         snap.Prune.Dual,
 			BoundedExact: snap.Prune.BoundedExact,
 		},
 	})

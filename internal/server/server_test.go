@@ -89,8 +89,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.ExactDistances+st.PrunedDistances == 0 {
 		t.Error("query reported no candidate threshold tests")
 	}
-	pruned := st.Prune.Embedding + st.Prune.RowMin + st.Prune.Greedy + st.Prune.Dual
-	if pruned+st.Prune.BoundedExact == 0 {
+	if st.Prune.Embedding+st.Prune.Greedy+st.Prune.BoundedExact == 0 {
 		t.Error("bound cascade recorded no bounded decisions")
 	}
 

@@ -155,13 +155,23 @@ func TestEngineTelemetryExposition(t *testing.T) {
 		"graphrep_nbindex_exact_distances_count 1",
 		"graphrep_nbindex_pruned_distances_count 1",
 		"graphrep_metric_prune_embedding_total",
-		"graphrep_metric_prune_rowmin_total",
 		"graphrep_metric_prune_greedy_total",
-		"graphrep_metric_prune_dual_total",
 		"graphrep_metric_bounded_exact_total",
+		"graphrep_metric_greedy_tried_total",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("exposition missing %q:\n%s", name, out)
+		}
+	}
+	// The retired row-minima and dual-abort tiers left no series behind.
+	for _, name := range []string{
+		"graphrep_metric_prune_rowmin_total",
+		"graphrep_metric_rowmin_solved_total",
+		"graphrep_metric_prune_dual_total",
+		"graphrep_metric_dual_armed_total",
+	} {
+		if strings.Contains(out, name) {
+			t.Errorf("exposition still carries the retired series %q", name)
 		}
 	}
 	// The bounded kernel must actually have pruned something on the query
