@@ -403,8 +403,10 @@ func instrumentMetric(db *Database, custom Metric) (metric.Metric, *metric.Count
 // serves the index from that copy; to map an index file instead, use
 // OpenWithIndexFile. Only the current format (NBIDX004) opens: any other
 // file, including the retired NBIDX001–NBIDX003 layouts, fails with an error
-// that names its magic, and the index must be rebuilt with Open. It is
-// OpenWithIndexContext with no cancellation.
+// that names its magic, and an NBIDX004 file saved before its current
+// section set fails with one that names the missing section. Either way the
+// index must be rebuilt with Open. It is OpenWithIndexContext with no
+// cancellation.
 func OpenWithIndex(db *Database, r io.Reader, opts ...Options) (*Engine, error) {
 	return OpenWithIndexContext(context.Background(), db, r, opts...)
 }
@@ -517,9 +519,10 @@ func (e *Engine) ShardFor(id ID) int { return e.set.PartFor(id) }
 
 // Insert appends a graph to the database and extends the index
 // incrementally — |V| vantage distances plus a tree descent instead of a
-// rebuild. The graph's ID must equal Database().Len(). Cluster bounds
-// loosen slightly as inserts accumulate (answers stay exact; queries slow
-// gradually), so rebuild with Open after heavy insert volume. Not safe
+// rebuild. The graph's ID must equal Database().Len(). The clustering
+// degrades slightly as inserts accumulate, since new leaves only widen the
+// leaf-level clusters (answers stay exact; queries slow gradually), so
+// rebuild with Open after heavy insert volume. Not safe
 // concurrently with queries — the caller must exclude in-flight queries
 // externally; internal/server is the worked example, holding a
 // sync.RWMutex write lock around Insert while every query path reads under

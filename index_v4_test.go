@@ -2,7 +2,9 @@ package graphrep_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"graphrep"
+	"graphrep/internal/container"
 )
 
 // The NBIDX004 (zero-copy mmap) persistence contract, as tests:
@@ -27,7 +30,9 @@ import (
 //     a fresh build saves, loads, answers identically, and re-saves to the
 //     same bytes;
 //   - any other format — the retired gob layouts NBIDX001–NBIDX003, or
-//     bytes that are no index at all — fails with an error naming it.
+//     bytes that are no index at all — fails with an error naming it, and
+//     an NBIDX004 file from before the current section set fails with an
+//     error naming the section it lacks.
 
 // saveIndexFile persists engine to a file named after tag in dir.
 func saveIndexFile(t *testing.T, engine *graphrep.Engine, dir string, tag string) string {
@@ -226,12 +231,43 @@ func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	}
 }
 
+// withoutSection returns the NBIDX004 file data rewritten without its
+// sections of the given kind, every other section kept byte for byte: how a
+// file saved before that kind existed looks to the reader.
+func withoutSection(t *testing.T, data []byte, kind uint32) []byte {
+	t.Helper()
+	count := binary.LittleEndian.Uint64(data[8:])
+	var secs []container.Section
+	for i := uint64(0); i < count; i++ {
+		ent := data[container.HeaderLen+i*container.EntryLen:]
+		if binary.LittleEndian.Uint32(ent) == kind {
+			continue
+		}
+		off, n := binary.LittleEndian.Uint64(ent[8:]), binary.LittleEndian.Uint64(ent[16:])
+		body := data[off : off+n]
+		secs = append(secs, container.Section{
+			Kind: binary.LittleEndian.Uint32(ent), Shard: binary.LittleEndian.Uint32(ent[4:]), Len: n,
+			Write: func(w io.Writer) error { _, err := w.Write(body); return err },
+		})
+	}
+	if uint64(len(secs)) == count {
+		t.Fatalf("the file has no section of kind %d", kind)
+	}
+	var buf bytes.Buffer
+	if err := container.Write(&buf, [8]byte(data[:8]), secs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestIndexCompatMatrix pins the one index format. The committed golden
 // file (dud-120 seed-7, two shards) must equal a fresh 2-shard save byte for
 // byte, load with its shard layout, answer exactly like a fresh build, and
 // re-save to the same bytes. Files in any other format — the retired gob
 // layouts NBIDX001–NBIDX003 and bytes that are no index — must fail through
 // both open paths with an error that names the magic and says to rebuild.
+// So must an NBIDX004 file saved before the order section (kind 14)
+// replaced the retired sorted views, with an error that names the section.
 func TestIndexCompatMatrix(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 120, 7)
 	if err != nil {
@@ -277,23 +313,32 @@ func TestIndexCompatMatrix(t *testing.T) {
 		t.Error("golden file re-saves to different bytes")
 	}
 
-	dir := t.TempDir()
+	// Each unusable file, with what its error must name besides "rebuild".
+	type oldFile struct {
+		names string
+		blob  []byte
+	}
+	var olds []oldFile
 	for _, m := range []string{"NBIDX001", "NBIDX002", "NBIDX003", "GRDB001\x00", "garbage!"} {
 		// The golden body behind another magic.
-		blob := append([]byte(m), golden[8:]...)
+		olds = append(olds, oldFile{fmt.Sprintf("%q", m), append([]byte(m), golden[8:]...)})
+	}
+	olds = append(olds, oldFile{"section kind 14", withoutSection(t, golden, 14)})
+	dir := t.TempDir()
+	for _, old := range olds {
 		path := filepath.Join(dir, "old.nbx")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
+		if err := os.WriteFile(path, old.blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, errStream := graphrep.OpenWithIndex(db, bytes.NewReader(blob))
+		_, errStream := graphrep.OpenWithIndex(db, bytes.NewReader(old.blob))
 		_, errFile := graphrep.OpenWithIndexFile(db, path)
 		for _, err := range []error{errStream, errFile} {
 			if err == nil {
-				t.Errorf("%q: a file in another format opened", m)
+				t.Errorf("%s: an unusable file opened", old.names)
 				continue
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", m)) || !strings.Contains(msg, "rebuild") {
-				t.Errorf("%q: error %q does not name the magic and say to rebuild", m, msg)
+			if msg := err.Error(); !strings.Contains(msg, old.names) || !strings.Contains(msg, "rebuild") {
+				t.Errorf("%s: error %q does not name it and say to rebuild", old.names, msg)
 			}
 		}
 	}

@@ -86,13 +86,11 @@ var ScopePackages = map[string]bool{
 // qualified function name, with the invariant that makes each safe. A
 // mutation inside one of these is the thaw mechanism itself, not a bug.
 var ThawSites = map[string]string{
-	// Every row is sliced with cap==len (FromViewsDeferred clips capacity),
-	// so the leading append must reallocate onto the heap before the
-	// element writes and copies that follow touch the row.
-	"vantage.(*Ordering).Insert": "rows are cap==len views; the leading append reallocates before any element write",
-	// Insert calls thaw() first, which copies leafOf (and rebuilds the
-	// tree and embeddings) off the mapping before the rebuild writes.
-	"nbindex.(*Index).Insert": "thaw() copies leafOf off the mapping before the leaf-map rebuild writes",
+	// The distance rows and the order are sliced with cap==len
+	// (FromViewsDeferred clips capacity), so each append must reallocate
+	// onto the heap before the copy and element write that follow touch the
+	// order.
+	"vantage.(*Ordering).Insert": "rows and order are cap==len views; each append reallocates before any element write",
 }
 
 // Analyzer flags writes, sorts, copies, and in-place appends through slices

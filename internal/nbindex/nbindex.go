@@ -34,7 +34,8 @@
 // coverage grows, so an exact gain stays a valid bound at every later pick
 // and Alg. 2's pruning stays admissible. Leaves never verified keep their
 // pass-list length. The paper's batch updates (Theorems 6–8) are not
-// implemented: with lazy bounds they no longer change the work measurably.
+// implemented: with lazy bounds they no longer change the work measurably,
+// so the tree keeps no node radii or diameters, the inputs they need.
 package nbindex
 
 import (
@@ -46,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"graphrep/internal/bitset"
 	"graphrep/internal/core"
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
@@ -81,7 +83,11 @@ func DefaultOptions(grid []float64) Options {
 // Index is an immutable NB-Index over a database — either the whole of it
 // (BuildContext, base 0) or one shard's contiguous ID range (BuildPartContext;
 // internal/shard coordinates several such parts). Build once per database;
-// relevance functions and θ are supplied at query time.
+// relevance functions and θ are supplied at query time. It holds only what
+// queries, Insert and the load checks read: the vantage ordering, the tree
+// and the filter embeddings, plus the sketch rows derived from them. A
+// search reaches a graph from its leaf (the leaf's centroid), never the
+// other way, so there is no graph-to-leaf map.
 type Index struct {
 	db *graph.Database
 	m  metric.Metric
@@ -97,11 +103,6 @@ type Index struct {
 	grid []float64
 	// base is the first graph ID covered; 0 for a full-database index.
 	base graph.ID
-	// leafOf maps a covered graph ID (offset by base) to its leaf node index
-	// in the flat tree. May alias a mapped section; thaw copies it before
-	// any mutation; validated by EnsureValid (deferred range checks for
-	// view-backed indexes).
-	leafOf []int32
 	// embs[i] is the filter embedding of graph base+i: the precomputed
 	// vector whose L1-style lower bound opens the bounded distance cascade.
 	// Embeddings are a pure function of the graphs — independent of the
@@ -247,15 +248,6 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 			Tree:    done.Sub(tVO),
 			Total:   done.Sub(start),
 		},
-		leafOf: func() []int32 {
-			l := make([]int32, count)
-			for _, n := range tree.Nodes() {
-				if n.Leaf {
-					l[n.Centroid-base] = int32(n.Idx)
-				}
-			}
-			return l
-		}(),
 	}
 	if err := ix.computeEmbeddings(ctx, workers); err != nil {
 		return nil, err
@@ -298,18 +290,18 @@ func (ix *Index) Embeddings() []*ged.Embedding { return ix.embs }
 
 // PartFromViews assembles an index part from persisted components — typically
 // zero-copy views over one shard's v4 sections: the vantage ordering (see
-// vantage.FromViews), the flat NB-Tree (see nbtree.NewFlat), the leaf map,
-// and the encoded embedding table. Beyond what the component constructors
-// already guarantee, it validates the cross-component invariants queries
-// lean on: the tree covers exactly the ordering's range (root size, every
-// centroid in range), the leaf map is a bijection between covered graphs and
-// leaves, and the embedding table matches the database graph for graph
-// (record count and per-record star count). The validation also derives the
-// part's sketch rows from the embedding table. The components are retained,
-// not copied; grid is copied. It is PartFromViewsDeferred followed
-// immediately by EnsureValid.
-func PartFromViews(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, leafOf []int32, embTab *ged.Table, workers int) (*Index, error) {
-	ix, err := PartFromViewsDeferred(db, m, vo, flat, grid, leafOf, embTab, workers)
+// vantage.FromViews), the flat NB-Tree (see nbtree.NewFlat) and the encoded
+// embedding table. Beyond what the component constructors already
+// guarantee, it validates the cross-component invariants queries lean on:
+// the tree covers exactly the ordering's range (root size, every centroid in
+// range), its leaves hold every covered graph exactly once (as many leaves
+// as graphs, no graph under two), and the embedding table matches the
+// database graph for graph (record count and per-record star count). The
+// validation also derives the part's sketch rows from the embedding table.
+// The components are retained, not copied; grid is copied. It is
+// PartFromViewsDeferred followed immediately by EnsureValid.
+func PartFromViews(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, embTab *ged.Table, workers int) (*Index, error) {
+	ix, err := PartFromViewsDeferred(db, m, vo, flat, grid, embTab, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +319,7 @@ func PartFromViews(db *graph.Database, m metric.Metric, vo *vantage.Ordering, fl
 // and Insert call EnsureValid themselves, so a part whose content never
 // validated cannot be navigated; this is what keeps a mapped open's cost
 // independent of index size.
-func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, leafOf []int32, embTab *ged.Table, workers int) (*Index, error) {
+func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, embTab *ged.Table, workers int) (*Index, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("nbindex: empty theta grid")
 	}
@@ -344,9 +336,6 @@ func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Orde
 	if flat.Stats().Leaves != count {
 		return nil, fmt.Errorf("nbindex: tree has %d leaves, ordering covers %d graphs", flat.Stats().Leaves, count)
 	}
-	if len(leafOf) != count {
-		return nil, fmt.Errorf("nbindex: leaf map of %d entries, ordering covers %d graphs", len(leafOf), count)
-	}
 	if embTab == nil {
 		return nil, fmt.Errorf("nbindex: part has no embedding table")
 	}
@@ -360,7 +349,6 @@ func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Orde
 		flat:    flat,
 		grid:    append([]float64(nil), grid...),
 		base:    base,
-		leafOf:  leafOf,
 		embTab:  embTab,
 		workers: workers,
 	}
@@ -382,21 +370,21 @@ func (ix *Index) validateViews() error {
 		return err
 	}
 	base, count, flat := ix.base, ix.vo.Len(), ix.flat
+	// The tree has exactly count leaves (checked at assembly and by
+	// flat.Validate), so distinct leaf graphs put every covered graph under
+	// exactly one leaf.
+	inLeaf := bitset.New(count)
 	for i, c := range flat.Centroids {
 		if c < base || int(c-base) >= count {
 			return fmt.Errorf("nbindex: node %d centroid %d outside covered range [%d, %d)", i, c, base, int(base)+count)
 		}
-	}
-	for i, l := range ix.leafOf {
-		if l < 0 || int(l) >= flat.Len() {
-			return fmt.Errorf("nbindex: leaf map entry %d is node %d, tree has %d nodes", i, l, flat.Len())
+		if !flat.Leaf(int32(i)) {
+			continue
 		}
-		if !flat.Leaf(l) {
-			return fmt.Errorf("nbindex: leaf map entry %d points at non-leaf node %d", i, l)
+		if inLeaf.Contains(int(c - base)) {
+			return fmt.Errorf("nbindex: leaf node %d repeats graph %d", i, c)
 		}
-		if flat.Centroids[l] != base+graph.ID(i) {
-			return fmt.Errorf("nbindex: leaf map entry %d points at node %d holding graph %d", i, l, flat.Centroids[l])
-		}
+		inLeaf.Add(int(c - base))
 	}
 	sketch := make([]uint16, 0, count*ged.SketchWidth)
 	for i := 0; i < count; i++ {
@@ -457,27 +445,18 @@ func (ix *Index) Insert(id graph.ID) error {
 	emb := ged.NewEmbedding(ix.db.Graph(id))
 	ix.embs = append(ix.embs, emb)
 	ix.sketch = emb.AppendSketch(ix.sketch)
-	// Rebuild the leaf map: inserting into a singleton tree restructures
-	// node indexes, so a full O(nodes) rebuild is the safe (and still
-	// cheap) choice. The flat form queries navigate is re-derived last, so
-	// it always reflects the mutated tree.
-	ix.leafOf = append(ix.leafOf, 0)
-	for _, n := range ix.tree.Nodes() {
-		if n.Leaf {
-			ix.leafOf[n.Centroid-ix.base] = int32(n.Idx)
-		}
-	}
+	// The flat form queries navigate is re-derived last, so it always
+	// reflects the mutated tree.
 	ix.flat = ix.tree.Flatten()
 	return nil
 }
 
 // thaw moves a view-backed index fully onto the heap so it can be mutated:
-// the pointer tree is rebuilt from the flat form, the leaf map is copied out
-// of the mapping (its elements are overwritten in place on insert), and the
-// encoded embedding table is decoded into the eager slice. Built indexes are
-// already heap-resident, so thaw is a no-op for them. Vantage rows need no
-// thaw: views are handed out with cap == len, so the ordering's sorted
-// insertions reallocate on first append.
+// the pointer tree is rebuilt from the flat form and the encoded embedding
+// table is decoded into the eager slice. Built indexes are already
+// heap-resident, so thaw is a no-op for them. Vantage rows need no thaw:
+// views are handed out with cap == len, so the ordering's appends and its
+// sorted insertion reallocate first.
 func (ix *Index) thaw() {
 	if ix.tree == nil {
 		ix.tree = ix.flat.Rebuild()
@@ -492,7 +471,6 @@ func (ix *Index) thaw() {
 		}
 		ix.embTab = nil
 	}
-	ix.leafOf = append([]int32(nil), ix.leafOf...)
 }
 
 // Tree exposes the underlying NB-Tree in pointer form, materializing it from
@@ -521,10 +499,6 @@ func (ix *Index) Base() graph.ID { return ix.base }
 
 // Count returns the number of graphs the index covers.
 func (ix *Index) Count() int { return ix.vo.Len() }
-
-// LeafOf returns the leaf map: covered graph ID minus Base() to flat node
-// index. Read-only; the persistence writer serializes it directly.
-func (ix *Index) LeafOf() []int32 { return ix.leafOf }
 
 // EmbeddingTable returns the encoded embedding table of a view-backed index,
 // or nil when the embeddings live decoded on the heap (see Embeddings).

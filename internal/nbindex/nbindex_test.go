@@ -291,7 +291,7 @@ func TestCandidateListsMatchBruteForce(t *testing.T) {
 					}
 					var want []int32
 					for _, o := range orders {
-						for _, c := range o.ByDistRow(0) {
+						for _, c := range o.Order() {
 							k, ok := key[c]
 							if !ok {
 								continue
@@ -361,6 +361,16 @@ func TestCELFBoundsAdmissible(t *testing.T) {
 			part.UseSketchFilter()
 			parts = append(parts, part)
 		}
+		// leafOf[p][id-base] is the flat leaf node of part p holding graph id.
+		leafOf := make([][]int32, len(parts))
+		for p, part := range parts {
+			leafOf[p] = make([]int32, part.Count())
+			for n, c := range part.flat.Centroids {
+				if part.flat.Leaf(int32(n)) {
+					leafOf[p][c-part.base] = int32(n)
+				}
+			}
+		}
 		for trial := 0; trial < 8; trial++ {
 			cut, theta, k := rng.Float64()*0.6, 1+rng.Float64()*12, 1+rng.Intn(8)
 			rs, err := newRelSet(ctx, db, func(f []float64) bool { return f[0] > cut })
@@ -390,7 +400,7 @@ func TestCELFBoundsAdmissible(t *testing.T) {
 					for p+1 < len(parts) && parts[p+1].base <= id {
 						p++
 					}
-					if b := c.bound[p][parts[p].leafOf[id-parts[p].base]]; b < gain {
+					if b := c.bound[p][leafOf[p][id-parts[p].base]]; b < gain {
 						t.Fatalf("%s, pick %d: graph %d has bound %d < exact gain %d", cfg, pick, id, b, gain)
 					}
 				}

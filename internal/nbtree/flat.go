@@ -23,8 +23,6 @@ type Flat struct {
 	NextSibling []int32
 	Sizes       []int32
 	Leaves      []byte
-	Radii       []float64
-	Diameters   []float64
 	stats       BuildStats
 }
 
@@ -39,8 +37,6 @@ func (t *Tree) Flatten() *Flat {
 		NextSibling: make([]int32, n),
 		Sizes:       make([]int32, n),
 		Leaves:      make([]byte, n),
-		Radii:       make([]float64, n),
-		Diameters:   make([]float64, n),
 		stats:       t.stats,
 	}
 	// Links default to -1 up front: parents have smaller indices than their
@@ -53,8 +49,6 @@ func (t *Tree) Flatten() *Flat {
 	for i, nd := range t.nodes {
 		f.Centroids[i] = nd.Centroid
 		f.Sizes[i] = int32(nd.Size)
-		f.Radii[i] = nd.Radius
-		f.Diameters[i] = nd.Diameter
 		if nd.Leaf {
 			f.Leaves[i] = 1
 		}
@@ -82,7 +76,7 @@ func (t *Tree) Flatten() *Flat {
 // sum bottom-up. Centroid range checks are the caller's job (the valid ID
 // range is not known here). stats.Nodes and stats.Leaves are recomputed, not
 // trusted. The arrays are retained, not copied.
-func NewFlat(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int32, leaves []byte, radii, diameters []float64, stats BuildStats) (*Flat, error) {
+func NewFlat(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int32, leaves []byte, stats BuildStats) (*Flat, error) {
 	leafCount := 0
 	for _, l := range leaves {
 		if l == 1 {
@@ -90,7 +84,7 @@ func NewFlat(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int
 		}
 	}
 	stats.Leaves = leafCount
-	f, err := NewFlatDeferred(centroids, parents, firstChild, nextSibling, sizes, leaves, radii, diameters, stats)
+	f, err := NewFlatDeferred(centroids, parents, firstChild, nextSibling, sizes, leaves, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -105,15 +99,14 @@ func NewFlat(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int
 // is the caller's claim, e.g. from persisted metadata), and defers Validate
 // to the caller. The tree must not be navigated until Validate — which also
 // checks the claimed leaf count — has passed.
-func NewFlatDeferred(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int32, leaves []byte, radii, diameters []float64, stats BuildStats) (*Flat, error) {
+func NewFlatDeferred(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int32, leaves []byte, stats BuildStats) (*Flat, error) {
 	n := len(centroids)
 	if n == 0 {
 		return nil, fmt.Errorf("nbtree: flat tree has no nodes")
 	}
-	if len(parents) != n || len(firstChild) != n || len(nextSibling) != n ||
-		len(sizes) != n || len(leaves) != n || len(radii) != n || len(diameters) != n {
-		return nil, fmt.Errorf("nbtree: flat tree arrays disagree on length (%d/%d/%d/%d/%d/%d/%d/%d)",
-			n, len(parents), len(firstChild), len(nextSibling), len(sizes), len(leaves), len(radii), len(diameters))
+	if len(parents) != n || len(firstChild) != n || len(nextSibling) != n || len(sizes) != n || len(leaves) != n {
+		return nil, fmt.Errorf("nbtree: flat tree arrays disagree on length (%d/%d/%d/%d/%d/%d)",
+			n, len(parents), len(firstChild), len(nextSibling), len(sizes), len(leaves))
 	}
 	if parents[0] != -1 {
 		return nil, fmt.Errorf("nbtree: root parent is %d, want -1", parents[0])
@@ -126,8 +119,6 @@ func NewFlatDeferred(centroids []graph.ID, parents, firstChild, nextSibling, siz
 		NextSibling: nextSibling,
 		Sizes:       sizes,
 		Leaves:      leaves,
-		Radii:       radii,
-		Diameters:   diameters,
 		stats:       stats,
 	}, nil
 }
@@ -213,7 +204,7 @@ func (f *Flat) Stats() BuildStats { return f.stats }
 // Bytes approximates the memory footprint of the flat arrays.
 func (f *Flat) Bytes() int64 {
 	n := int64(f.Len())
-	return n * (4 + 4 + 4 + 4 + 4 + 1 + 8 + 8)
+	return n * (4 + 4 + 4 + 4 + 4 + 1)
 }
 
 // Rebuild reconstructs the pointer tree. Children are appended in ascending
@@ -227,8 +218,6 @@ func (f *Flat) Rebuild() *Tree {
 		nodes[i] = &Node{
 			Idx:      i,
 			Centroid: f.Centroids[i],
-			Radius:   f.Radii[i],
-			Diameter: f.Diameters[i],
 			Size:     int(f.Sizes[i]),
 			Leaf:     f.Leaves[i] == 1,
 		}

@@ -8,14 +8,14 @@ import (
 	"graphrep/internal/graph"
 )
 
-func buildTestTree(t *testing.T, n int, branching int) (*Tree, func() error) {
+func buildTestTree(t *testing.T, n int, branching int) *Tree {
 	t.Helper()
 	db, m := randDB(t, n, 11)
 	tree, err := Build(db, m, Options{Branching: branching}, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return tree, func() error { return tree.Validate(db, m) }
+	return tree
 }
 
 func treesEqual(t *testing.T, a, b *Tree) {
@@ -25,8 +25,7 @@ func treesEqual(t *testing.T, a, b *Tree) {
 	}
 	for i := range a.Nodes() {
 		na, nb := a.Nodes()[i], b.Nodes()[i]
-		if na.Centroid != nb.Centroid || na.Radius != nb.Radius || na.Diameter != nb.Diameter ||
-			na.Size != nb.Size || na.Leaf != nb.Leaf || len(na.Children) != len(nb.Children) {
+		if na.Centroid != nb.Centroid || na.Size != nb.Size || na.Leaf != nb.Leaf || len(na.Children) != len(nb.Children) {
 			t.Fatalf("node %d differs: %+v vs %+v", i, na, nb)
 		}
 		for j := range na.Children {
@@ -51,7 +50,7 @@ func treesEqual(t *testing.T, a, b *Tree) {
 }
 
 func TestFlattenRebuildRoundTrip(t *testing.T) {
-	tree, _ := buildTestTree(t, 60, 4)
+	tree := buildTestTree(t, 60, 4)
 	flat := tree.Flatten()
 	if flat.Len() != len(tree.Nodes()) {
 		t.Fatalf("flat has %d nodes, tree has %d", flat.Len(), len(tree.Nodes()))
@@ -66,9 +65,9 @@ func TestFlattenRebuildRoundTrip(t *testing.T) {
 }
 
 func TestFlattenPassesNewFlat(t *testing.T) {
-	tree, _ := buildTestTree(t, 45, 3)
+	tree := buildTestTree(t, 45, 3)
 	f := tree.Flatten()
-	g, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.Radii, f.Diameters, f.stats)
+	g, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.stats)
 	if err != nil {
 		t.Fatalf("NewFlat rejected Flatten output: %v", err)
 	}
@@ -89,14 +88,14 @@ func TestFlattenAfterInsert(t *testing.T) {
 		tree.Insert(graph.ID(id%db.Len()), m) // duplicate IDs are fine for structure checks
 	}
 	f := tree.Flatten()
-	if _, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.Radii, f.Diameters, f.stats); err != nil {
+	if _, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.stats); err != nil {
 		t.Fatalf("NewFlat rejected post-insert tree: %v", err)
 	}
 	treesEqual(t, tree, f.Rebuild())
 }
 
 func TestNewFlatRejectsCorruption(t *testing.T) {
-	tree, _ := buildTestTree(t, 30, 3)
+	tree := buildTestTree(t, 30, 3)
 	base := tree.Flatten()
 	mutate := func(fn func(*Flat)) *Flat {
 		f := &Flat{
@@ -106,8 +105,6 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 			NextSibling: append([]int32(nil), base.NextSibling...),
 			Sizes:       append([]int32(nil), base.Sizes...),
 			Leaves:      append([]byte(nil), base.Leaves...),
-			Radii:       append([]float64(nil), base.Radii...),
-			Diameters:   append([]float64(nil), base.Diameters...),
 			stats:       base.stats,
 		}
 		fn(f)
@@ -136,19 +133,19 @@ func TestNewFlatRejectsCorruption(t *testing.T) {
 		"empty":           {Centroids: nil},
 	}
 	for name, f := range cases {
-		if _, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.Radii, f.Diameters, f.stats); err == nil {
+		if _, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.stats); err == nil {
 			t.Errorf("%s: NewFlat accepted corrupt tree", name)
 		}
 	}
 }
 
 func TestNewFlatRecomputesStats(t *testing.T) {
-	tree, _ := buildTestTree(t, 25, 3)
+	tree := buildTestTree(t, 25, 3)
 	f := tree.Flatten()
 	lied := f.stats
 	lied.Nodes = 1
 	lied.Leaves = 99
-	g, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, f.Radii, f.Diameters, lied)
+	g, err := NewFlat(f.Centroids, f.Parents, f.FirstChild, f.NextSibling, f.Sizes, f.Leaves, lied)
 	if err != nil {
 		t.Fatal(err)
 	}

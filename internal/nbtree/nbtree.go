@@ -2,11 +2,11 @@
 // clustering of the graph database. Disjoint clusters are formed recursively
 // — at every level up to b pivots are chosen farthest-first, every graph is
 // assigned to its closest pivot, and the process recurses until clusters
-// shrink below b. Leaves are single graphs; every non-leaf node stores the
-// centroid, radius, and diameter of its cluster, the quantities the paper's
-// Theorems 6–8 use for batch updates of representative power. Queries here
-// bound leaves lazily instead (internal/nbindex) and read neither radius
-// nor diameter.
+// shrink below b. Leaves are single graphs; every non-leaf node stores its
+// cluster's centroid (the first pivot) and size. The paper also keeps a
+// radius and a diameter per node for the batch updates of Theorems 6–8;
+// queries here bound leaves lazily instead (internal/nbindex), so neither
+// is computed.
 //
 // Construction can be accelerated with vantage orderings: the vantage lower
 // bound discards pivot/graph pairs that cannot improve the current closest
@@ -41,14 +41,12 @@ type Options struct {
 }
 
 // Node is one cluster in the NB-Tree. Leaves represent single graphs
-// (Radius = Diameter = 0, Centroid = the graph itself).
+// (Centroid = the graph itself).
 type Node struct {
 	// Idx is the node's position in Tree.Nodes(), assigned in DFS preorder.
 	// Query-time state (leaf bounds) is kept in arrays indexed by Idx.
 	Idx      int
 	Centroid graph.ID
-	Radius   float64
-	Diameter float64
 	Children []*Node
 	Parent   *Node
 	// Size is the number of graphs in the subtree.
@@ -148,11 +146,10 @@ func height(n *Node) int {
 // Bytes approximates the memory footprint of the tree structure (the
 // NB-Tree component of the paper's storage cost analysis).
 func (t *Tree) Bytes() int64 {
-	// Node: idx + centroid + radius + diameter + size + leaf + child/parent
-	// pointers.
+	// Node: idx + centroid + size + leaf + child/parent pointers.
 	var bytes int64
 	for _, n := range t.nodes {
-		bytes += 64 + int64(len(n.Children))*8
+		bytes += 48 + int64(len(n.Children))*8
 	}
 	return bytes
 }
@@ -224,23 +221,6 @@ func (b *builder) build(ids []graph.ID) (*Node, error) {
 		return nil, err
 	}
 	node := &Node{Size: len(ids), Centroid: pivots[0]}
-	// Radius: the running maximum of (upper bounds on) member distances to
-	// the centroid; Diameter: sum of the two largest (§6.4). Both are sound
-	// upper bounds even when the vantage pruning skips exact computations.
-	// This loop stays sequential: the pruning threshold is the running
-	// maximum, a recurrence whose prune-or-compute outcomes feed the encoded
-	// radius/diameter values, so reordering it would change the tree bytes.
-	var largest, second float64
-	for _, id := range ids {
-		dc := b.centroidDistance(node.Centroid, id, largest)
-		if dc > largest {
-			largest, second = dc, largest
-		} else if dc > second {
-			second = dc
-		}
-	}
-	node.Radius = largest
-	node.Diameter = largest + second
 	if len(pivots) == 1 {
 		// Degenerate cluster: every member coincides with the pivot
 		// (distance 0). Recursing would not shrink the cluster, so emit the
@@ -267,24 +247,6 @@ func (b *builder) build(ids []graph.ID) (*Node, error) {
 		node.Children = append(node.Children, child)
 	}
 	return node, nil
-}
-
-// centroidDistance returns d(centroid, id), skipping the exact computation
-// when the vantage upper bound shows the distance cannot exceed the current
-// largest (it then returns that upper bound, which is sound for radius and
-// diameter maintenance because it only ever under-reports skipped members
-// relative to the running maximum).
-func (b *builder) centroidDistance(centroid, id graph.ID, currentLargest float64) float64 {
-	if id == centroid {
-		return 0
-	}
-	if b.opt.VO != nil {
-		if ub := b.opt.VO.UpperBound(centroid, id); ub <= currentLargest {
-			b.pruned.Add(1)
-			return ub
-		}
-	}
-	return b.dist(centroid, id)
 }
 
 // partition chooses up to b pivots farthest-first and assigns every id to
@@ -353,23 +315,16 @@ func (b *builder) partition(ids []graph.ID) (pivots []graph.ID, assign []int, er
 }
 
 // Insert adds a newly appended database graph to the tree: it descends to
-// the closest leaf-level cluster, appends a new leaf there, and maintains
-// sound (possibly loosened) radius and diameter upper bounds along the
-// path. Fan-out may temporarily exceed the build-time branching factor;
-// rebuild periodically if insert volume is high. Not safe concurrently with
-// reads.
+// the closest leaf-level cluster, appends a new leaf there, and grows the
+// sizes along the path. Fan-out may temporarily exceed the build-time
+// branching factor; rebuild periodically if insert volume is high. Not safe
+// concurrently with reads.
 func (t *Tree) Insert(id graph.ID, m metric.Metric) {
 	n := t.root
 	if n.Leaf {
 		// Single-graph tree: grow a root cluster over both.
 		old := n
-		d := m.Distance(old.Centroid, id)
-		newRoot := &Node{
-			Centroid: old.Centroid,
-			Radius:   d,
-			Diameter: d,
-			Size:     2,
-		}
+		newRoot := &Node{Centroid: old.Centroid, Size: 2}
 		oldLeaf := &Node{Centroid: old.Centroid, Size: 1, Leaf: true, Parent: newRoot}
 		newLeaf := &Node{Centroid: id, Size: 1, Leaf: true, Parent: newRoot}
 		newRoot.Children = []*Node{oldLeaf, newLeaf}
@@ -381,15 +336,6 @@ func (t *Tree) Insert(id graph.ID, m metric.Metric) {
 		return
 	}
 	for {
-		d := m.Distance(n.Centroid, id)
-		t.stats.ExactDistances++
-		// Diameter first: new pairs are bounded by d + old radius.
-		if ub := d + n.Radius; ub > n.Diameter {
-			n.Diameter = ub
-		}
-		if d > n.Radius {
-			n.Radius = d
-		}
 		n.Size++
 		// Stop at a node whose children are leaves; otherwise descend into
 		// the child cluster with the closest centroid.
@@ -418,12 +364,10 @@ func (t *Tree) Insert(id graph.ID, m metric.Metric) {
 	}
 }
 
-// Validate checks the structural invariants of the tree under metric m:
-// every graph appears exactly once; every member of a cluster lies within
-// Radius of the centroid; Diameter bounds every pairwise member distance;
-// Size fields are consistent. Intended for tests; cost is O(n²) distances in
-// the worst case, so call it on small trees.
-func (t *Tree) Validate(db *graph.Database, m metric.Metric) error {
+// Validate checks the structural invariants of the tree over db: every
+// graph appears exactly once, leaves are single graphs, parent links match
+// the child lists, and Size fields sum bottom-up. Intended for tests.
+func (t *Tree) Validate(db *graph.Database) error {
 	seen := make(map[graph.ID]int)
 	t.root.VisitGraphs(func(id graph.ID) { seen[id]++ })
 	if len(seen) != db.Len() {
@@ -436,7 +380,7 @@ func (t *Tree) Validate(db *graph.Database, m metric.Metric) error {
 	}
 	for _, n := range t.nodes {
 		if n.Leaf {
-			if n.Size != 1 || len(n.Children) != 0 || n.Radius != 0 || n.Diameter != 0 {
+			if n.Size != 1 || len(n.Children) != 0 {
 				return fmt.Errorf("nbtree: malformed leaf %d", n.Idx)
 			}
 			continue
@@ -450,20 +394,6 @@ func (t *Tree) Validate(db *graph.Database, m metric.Metric) error {
 		}
 		if size != n.Size {
 			return fmt.Errorf("nbtree: node %d size %d != children sum %d", n.Idx, n.Size, size)
-		}
-		members := n.Graphs()
-		for _, id := range members {
-			if d := m.Distance(n.Centroid, id); d > n.Radius+1e-9 {
-				return fmt.Errorf("nbtree: node %d: member %d at %v exceeds radius %v", n.Idx, id, d, n.Radius)
-			}
-		}
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				if d := m.Distance(members[i], members[j]); d > n.Diameter+1e-9 {
-					return fmt.Errorf("nbtree: node %d: pair (%d,%d) at %v exceeds diameter %v",
-						n.Idx, members[i], members[j], d, n.Diameter)
-				}
-			}
 		}
 	}
 	return nil

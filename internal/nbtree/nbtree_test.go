@@ -48,7 +48,7 @@ func TestBuildValidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(b=%d): %v", b, err)
 		}
-		if err := tree.Validate(db, m); err != nil {
+		if err := tree.Validate(db); err != nil {
 			t.Fatalf("Validate(b=%d): %v", b, err)
 		}
 		if tree.Root().Size != db.Len() {
@@ -122,11 +122,13 @@ func TestDuplicateGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := tree.Validate(db, m); err != nil {
+	if err := tree.Validate(db); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if tree.Root().Radius != 0 || tree.Root().Diameter != 0 {
-		t.Errorf("radius/diameter = %v/%v, want 0/0", tree.Root().Radius, tree.Root().Diameter)
+	for _, c := range tree.Root().Children {
+		if !c.Leaf {
+			t.Errorf("root child %d is not a leaf; the tree should be flat", c.Idx)
+		}
 	}
 }
 
@@ -157,7 +159,7 @@ func TestVPAcceleratedBuildIsValidAndPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := tree.Validate(db, base); err != nil {
+	if err := tree.Validate(db); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	st := tree.Stats()

@@ -10,7 +10,7 @@
 // Every shard shares one global vantage point set and one global θ grid,
 // both drawn from the build RNG exactly as the unsharded build draws them.
 // A graph's embedding coordinates (its distances to the global VPs) are
-// therefore valid against any shard's sorted views, so cross-shard candidate
+// therefore valid against any shard's ordering, so cross-shard candidate
 // scans cost zero extra distance computations and the union of per-shard
 // candidate sets equals the unsharded candidate set exactly. A graph's
 // candidate list concatenated across shards is its unsharded list, so its

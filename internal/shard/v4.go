@@ -20,17 +20,20 @@ import (
 // index opened over a memory mapping serves queries in place and the open
 // costs O(header + directory), not O(data). Global sections carry shard 0;
 // per-shard sections carry the 0-based shard number (global and per-shard
-// kinds are disjoint, so the (kind, shard) key is unique).
+// kinds are disjoint, so the (kind, shard) key is unique). A file holds
+// only what queries, Insert and the load checks read; kinds 12–13 (every
+// space's sorted view), 27–28 (node radii and diameters) and 30 (a
+// graph-to-leaf map) are retired, and a file that still carries them lacks
+// kind 14, so it fails at open.
 const (
 	// Global sections.
 	secManifest = 1 // u64 shardCount, then per shard u64 base, u64 count
 	secGrid     = 2 // f64 ascending θ grid
 
 	// Per-shard vantage ordering.
-	secVPs     = 10 // i32 vantage point IDs
-	secDist    = 11 // f64 numVPs×count row-major: d(vp, g)
-	secSortedD = 12 // f64 numVPs×count: each row ascending
-	secByDist  = 13 // i32 numVPs×count: IDs in SortedD order
+	secVPs   = 10 // i32 vantage point IDs
+	secDist  = 11 // f64 numVPs×count row-major: d(vp, g)
+	secOrder = 14 // i32 count: the shard's IDs sorted by the first row of Dist
 
 	// Per-shard NB-Tree in flattened (parallel-array) form.
 	secTreeMeta    = 20 // u64 ×5: numNodes, exactDists, prunedDists, nodes, leaves
@@ -40,10 +43,6 @@ const (
 	secNextSibling = 24 // i32 per node, −1 at chain ends
 	secSize        = 25 // i32 per node
 	secLeaf        = 26 // u8 per node, 0 or 1
-	secRadius      = 27 // f64 per node
-	secDiameter    = 28 // f64 per node
-
-	secLeafOf = 30 // i32 per graph: leaf node index of base+i
 
 	// Per-shard filter embeddings, offset-tabled like the container itself.
 	secEmbOffsets = 40 // u32 per graph plus terminator, into EmbBlob
@@ -95,19 +94,15 @@ func (s *Set) Encode(w io.Writer) error {
 		count, nv, nn := part.Count(), vo.NumVPs(), f.Len()
 
 		add(secVPs, sh, uint64(4*nv), writeLE(vo.VPs()))
-		matrix := func(kind uint32, stride uint64, row func(v int) any) {
-			add(kind, sh, stride*uint64(nv)*uint64(count), func(w io.Writer) error {
-				for v := 0; v < nv; v++ {
-					if err := binary.Write(w, binary.LittleEndian, row(v)); err != nil {
-						return err
-					}
+		add(secDist, sh, 8*uint64(nv)*uint64(count), func(w io.Writer) error {
+			for v := 0; v < nv; v++ {
+				if err := binary.Write(w, binary.LittleEndian, vo.DistRow(v)); err != nil {
+					return err
 				}
-				return nil
-			})
-		}
-		matrix(secDist, 8, func(v int) any { return vo.DistRow(v) })
-		matrix(secSortedD, 8, func(v int) any { return vo.SortedRow(v) })
-		matrix(secByDist, 4, func(v int) any { return vo.ByDistRow(v) })
+			}
+			return nil
+		})
+		add(secOrder, sh, uint64(4*count), writeLE(vo.Order()))
 
 		st := f.Stats()
 		meta := []uint64{uint64(nn), uint64(st.ExactDistances), uint64(st.PrunedDistances), uint64(st.Nodes), uint64(st.Leaves)}
@@ -118,10 +113,7 @@ func (s *Set) Encode(w io.Writer) error {
 		add(secNextSibling, sh, uint64(4*nn), writeLE(f.NextSibling))
 		add(secSize, sh, uint64(4*nn), writeLE(f.Sizes))
 		add(secLeaf, sh, uint64(nn), func(w io.Writer) error { _, err := w.Write(f.Leaves); return err })
-		add(secRadius, sh, uint64(8*nn), writeLE(f.Radii))
-		add(secDiameter, sh, uint64(8*nn), writeLE(f.Diameters))
 
-		add(secLeafOf, sh, uint64(4*count), writeLE(part.LeafOf()))
 		add(secEmbOffsets, sh, uint64(4*len(tab.Offsets())), writeLE(tab.Offsets()))
 		add(secEmbBlob, sh, uint64(len(tab.Blob())), func(w io.Writer) error { _, err := w.Write(tab.Blob()); return err })
 	}
@@ -163,7 +155,9 @@ func ReadBytes(data []byte, db *graph.Database, m metric.Metric) (*Set, error) {
 // value) is checked here, so corrupt or truncated files fail with an error —
 // never a panic, and never an out-of-bounds read later at query time. Any
 // other format, the retired gob layouts NBIDX001–NBIDX003 included, fails
-// with an error that names its magic: rebuild such an index.
+// with an error that names its magic, and a file whose shard sections do not
+// fit (one saved before the order section, say) with one that names the
+// section; both say to rebuild the index.
 func ReadBytesContext(ctx context.Context, data []byte, db *graph.Database, m metric.Metric) (*Set, error) {
 	d, err := container.Parse(data, magic)
 	if err != nil {
@@ -207,7 +201,7 @@ func ReadBytesContext(ctx context.Context, data []byte, db *graph.Database, m me
 		}
 		part, err := readPart(d, uint32(p), graph.ID(base), int(count), db, m, grid)
 		if err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", p, err)
+			return nil, fmt.Errorf("shard: shard %d: %w; rebuild the index", p, err)
 		}
 		s.parts[p] = part
 		next += graph.ID(count)
@@ -236,15 +230,11 @@ func readPart(d *container.Dir, sh uint32, base graph.ID, count int, db *graph.D
 	if err != nil {
 		return nil, err
 	}
-	sortedD, err := container.View[float64](d, secSortedD, sh)
+	order, err := container.View[graph.ID](d, secOrder, sh)
 	if err != nil {
 		return nil, err
 	}
-	byDist, err := container.View[graph.ID](d, secByDist, sh)
-	if err != nil {
-		return nil, err
-	}
-	vo, err := vantage.FromViewsDeferred(vps, base, count, dist, sortedD, byDist)
+	vo, err := vantage.FromViewsDeferred(vps, base, count, dist, order)
 	if err != nil {
 		return nil, err
 	}
@@ -284,14 +274,6 @@ func readPart(d *container.Dir, sh uint32, base graph.ID, count int, db *graph.D
 	if err != nil {
 		return nil, err
 	}
-	radii, err := container.View[float64](d, secRadius, sh)
-	if err != nil {
-		return nil, err
-	}
-	diameters, err := container.View[float64](d, secDiameter, sh)
-	if err != nil {
-		return nil, err
-	}
 	if uint64(len(centroids)) != numNodes || uint64(len(leaves)) != numNodes {
 		return nil, fmt.Errorf("nbtree: tree sections cover %d/%d nodes, meta declares %d",
 			len(centroids), len(leaves), numNodes)
@@ -302,16 +284,12 @@ func readPart(d *container.Dir, sh uint32, base graph.ID, count int, db *graph.D
 	}
 	// The claimed leaf count (meta[4]) is carried in the stats and verified
 	// against the actual flags by the deferred Flat.Validate.
-	flat, err := nbtree.NewFlatDeferred(centroids, parents, firstChild, nextSibling, sizes, leaves, radii, diameters,
+	flat, err := nbtree.NewFlatDeferred(centroids, parents, firstChild, nextSibling, sizes, leaves,
 		nbtree.BuildStats{ExactDistances: int64(meta[1]), PrunedDistances: int64(meta[2]), Leaves: int(meta[4])})
 	if err != nil {
 		return nil, err
 	}
 
-	leafOf, err := container.View[int32](d, secLeafOf, sh)
-	if err != nil {
-		return nil, err
-	}
 	embOffs, err := container.View[uint32](d, secEmbOffsets, sh)
 	if err != nil {
 		return nil, err
@@ -327,5 +305,5 @@ func readPart(d *container.Dir, sh uint32, base graph.ID, count int, db *graph.D
 	if err != nil {
 		return nil, err
 	}
-	return nbindex.PartFromViewsDeferred(db, m, vo, flat, grid, leafOf, tab, 0)
+	return nbindex.PartFromViewsDeferred(db, m, vo, flat, grid, tab, 0)
 }

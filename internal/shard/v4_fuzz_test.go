@@ -7,8 +7,30 @@ import (
 
 	"graphrep/internal/container"
 	"graphrep/internal/dataset"
+	"graphrep/internal/graph"
 	"graphrep/internal/metric"
 )
+
+// v4TestFile builds the small two-shard set the tests below mutate and
+// returns its database, metric, grid and encoded NBIDX004 bytes.
+func v4TestFile(tb testing.TB) (*graph.Database, metric.Metric, []float64, []byte) {
+	tb.Helper()
+	db, err := dataset.ByName("dud", 40, 11)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := metric.NewCache(metric.Star(db))
+	set, err := Build(db, m, Options{Shards: 2, NumVPs: 3, Branching: 3, ThetaGrid: []float64{3, 6, 9}},
+		rand.New(rand.NewSource(11)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := set.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return db, m, set.Grid(), buf.Bytes()
+}
 
 // FuzzReadIndexV4 is the hostile-input contract of the zero-copy load path:
 // whatever bytes arrive — truncated files, corrupt directories, overlapping
@@ -18,21 +40,7 @@ import (
 // input, because in production the input is a shared read-only mapping of an
 // arbitrary on-disk file.
 func FuzzReadIndexV4(f *testing.F) {
-	db, err := dataset.ByName("dud", 40, 11)
-	if err != nil {
-		f.Fatal(err)
-	}
-	m := metric.NewCache(metric.Star(db))
-	set, err := Build(db, m, Options{Shards: 2, NumVPs: 3, Branching: 3, ThetaGrid: []float64{3, 6, 9}},
-		rand.New(rand.NewSource(11)))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := set.Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	db, m, thetas, valid := v4TestFile(f)
 
 	// Seeds: the pristine file, truncations at structurally interesting
 	// boundaries, and single-byte corruptions sprinkled over the header,
@@ -49,8 +57,8 @@ func FuzzReadIndexV4(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Add(repeatOrderingEntry(f, valid))
+	f.Add(repeatLeafCentroid(f, valid))
 
-	thetas := set.Grid()
 	theta := thetas[len(thetas)/2]
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadBytes(data, db, m)
@@ -75,8 +83,7 @@ func FuzzReadIndexV4(f *testing.F) {
 }
 
 // repeatOrderingEntry returns a copy of the index file data whose shard-0
-// first-space ordering (the first row of its byDist section) lists its first
-// ID twice: entry 1 is overwritten with entry 0. Every entry stays in range,
+// first-space ordering (its order section) lists its first ID twice: entry 1 is overwritten with entry 0. Every entry stays in range,
 // so only the permutation check in vantage.Ordering.Validate catches it; the
 // graph it displaces would have no row in a session's relevant-set view.
 func repeatOrderingEntry(tb testing.TB, data []byte) []byte {
@@ -87,7 +94,7 @@ func repeatOrderingEntry(tb testing.TB, data []byte) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sec, err := d.Section(secByDist, 0)
+	sec, err := d.Section(secOrder, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -101,25 +108,65 @@ func repeatOrderingEntry(tb testing.TB, data []byte) []byte {
 // relevant-set view; the fuzz seed alone need not, since its relevance may
 // leave the displaced graph out.
 func TestV4RepeatedOrderingEntry(t *testing.T) {
-	db, err := dataset.ByName("dud", 40, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := metric.NewCache(metric.Star(db))
-	set, err := Build(db, m, Options{Shards: 2, NumVPs: 3, Branching: 3, ThetaGrid: []float64{3, 6, 9}},
-		rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := set.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s, err := ReadBytes(repeatOrderingEntry(t, buf.Bytes()), db, m)
+	db, m, _, data := v4TestFile(t)
+	s, err := ReadBytes(repeatOrderingEntry(t, data), db, m)
 	if err != nil {
 		t.Fatalf("ReadBytes: %v (the repeat should pass the O(1) shape checks)", err)
 	}
 	if _, err := s.NewSession(func([]float64) bool { return true }); err == nil {
 		t.Fatal("NewSession accepted an ordering that repeats an ID")
+	}
+}
+
+// repeatLeafCentroid returns a copy of the index file data whose shard-0
+// tree lists one graph under two leaves: the second leaf's centroid is
+// overwritten with the first leaf's. Every value stays in range and the leaf
+// count is unchanged, so only the distinct-leaves check of the part's
+// deferred validation catches it; the graph it displaces would have no leaf.
+func repeatLeafCentroid(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	mut := append([]byte(nil), data...)
+	// Parse returns subslices of mut, so the sections alias the copy.
+	d, err := container.Parse(mut, magic)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	leaves, err := d.Section(secLeaf, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	centroids, err := d.Section(secCentroid, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	first := -1
+	for i, leaf := range leaves {
+		if leaf != 1 {
+			continue
+		}
+		if first < 0 {
+			first = i
+			continue
+		}
+		copy(centroids[4*i:4*i+4], centroids[4*first:4*first+4])
+		return mut
+	}
+	tb.Fatal("shard 0 has fewer than two leaves")
+	return nil
+}
+
+// TestV4RepeatedLeafCentroid checks that a file whose tree puts one graph
+// under two leaves is refused at the first session. Nothing else in the
+// file is out of range, so this is the check that stands in for a stored
+// graph-to-leaf map: with as many leaves as graphs, distinct leaf graphs
+// mean every graph has exactly one leaf.
+func TestV4RepeatedLeafCentroid(t *testing.T) {
+	db, m, _, data := v4TestFile(t)
+	s, err := ReadBytes(repeatLeafCentroid(t, data), db, m)
+	if err != nil {
+		t.Fatalf("ReadBytes: %v (the repeat should pass the O(1) shape checks)", err)
+	}
+	if _, err := s.NewSession(func([]float64) bool { return true }); err == nil {
+		t.Fatal("NewSession accepted a tree that puts one graph under two leaves")
 	}
 }

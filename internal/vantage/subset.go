@@ -61,14 +61,14 @@ func (o *Ordering) Subset(ids []graph.ID, sketch []uint16) *Subset {
 	if sketch != nil {
 		s.sketch = make([]uint16, 0, members*ged.SketchWidth)
 	}
-	for i, id := range o.byDist[0] {
+	for _, id := range o.order {
 		k := mark[id-o.base] - 1
 		if k < 0 {
 			continue
 		}
 		s.at[k] = int32(len(s.keys))
 		s.keys = append(s.keys, k)
-		s.d0 = append(s.d0, o.sortedD[0][i])
+		s.d0 = append(s.d0, o.dist[0][id-o.base])
 		for v := range o.dist {
 			s.rows = append(s.rows, o.dist[v][id-o.base])
 		}

@@ -29,7 +29,7 @@ import (
 // |Δ_0| = θ + ulp away; testing |Δ_0| ≤ θ instead would drop it.
 func bruteScan(o *vantage.Ordering, key map[graph.ID]int32, q []float64, sketches map[graph.ID][]uint16, qs []uint16, theta float64) []int32 {
 	var keys []int32
-	for _, id := range o.ByDistRow(0) {
+	for _, id := range o.Order() {
 		k, ok := key[id]
 		if !ok {
 			continue
@@ -113,7 +113,7 @@ func checkSubsetScans(t *testing.T, set *shard.Set, db *graph.Database, rng *ran
 		for g := 0; g < db.Len(); g += 3 {
 			q, qs := coordsOf(set, graph.ID(g)), sketches[graph.ID(g)]
 			thetas := []float64{0, grid[len(grid)-1]}
-			for _, id := range o.ByDistRow(0) {
+			for _, id := range o.Order() {
 				gap := math.Abs(o.VPDistance(0, id) - q[0])
 				thetas = append(thetas, gap, math.Nextafter(gap, 0), math.Nextafter(gap, math.Inf(1)))
 			}

@@ -1,13 +1,12 @@
 // Package vantage implements vantage orderings (Definitions 3–4 of the
 // paper): a Lipschitz embedding of the graph metric space into |V| one-
 // dimensional "vantage spaces", one per vantage point. The embedding yields
-//
-//   - a lower bound on d(a,b): the vantage distance max_v |d(v,a) − d(v,b)|
-//     (Theorem 4), and
-//   - an upper bound on d(a,b): min_v (d(v,a) + d(v,b)),
-//
-// from which the candidate neighborhood N̂(g) ⊇ N_θ(g) of Theorem 5 is
-// computed with |V| array scans and zero edit-distance computations.
+// a lower bound on d(a,b), the vantage distance max_v |d(v,a) − d(v,b)|
+// (Theorem 4), from which the candidate neighborhood N̂(g) ⊇ N_θ(g) of
+// Theorem 5 is computed with zero edit-distance computations. The paper
+// keeps every vantage space sorted; a scan here binary-searches the first
+// space alone and tests the others by value, so only the first space's order
+// is kept.
 package vantage
 
 import (
@@ -38,21 +37,19 @@ const (
 
 // Ordering holds the vantage orderings of one contiguous ID range of a
 // database: for every vantage point, the distance from that VP to every
-// graph in the range, plus the 1-D orderings used for range scans. A
-// full-database ordering is simply the range [0, n); a shard's ordering
-// covers [base, base+count) while sharing the global vantage point set, so
-// the embedding coordinates of any graph are valid against any shard's
-// sorted views. Ordering is immutable after Build and safe for concurrent
-// use.
+// graph in the range, plus the range sorted along the first vantage space,
+// the order range scans walk. A full-database ordering is simply the range
+// [0, n); a shard's ordering covers [base, base+count) while sharing the
+// global vantage point set, so the embedding coordinates of any graph are
+// valid against any shard's ordering. Ordering is immutable after Build and
+// safe for concurrent use.
 type Ordering struct {
 	vps []graph.ID
 	// base is the first graph ID covered; dist rows are indexed by id-base.
 	base graph.ID
 	dist [][]float64 // dist[v][g-base] = d(vps[v], g)
-	// byDist[v] lists (global) graph IDs sorted by dist[v][·]; sortedD[v]
-	// carries the matching sorted distances for binary search.
-	byDist  [][]graph.ID
-	sortedD [][]float64
+	// order lists the covered (global) graph IDs sorted by dist[0][·].
+	order []graph.ID
 }
 
 // SelectVPs chooses numVPs vantage points from db under policy.
@@ -128,11 +125,9 @@ func BuildRangeContext(ctx context.Context, db *graph.Database, m metric.Metric,
 		return nil, fmt.Errorf("vantage: range [%d, %d) out of bounds for %d graphs", base, int(base)+count, n)
 	}
 	o := &Ordering{
-		vps:     append([]graph.ID(nil), vps...),
-		base:    base,
-		dist:    make([][]float64, len(vps)),
-		byDist:  make([][]graph.ID, len(vps)),
-		sortedD: make([][]float64, len(vps)),
+		vps:  append([]graph.ID(nil), vps...),
+		base: base,
+		dist: make([][]float64, len(vps)),
 	}
 	for _, vp := range o.vps {
 		if int(vp) < 0 || int(vp) >= n {
@@ -152,25 +147,13 @@ func BuildRangeContext(ctx context.Context, db *graph.Database, m metric.Metric,
 	}); err != nil {
 		return nil, err
 	}
-	// Phase 2: per-VP sorted views, one row per task.
-	if err := pool.Ranges(ctx, len(o.vps), workers, 1, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			row := o.dist[v]
-			ids := make([]graph.ID, count)
-			for i := range ids {
-				ids[i] = base + graph.ID(i)
-			}
-			sort.Slice(ids, func(a, b int) bool { return row[ids[a]-base] < row[ids[b]-base] })
-			o.byDist[v] = ids
-			sd := make([]float64, count)
-			for i, id := range ids {
-				sd[i] = row[id-base]
-			}
-			o.sortedD[v] = sd
-		}
-	}); err != nil {
-		return nil, err
+	// Phase 2: the first space's order.
+	row := o.dist[0]
+	o.order = make([]graph.ID, count)
+	for i := range o.order {
+		o.order[i] = base + graph.ID(i)
 	}
+	sort.Slice(o.order, func(a, b int) bool { return row[o.order[a]-base] < row[o.order[b]-base] })
 	return o, nil
 }
 
@@ -201,18 +184,6 @@ func (o *Ordering) LowerBound(a, b graph.ID) float64 {
 		}
 	}
 	return lb
-}
-
-// UpperBound returns min_v (d(v,a) + d(v,b)), an upper bound on d(a,b) by
-// the triangle inequality. Both graphs must lie in the ordering's range.
-func (o *Ordering) UpperBound(a, b graph.ID) float64 {
-	ub := math.MaxFloat64
-	for v := range o.dist {
-		if d := o.dist[v][a-o.base] + o.dist[v][b-o.base]; d < ub {
-			ub = d
-		}
-	}
-	return ub
 }
 
 // FPRSample measures the observed false positive rate of the embedding: the
@@ -246,30 +217,28 @@ func (o *Ordering) FPRSample(m metric.Metric, theta float64, samples int, rng *r
 }
 
 // Insert extends the ordering with a newly appended database graph: one
-// distance computation per vantage point plus a sorted insertion into each
-// vantage ordering. The graph's ID must equal Base()+Len() (the next ID in
-// the ordering's contiguous range). Not safe concurrently with reads.
+// distance computation per vantage point plus one sorted insertion into the
+// first space's order, ahead of every graph at an equal or larger
+// coordinate. The graph's ID must equal Base()+Len() (the next ID in the
+// ordering's contiguous range). Not safe concurrently with reads.
 func (o *Ordering) Insert(id graph.ID, m metric.Metric) error {
 	if int(id-o.base) != o.Len() {
 		return fmt.Errorf("vantage: inserting id %d, want %d", id, int(o.base)+o.Len())
 	}
 	for v, vp := range o.vps {
-		d := m.Distance(vp, id)
-		o.dist[v] = append(o.dist[v], d)
-		pos := sort.SearchFloat64s(o.sortedD[v], d)
-		o.sortedD[v] = append(o.sortedD[v], 0)
-		copy(o.sortedD[v][pos+1:], o.sortedD[v][pos:])
-		o.sortedD[v][pos] = d
-		o.byDist[v] = append(o.byDist[v], 0)
-		copy(o.byDist[v][pos+1:], o.byDist[v][pos:])
-		o.byDist[v][pos] = id
+		o.dist[v] = append(o.dist[v], m.Distance(vp, id))
 	}
+	row, d := o.dist[0], o.dist[0][id-o.base]
+	pos := sort.Search(len(o.order), func(i int) bool { return row[o.order[i]-o.base] >= d })
+	o.order = append(o.order, 0)
+	copy(o.order[pos+1:], o.order[pos:])
+	o.order[pos] = id
 	return nil
 }
 
 // Bytes returns the approximate memory footprint of the ordering: the VO
-// storage cost O(|V|·|D|) from the paper's storage analysis.
+// storage cost O(|V|·|D|) from the paper's storage analysis — one distance
+// per vantage point and graph, plus the first space's order.
 func (o *Ordering) Bytes() int64 {
-	per := int64(o.Len()) * (8 + 4 + 8) // dist + id + sorted distance
-	return per * int64(o.NumVPs())
+	return int64(o.Len()) * (8*int64(o.NumVPs()) + 4)
 }

@@ -138,12 +138,9 @@ func TestBoundsSandwichTrueDistance(t *testing.T) {
 		for j := 0; j < db.Len(); j++ {
 			a, b := graph.ID(i), graph.ID(j)
 			d := m.Distance(a, b)
-			lb, ub := o.LowerBound(a, b), o.UpperBound(a, b)
-			if lb > d+1e-9 {
-				t.Fatalf("LB %v > d %v at (%d,%d)", lb, d, i, j)
-			}
-			if i != j && ub < d-1e-9 {
-				t.Fatalf("UB %v < d %v at (%d,%d)", ub, d, i, j)
+			lb := o.LowerBound(a, b)
+			if lb < 0 || lb > d+1e-9 {
+				t.Fatalf("LB %v outside [0, d=%v] at (%d,%d)", lb, d, i, j)
 			}
 		}
 	}
