@@ -343,33 +343,25 @@ func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, e
 	return &Engine{db: db, m: m, set: set, tel: tel}, nil
 }
 
-// primeEmbeddings hands the per-shard filter embeddings carried by the index
-// (built or loaded) to the default metric, so threshold tests on far pairs
-// resolve from the cached vectors without ever materializing a star
-// signature. View-backed shards (v4, typically mmapped) prime their encoded
-// table instead — the metric decodes records lazily on first use, so opening
-// a large index stays O(1) while the decoded values (and therefore every
-// decision and stage counter) are identical to eager priming. It also turns
-// on the sketch test of every query's vantage pass, which drops candidates
-// whose star-histogram sketches already prove them farther than θ. A no-op
-// for custom metrics (stages is nil): they have no embedding tier, and the
-// sketch bounds the star distance only, so their pass stays unfiltered.
+// primeEmbeddings hands each shard's encoded embedding table (built or
+// loaded) to the default metric, once, at open, so threshold tests on far
+// pairs resolve from the table's vectors without ever materializing a star
+// signature. The metric decodes records lazily on first use, so opening a
+// large index stays O(1); a graph inserted later gets the same vector from
+// its star signature. It also turns on the sketch test of every query's
+// vantage pass, which drops candidates whose star-histogram sketches already
+// prove them farther than θ. A no-op for custom metrics (stages is nil):
+// they have no embedding tier, and the sketch bounds the star distance only,
+// so their pass stays unfiltered.
 func primeEmbeddings(set *shard.Set, stages metric.StageCounter) {
-	if stages == nil {
+	tp, ok := stages.(metric.EmbeddingTablePrimer)
+	if !ok {
 		return
 	}
 	set.UseSketchFilter()
 	for i := 0; i < set.Shards(); i++ {
 		part := set.Part(i)
-		if tab := part.EmbeddingTable(); tab != nil {
-			if tp, ok := stages.(metric.EmbeddingTablePrimer); ok {
-				tp.PrimeEmbeddingTable(part.Base(), tab)
-			}
-			continue
-		}
-		if p, ok := stages.(metric.EmbeddingPrimer); ok {
-			p.PrimeEmbeddings(part.Base(), part.Embeddings())
-		}
+		tp.PrimeEmbeddingTable(part.Base(), part.EmbeddingTable())
 	}
 }
 
@@ -538,14 +530,9 @@ func (e *Engine) Insert(g *Graph) error {
 	if err := e.set.Insert(g.ID()); err != nil {
 		return err
 	}
-	// Only the last shard grew: refresh its gauges and hand the new graph's
-	// filter embedding to the metric (already-cached vectors are kept).
-	last := e.set.Shards() - 1
-	e.tel.setShardGauges(e.set, last)
-	if p, ok := e.tel.stages.(metric.EmbeddingPrimer); ok {
-		part := e.set.Part(last)
-		p.PrimeEmbeddings(part.Base(), part.Embeddings())
-	}
+	// Only the last shard grew: refresh its gauges. The metric computes the
+	// new graph's filter embedding from its star signature on first use.
+	e.tel.setShardGauges(e.set, e.set.Shards()-1)
 	return nil
 }
 

@@ -22,6 +22,10 @@ import (
 //   - an index opened from a mapped file answers byte-identically —
 //     answers and sweep curves — to the engine that built it, and does the
 //     same search work, for every shard count × worker count combination;
+//   - an index opened from a file, mapped or read, grows by Insert into
+//     exactly what the engine that built it grows into — answers, search
+//     work and re-saved bytes — copying the mapped parts onto the heap
+//     rather than writing the mapping;
 //   - one shared mapping serves any number of concurrent query goroutines
 //     (the -race build is the real assertion);
 //   - DisableMmap (and platforms without mmap) read the file instead, with
@@ -65,13 +69,14 @@ func searchWorkOf(stats []graphrep.QueryStats) []searchWork {
 	return w
 }
 
-// TestV4MmapEqualsV3Loaded is the persistence acceptance matrix: an index
+// TestV4MmapEqualsBuilt is the persistence acceptance matrix: an index
 // opened from a memory mapping must produce byte-identical answers and sweep
 // curves to the engine that built it, and the same search work — heap pops,
 // verified leaves, candidate scans and threshold tests issued — for shard
 // counts 1, 2, 4 and session workers 1 and GOMAXPROCS. The mapped engine
-// must also re-save to the exact bytes it was opened from.
-func TestV4MmapEqualsV3Loaded(t *testing.T) {
+// must also report the built engine's IndexBytes, since both hold the same
+// structures, and re-save to the exact bytes it was opened from.
+func TestV4MmapEqualsBuilt(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 150, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +96,9 @@ func TestV4MmapEqualsV3Loaded(t *testing.T) {
 			}
 			if mapped.Shards() != shards {
 				t.Fatalf("mapped engine has %d shards, want %d", mapped.Shards(), shards)
+			}
+			if got, want := mapped.IndexBytes(), engine.IndexBytes(); got != want {
+				t.Errorf("shards=%d workers=%d: mapped IndexBytes %d, built %d", shards, workers, got, want)
 			}
 			answers, stats, points := collectAnswers(t, mapped, 5)
 			if !reflect.DeepEqual(answers, wantAnswers) {
@@ -118,6 +126,86 @@ func TestV4MmapEqualsV3Loaded(t *testing.T) {
 			}
 			if err := mapped.Close(); err != nil {
 				t.Errorf("shards=%d workers=%d: close: %v", shards, workers, err)
+			}
+		}
+	}
+}
+
+// TestV4InsertAfterOpenMatchesBuilt grows an index after a reopen: the
+// engine that built it and the engines reopened from its file, mapped and
+// with DisableMmap, take the same inserts, at 1 and 4 shards. The reopened
+// parts start as views of the file and must grow copy-on-write into exactly
+// what the built engine grows into: the same answers, sweep curves, search
+// work and IndexBytes, and the same bytes when each engine saves again. A
+// write into the mapping would fault the mapped engine instead.
+func TestV4InsertAfterOpenMatchesBuilt(t *testing.T) {
+	extra, err := graphrep.GenerateDataset("dud", 8, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, shards := range []int{1, 4} {
+		// Inserts append to the database, so every engine gets its own copy.
+		corpus := func() *graphrep.Database {
+			db, err := graphrep.GenerateDataset("dud", 150, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+		built, err := graphrep.Open(corpus(), graphrep.Options{Seed: 5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := saveIndexFile(t, built, dir, fmt.Sprintf("insert%d", shards))
+		engines := map[string]*graphrep.Engine{"built": built}
+		for name, opt := range map[string]graphrep.Options{"mapped": {}, "DisableMmap": {DisableMmap: true}} {
+			e, err := graphrep.OpenWithIndexFile(corpus(), path, opt)
+			if err != nil {
+				t.Fatalf("shards=%d %s: open: %v", shards, name, err)
+			}
+			defer e.Close()
+			engines[name] = e
+		}
+		saves := map[string][]byte{}
+		for name, e := range engines {
+			db := e.Database()
+			for i := 0; i < extra.Len(); i++ {
+				id := graphrep.ID(db.Len())
+				g, err := extra.Graph(graphrep.ID(i)).Clone(id).Build(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Insert(g); err != nil {
+					t.Fatalf("shards=%d %s: insert %d: %v", shards, name, i, err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := e.SaveIndex(&buf); err != nil {
+				t.Fatal(err)
+			}
+			saves[name] = buf.Bytes()
+		}
+		wantAnswers, wantStats, wantPoints := collectAnswers(t, built, 5)
+		for _, name := range []string{"mapped", "DisableMmap"} {
+			e := engines[name]
+			answers, stats, points := collectAnswers(t, e, 5)
+			if !reflect.DeepEqual(answers, wantAnswers) {
+				t.Errorf("shards=%d %s: answers after inserts differ from the built engine:\n got %+v\nwant %+v",
+					shards, name, answers, wantAnswers)
+			}
+			if !reflect.DeepEqual(points, wantPoints) {
+				t.Errorf("shards=%d %s: sweep curve after inserts differs from the built engine", shards, name)
+			}
+			if got, want := searchWorkOf(stats), searchWorkOf(wantStats); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d %s: search work after inserts differs from the built engine:\n got %+v\nwant %+v",
+					shards, name, got, want)
+			}
+			if got, want := e.IndexBytes(), built.IndexBytes(); got != want {
+				t.Errorf("shards=%d %s: IndexBytes %d after inserts, built engine %d", shards, name, got, want)
+			}
+			if !bytes.Equal(saves[name], saves["built"]) {
+				t.Errorf("shards=%d %s: the save after inserts differs from the built engine's", shards, name)
 			}
 		}
 	}

@@ -91,6 +91,15 @@ var ThawSites = map[string]string{
 	// onto the heap before the copy and element write that follow touch the
 	// order.
 	"vantage.(*Ordering).Insert": "rows and order are cap==len views; each append reallocates before any element write",
+	// A deferred tree keeps its arrays as views (owned is false); Insert
+	// clones all six onto the heap and sets owned before its first element
+	// write or append, so every later write lands in memory the tree owns.
+	"nbtree.(*Flat).Insert": "the arrays are copied onto the heap before the first element write",
+	// A table over views holds the offsets and blob sections, which the
+	// container clips to cap==len, so Append's first appends reallocate; a
+	// table Append returned has spare capacity only past its own length,
+	// which no reader of an older table reads.
+	"ged.(*Table).Append": "view-backed offsets and blob are cap==len, so appends reallocate before any byte lands",
 }
 
 // Analyzer flags writes, sorts, copies, and in-place appends through slices

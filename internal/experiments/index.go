@@ -42,7 +42,7 @@ func RunFig6kConstruction(w io.Writer, s Scale) error {
 		metric.NewMatrix(fx.DB, mcount, 4)
 		matrixDur := time.Since(start)
 
-		st := ix.Tree().Stats()
+		st := ix.Flat().Stats()
 		prunedFrac := 0.0
 		if tot := st.ExactDistances + st.PrunedDistances; tot > 0 {
 			prunedFrac = float64(st.PrunedDistances) / float64(tot)
@@ -75,7 +75,7 @@ func RunFig6lFootprint(w io.Writer, s Scale) error {
 		fmt.Fprintf(w, "%8d | %12.1f %12.1f | %14.1f\n",
 			n,
 			float64(ix.VO().Bytes())/1024,
-			float64(ix.Tree().Bytes())/1024,
+			float64(ix.Flat().Bytes())/1024,
 			float64(matrixBytes)/1024)
 	}
 	return nil

@@ -2,7 +2,6 @@ package ged
 
 import (
 	"encoding/binary"
-	"io"
 	"slices"
 
 	"graphrep/internal/graph"
@@ -102,11 +101,6 @@ func (e *Embedding) Stars() int { return len(e.padPrefix) - 1 }
 // plus distinct spoke types) — the cost of one LowerBound evaluation.
 func (e *Embedding) Dims() int { return len(e.centers) + len(e.spokes) }
 
-// Bytes approximates the embedding's memory footprint.
-func (e *Embedding) Bytes() int64 {
-	return int64(len(e.padPrefix))*8 + int64(len(e.centers)+len(e.spokes))*16
-}
-
 // LowerBound returns a proven lower bound on the star distance between the
 // two embedded graphs, from the cached vectors alone.
 //
@@ -195,37 +189,29 @@ func (e *Embedding) LowerBound(o *Embedding) float64 {
 	return lb
 }
 
-// Encode writes the embedding as one record of the fixed little-endian
-// layout a Table holds (see NewTableFromEmbeddings). The output is a pure
+// appendRecord appends the embedding to rec as one record of the fixed
+// little-endian layout a Table holds: a header of star, center and spoke
+// counts (u32 each), the per-star pad costs (u32), the centers (u32 label,
+// u32 count) and the spokes (u64 key, u32 count). The output is a pure
 // function of the embedded graph: dimensions are sorted, so re-encoding a
 // decoded embedding reproduces the bytes exactly.
-func (e *Embedding) Encode(w io.Writer) error {
+func (e *Embedding) appendRecord(rec []byte) []byte {
+	le := binary.LittleEndian
 	n := e.Stars()
-	hdr := [3]uint32{uint32(n), uint32(len(e.centers)), uint32(len(e.spokes))}
-	if err := binary.Write(w, binary.LittleEndian, hdr[:]); err != nil {
-		return err
-	}
+	rec = le.AppendUint32(rec, uint32(n))
+	rec = le.AppendUint32(rec, uint32(len(e.centers)))
+	rec = le.AppendUint32(rec, uint32(len(e.spokes)))
 	// Pad costs are small integers; store the per-star deltas of the prefix.
-	pads := make([]uint32, n)
 	for i := 0; i < n; i++ {
-		pads[i] = uint32(e.padPrefix[i+1] - e.padPrefix[i])
-	}
-	if err := binary.Write(w, binary.LittleEndian, pads); err != nil {
-		return err
+		rec = le.AppendUint32(rec, uint32(e.padPrefix[i+1]-e.padPrefix[i]))
 	}
 	for _, d := range e.centers {
-		rec := [2]uint32{uint32(d.key), uint32(d.count)}
-		if err := binary.Write(w, binary.LittleEndian, rec[:]); err != nil {
-			return err
-		}
+		rec = le.AppendUint32(rec, uint32(d.key))
+		rec = le.AppendUint32(rec, uint32(d.count))
 	}
 	for _, d := range e.spokes {
-		if err := binary.Write(w, binary.LittleEndian, d.key); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, d.count); err != nil {
-			return err
-		}
+		rec = le.AppendUint64(rec, d.key)
+		rec = le.AppendUint32(rec, uint32(d.count))
 	}
-	return nil
+	return rec
 }

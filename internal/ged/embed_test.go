@@ -3,6 +3,7 @@ package ged
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,12 +106,26 @@ func TestEmbeddingSubsumesRetiredTiers(t *testing.T) {
 	}
 }
 
+// reopen wraps a table's offsets and blob — the two index sections — the
+// way the index loader does: the deferred constructor, then Validate.
+func reopen(offs []uint32, blob []byte) (*Table, error) {
+	tab, err := NewTableDeferred(offs, blob)
+	if err != nil {
+		return nil, err
+	}
+	if err := tab.Validate(); err != nil {
+		return nil, err
+	}
+	return tab, nil
+}
+
 // Embeddings persist in the index as a Table, so the record codec must
 // round-trip exactly: a record decoded with At re-encodes to the same bytes
 // and proves the same bounds as the embedding it was written from, and the
-// table reopened from its offsets and blob — the two index sections — passes
-// NewTable's validation. Byte-stability is what keeps index files identical
-// across save/load/save cycles.
+// table reopened from its offsets and blob passes validation. A table grown
+// by Append equals one encoded whole and leaves the table it grew from
+// untouched. Byte-stability is what keeps index files identical across
+// save/load/save cycles.
 func TestEmbeddingEncodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	embs := make([]*Embedding, 200)
@@ -121,27 +136,52 @@ func TestEmbeddingEncodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := NewTable(tab.Offsets(), tab.Blob())
+	reopened, err := reopen(tab.Offsets(), tab.Blob())
 	if err != nil {
-		t.Fatalf("NewTable rejected a written table: %v", err)
+		t.Fatalf("a written table fails validation: %v", err)
 	}
 	if reopened.Len() != len(embs) {
 		t.Fatalf("table holds %d records, want %d", reopened.Len(), len(embs))
 	}
+	head, err := NewTableFromEmbeddings(embs[:150])
+	if err != nil {
+		t.Fatal(err)
+	}
+	headBlob := slices.Clone(head.Blob())
+	grown, err := head.Append(embs[150:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(grown.Offsets(), tab.Offsets()) || !bytes.Equal(grown.Blob(), tab.Blob()) {
+		t.Fatal("a table grown by Append differs from one encoded whole")
+	}
+	if head.Len() != 150 || !bytes.Equal(head.Blob(), headBlob) {
+		t.Fatal("Append changed the table it grew from")
+	}
+	// A table over views, clipped to their length as the index container
+	// clips its sections, must grow without writing past them.
+	offsMem := append(slices.Clone(head.Offsets()), 7, 7)
+	blobMem := append(slices.Clone(head.Blob()), 7, 7)
+	nOffs, nBlob := head.Len()+1, len(head.Blob())
+	views, err := reopen(offsMem[:nOffs:nOffs], blobMem[:nBlob:nBlob])
+	if err != nil {
+		t.Fatal(err)
+	}
+	grownFromViews, err := views.Append(embs[150:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(grownFromViews.Blob(), tab.Blob()) || !slices.Equal(offsMem[nOffs:], []uint32{7, 7}) ||
+		!bytes.Equal(blobMem[nBlob:], []byte{7, 7}) {
+		t.Fatal("Append on a table over views wrote past the views or grew into the wrong bytes")
+	}
 	for i, e := range embs {
-		var want bytes.Buffer
-		if err := e.Encode(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(reopened.Record(i), want.Bytes()) {
-			t.Fatalf("graph %d: table record differs from Encode", i)
+		want := e.appendRecord(nil)
+		if !bytes.Equal(reopened.Record(i), want) {
+			t.Fatalf("graph %d: table record differs from appendRecord", i)
 		}
 		dec := reopened.At(i)
-		var again bytes.Buffer
-		if err := dec.Encode(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), want.Bytes()) {
+		if again := dec.appendRecord(nil); !bytes.Equal(again, want) {
 			t.Fatalf("graph %d: re-encoded bytes differ", i)
 		}
 		if dec.Stars() != e.Stars() || dec.Dims() != e.Dims() || reopened.Stars(i) != e.Stars() {
@@ -154,18 +194,14 @@ func TestEmbeddingEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// NewTable must reject corrupt records instead of allocating absurd buffers
+// Validate must reject corrupt records instead of allocating absurd buffers
 // or mis-framing the blob: each case is a one-record table whose offsets
 // frame the mutated record exactly, so only the record check can catch it.
 func TestDecodeEmbeddingRejectsCorrupt(t *testing.T) {
 	e := NewEmbedding(mkGraph(t, []graph.Label{1, 2}, [][3]int{{0, 1, 0}}))
-	var buf bytes.Buffer
-	if err := e.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-	if _, err := NewTable([]uint32{0, uint32(len(blob))}, blob); err != nil {
-		t.Fatalf("NewTable rejected a valid record: %v", err)
+	blob := e.appendRecord(nil)
+	if _, err := reopen([]uint32{0, uint32(len(blob))}, blob); err != nil {
+		t.Fatalf("a valid record fails validation: %v", err)
 	}
 	for _, tc := range []struct {
 		name   string
@@ -185,8 +221,8 @@ func TestDecodeEmbeddingRejectsCorrupt(t *testing.T) {
 		}},
 	} {
 		rec := tc.mutate(blob)
-		if _, err := NewTable([]uint32{0, uint32(len(rec))}, rec); err == nil {
-			t.Errorf("%s: NewTable accepted a corrupt record", tc.name)
+		if _, err := reopen([]uint32{0, uint32(len(rec))}, rec); err == nil {
+			t.Errorf("%s: a corrupt record passed validation", tc.name)
 		}
 	}
 }

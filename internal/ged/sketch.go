@@ -54,22 +54,9 @@ func (c *sketchCells) appendTo(rows []uint16) []uint16 {
 	return rows
 }
 
-// AppendSketch appends the embedded graph's sketch row to rows.
-func (e *Embedding) AppendSketch(rows []uint16) []uint16 {
-	var c sketchCells
-	c[0] = int64(e.Stars())
-	for _, d := range e.centers {
-		c.center(d.key, int64(d.count))
-	}
-	for _, d := range e.spokes {
-		c.spoke(d.key, int64(d.count))
-	}
-	return c.appendTo(rows)
-}
-
 // AppendSketch appends record i's sketch row to rows, read straight from the
-// encoded record without decoding an Embedding. The row equals
-// At(i).AppendSketch's. The table must have passed Validate.
+// encoded record without decoding an Embedding: the one way sketch rows are
+// made. The table must have passed Validate.
 func (t *Table) AppendSketch(i int, rows []uint16) []uint16 {
 	rec := t.Record(i)
 	n := int(binary.LittleEndian.Uint32(rec[0:]))

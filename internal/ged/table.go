@@ -1,7 +1,6 @@
 package ged
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -9,36 +8,22 @@ import (
 // Table is a column of per-graph filter embeddings in their encoded form: an
 // offset array (one entry per graph plus a terminator) into a shared byte
 // blob of records, exactly the two sections the v4 index container stores.
-// Records stay encoded — typically as zero-copy views over a mapping — and
-// are decoded on demand with At; the structure itself is immutable and safe
-// for concurrent readers.
+// It is the only form an index keeps its embeddings in, built
+// (NewTableFromEmbeddings) or opened over zero-copy views of a mapping
+// (NewTableDeferred). Records stay encoded and are decoded on demand with
+// At. A Table is immutable and safe for concurrent readers: Append returns
+// a new table.
 type Table struct {
 	offs []uint32
 	blob []byte
 }
 
-// NewTable wraps an offset array and record blob after validating every
-// record boundary: offsets start at zero, never decrease, end exactly at the
-// blob's end, and each record's header-implied length matches its offset
-// span. At can therefore decode any record without reading outside its span.
-// The slices are retained, not copied. It is NewTableDeferred followed
-// immediately by Validate.
-func NewTable(offs []uint32, blob []byte) (*Table, error) {
-	t, err := NewTableDeferred(offs, blob)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// NewTableDeferred is NewTable minus the per-record scan: it checks only the
+// NewTableDeferred wraps an offset array and record blob, typically views of
+// two index sections, retaining both without copying. It checks only the
 // O(1) frame invariants (a first offset of zero, a last offset at the blob's
-// end) and defers Validate to the caller, keeping a mapped open independent
-// of index size. No record may be read — not even Stars — until Validate
-// has passed.
+// end) and defers the per-record scan to Validate, keeping a mapped open
+// independent of index size. No record may be read — not even Stars — until
+// Validate has passed.
 func NewTableDeferred(offs []uint32, blob []byte) (*Table, error) {
 	if len(offs) == 0 {
 		return nil, fmt.Errorf("ged: embedding table has no offsets")
@@ -54,7 +39,8 @@ func NewTableDeferred(offs []uint32, blob []byte) (*Table, error) {
 
 // Validate runs the O(n) record scan a deferred construction skipped:
 // offsets never decrease, and each record's header-implied length matches
-// its offset span, so every later access stays inside the blob.
+// its offset span, so At can decode any record without reading outside its
+// span.
 func (t *Table) Validate() error {
 	offs, blob := t.offs, t.blob
 	for i := 0; i+1 < len(offs); i++ {
@@ -68,29 +54,40 @@ func (t *Table) Validate() error {
 	return nil
 }
 
-// NewTableFromEmbeddings encodes a slice of embeddings into table form — the
-// save path for indexes whose embeddings live on the heap. The encoding is a
-// pure function of the graphs, so the resulting bytes are identical to a
-// table loaded from disk for the same database.
+// NewTableFromEmbeddings encodes embs, in order, into a new table: the
+// build path. The encoding is a pure function of the graphs, so the bytes
+// equal a table loaded from disk for the same database. The arrays are
+// sized exactly up front, so the encode allocates each once.
 func NewTableFromEmbeddings(embs []*Embedding) (*Table, error) {
-	offs := make([]uint32, len(embs)+1)
-	var buf bytes.Buffer
-	for i, e := range embs {
-		if e == nil {
-			return nil, fmt.Errorf("ged: embedding %d is nil", i)
-		}
-		if err := e.Encode(&buf); err != nil {
-			return nil, fmt.Errorf("ged: encode embedding %d: %w", i, err)
-		}
-		if buf.Len() != int(uint32(buf.Len())) {
-			return nil, fmt.Errorf("ged: embedding table exceeds 4 GiB at record %d", i)
-		}
-		offs[i+1] = uint32(buf.Len())
+	size := 0
+	for _, e := range embs {
+		size += recordLen(e.Stars(), len(e.centers), len(e.spokes))
 	}
-	return &Table{offs: offs, blob: buf.Bytes()}, nil
+	t := &Table{offs: make([]uint32, 1, len(embs)+1), blob: make([]byte, 0, size)}
+	return t.Append(embs...)
 }
 
-// recordLen returns the byte length Encode produces for a record with n
+// Append returns a table holding t's records followed by the encodings of
+// embs. t itself is unchanged: the new table shares t's bytes and writes
+// only past t's length, so a reader of t — a metric primed with it, say —
+// keeps reading the same records. Where t's arrays have no spare capacity,
+// as views of a mapping never do (the index container clips every section
+// to its length), the appends copy them onto the heap first. Only the
+// newest table may grow: a second Append on t would write over the records
+// the first one added.
+func (t *Table) Append(embs ...*Embedding) (*Table, error) {
+	offs, blob := t.offs, t.blob
+	for _, e := range embs {
+		blob = e.appendRecord(blob)
+		if len(blob) != int(uint32(len(blob))) {
+			return nil, fmt.Errorf("ged: embedding table exceeds 4 GiB at record %d", len(offs)-1)
+		}
+		offs = append(offs, uint32(len(blob)))
+	}
+	return &Table{offs: offs, blob: blob}, nil
+}
+
+// recordLen returns the byte length appendRecord produces for a record with n
 // stars, nc center dimensions, and ns spoke dimensions.
 func recordLen(n, nc, ns int) int {
 	return 12 + 4*n + 8*nc + 12*ns
@@ -116,7 +113,7 @@ func validateEmbeddingRecord(rec []byte) error {
 }
 
 // decodeEmbeddingBytes decodes one validated record written by
-// Embedding.Encode; bounds are guaranteed by NewTable's validation.
+// Embedding.appendRecord; bounds are guaranteed by Validate.
 func decodeEmbeddingBytes(rec []byte) *Embedding {
 	n := int(binary.LittleEndian.Uint32(rec[0:]))
 	nc := int(binary.LittleEndian.Uint32(rec[4:]))

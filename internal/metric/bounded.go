@@ -90,21 +90,14 @@ type StageCounter interface {
 	PruneStats() PruneStats
 }
 
-// EmbeddingPrimer is implemented by metrics that can adopt precomputed
-// per-graph filter embeddings (the default star metric does). The engine
-// primes the metric with the per-shard vectors carried by the index — built
-// or loaded — so threshold tests on far pairs resolve from the cached
-// vectors without ever materializing a star signature.
-type EmbeddingPrimer interface {
-	PrimeEmbeddings(base graph.ID, embs []*ged.Embedding)
-}
-
 // EmbeddingTablePrimer is implemented by metrics that can adopt a per-shard
-// embedding table in its encoded form (the default star metric does). An
-// engine that opens a mapped v4 index registers the table instead of eagerly
-// decoding every vector; the metric decodes records on first use. Decoded
-// vectors are identical to eagerly primed ones, so answers and stage
-// attribution are independent of the priming path.
+// embedding table in its encoded form (the default star metric does). The
+// engine primes the metric with every index part's table once, at open —
+// built or loaded — so threshold tests on far pairs resolve from the
+// vectors without ever materializing a star signature. The metric decodes a
+// record on first use; a graph no primed table covers (one inserted later)
+// gets the same vector from its star signature, so decisions and stage
+// attribution do not depend on which source supplied it.
 type EmbeddingTablePrimer interface {
 	PrimeEmbeddingTable(base graph.ID, tab *ged.Table)
 }
@@ -113,10 +106,10 @@ func (m *starMetric) boundedDecide(a, b graph.ID, theta float64) decision {
 	if a == b {
 		return decision{leq: 0 <= theta, pruned: true, lo: 0, hi: 0}
 	}
-	// Embedding-first: with both filter vectors cached (primed from a loaded
-	// index, or left behind by earlier sig materializations), a far pair is
-	// decided without touching the star signatures at all. The bound is then
-	// handed down so the threshold test does not re-scan the vectors.
+	// Embedding-first: with both filter vectors at hand (decoded from a
+	// primed table, or left behind by earlier sig materializations), a far
+	// pair is decided without touching the star signatures at all. The bound
+	// is then handed down so the threshold test does not re-scan the vectors.
 	// Signatures and vectors are snapshotted in one reader-lock round.
 	sa, sb, ea, eb := m.pairState(a, b)
 	lb := -1.0

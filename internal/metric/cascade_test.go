@@ -189,9 +189,10 @@ func TestCascadeTiersCrafted(t *testing.T) {
 	}
 }
 
-// Priming the metric with index-carried embeddings must let far pairs be
-// decided from the vectors alone — before any star signature exists — and
-// must attribute those decisions to the embedding stage.
+// Priming the metric with index-carried embedding tables — one per part,
+// as the engine primes them — must let far pairs be decided from the
+// vectors alone, before any star signature exists, and must attribute those
+// decisions to the embedding stage.
 func TestPrimedEmbeddingsDecideWithoutSigs(t *testing.T) {
 	db := testDB(t, 12, 21)
 	star := Star(db)
@@ -199,7 +200,13 @@ func TestPrimedEmbeddingsDecideWithoutSigs(t *testing.T) {
 	for i := range embs {
 		embs[i] = ged.NewEmbedding(db.Graph(graph.ID(i)))
 	}
-	star.(EmbeddingPrimer).PrimeEmbeddings(0, embs)
+	for _, part := range [][2]int{{0, 5}, {5, db.Len()}} {
+		tab, err := ged.NewTableFromEmbeddings(embs[part[0]:part[1]])
+		if err != nil {
+			t.Fatal(err)
+		}
+		star.(EmbeddingTablePrimer).PrimeEmbeddingTable(graph.ID(part[0]), tab)
+	}
 	sc := star.(StageCounter)
 	decided := 0
 	for a := graph.ID(0); int(a) < db.Len(); a++ {
@@ -217,5 +224,10 @@ func TestPrimedEmbeddingsDecideWithoutSigs(t *testing.T) {
 	}
 	if s := sc.PruneStats(); s.Embedding != int64(decided) {
 		t.Errorf("embedding stage decided %d of %d primed far-pair tests (%+v)", s.Embedding, decided, s)
+	}
+	for id, sig := range star.(*starMetric).sigs {
+		if sig != nil {
+			t.Errorf("graph %d's star signature was built; primed vectors should have decided alone", id)
+		}
 	}
 }

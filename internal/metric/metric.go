@@ -31,9 +31,9 @@ func (f Func) Distance(a, b graph.ID) float64 { return f(a, b) }
 // db, with per-graph star signatures computed lazily and cached. It is safe
 // for concurrent use and tolerates databases that grow via Append.
 //
-// Star also implements EmbeddingPrimer: an engine that loads a persisted
-// index hands the per-shard filter embeddings to the metric, so far pairs
-// are pruned from the cached vectors before any star decomposition happens.
+// Star also implements EmbeddingTablePrimer: an engine hands the metric each
+// index part's encoded embedding table, so far pairs are pruned from the
+// table's vectors before any star decomposition happens.
 func Star(db *graph.Database) Metric {
 	// sigs and embs start empty and grow to the accessed ID on demand (the
 	// same append-growth Insert relies on), so constructing the metric —
@@ -50,12 +50,12 @@ type starMetric struct {
 	mu sync.RWMutex
 	// sigs[id] is the lazily materialized star signature of id (nil until
 	// first needed); embs[id] is its filter embedding, available earlier when
-	// primed from a persisted index. Both guarded by mu.
+	// decoded from a primed table. Both guarded by mu.
 	sigs []*ged.StarSig
 	embs []*ged.Embedding
-	// tabs lists encoded embedding tables primed from a mapped index; a
-	// filter vector not yet in embs is decoded from its covering table on
-	// first use and cached. Guarded by mu (the table contents themselves are
+	// tabs lists the primed embedding tables, one per index part; a filter
+	// vector not yet in embs is decoded from its covering table on first use
+	// and cached. Guarded by mu (the table contents themselves are
 	// immutable).
 	tabs []tableRange
 	// gateWarmup is the adaptive greedy gate's warmup length, sized to the
@@ -123,9 +123,9 @@ func (m *starMetric) pairState(a, b graph.ID) (sa, sb *ged.StarSig, ea, eb *ged.
 	tabs := m.tabs
 	m.mu.RUnlock()
 	// Vectors primed as encoded tables decode on first use. The decoded value
-	// is identical to an eagerly primed one (the encoding round-trips), so
-	// threshold decisions and stage attribution do not depend on which priming
-	// path the engine used.
+	// is identical to the one a star signature computes (the encoding
+	// round-trips), so threshold decisions and stage attribution do not
+	// depend on which source supplied it.
 	if len(tabs) > 0 {
 		if ea == nil {
 			ea = m.tableEmb(tabs, a)
@@ -175,9 +175,9 @@ func (m *starMetric) tableEmb(tabs []tableRange, id graph.ID) *ged.Embedding {
 
 // PrimeEmbeddingTable implements EmbeddingTablePrimer: adopt an encoded
 // per-shard embedding table covering the contiguous ID range starting at
-// base. Unlike PrimeEmbeddings nothing is decoded up front; vectors
-// materialize lazily as pairs are tested, which is what keeps opening a
-// mapped index O(1) in the database size.
+// base. Nothing is decoded up front; vectors materialize lazily as pairs
+// are tested, which is what keeps opening a mapped index O(1) in the
+// database size.
 func (m *starMetric) PrimeEmbeddingTable(base graph.ID, tab *ged.Table) {
 	if tab == nil || tab.Len() == 0 {
 		return
@@ -185,29 +185,6 @@ func (m *starMetric) PrimeEmbeddingTable(base graph.ID, tab *ged.Table) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.tabs = append(m.tabs, tableRange{base: base, tab: tab})
-}
-
-// PrimeEmbeddings implements EmbeddingPrimer: adopt precomputed filter
-// vectors for the contiguous ID range starting at base. Vectors already
-// cached (from a sig materialization or an earlier prime) win — they are
-// identical by construction, so keeping the resident pointer avoids
-// aliasing churn. Nil entries are skipped.
-func (m *starMetric) PrimeEmbeddings(base graph.ID, embs []*ged.Embedding) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, e := range embs {
-		if e == nil {
-			continue
-		}
-		id := int(base) + i
-		for len(m.embs) <= id {
-			m.sigs = append(m.sigs, nil)
-			m.embs = append(m.embs, nil)
-		}
-		if m.embs[id] == nil {
-			m.embs[id] = e
-		}
-	}
 }
 
 // Distance implements Metric.

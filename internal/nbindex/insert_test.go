@@ -59,7 +59,10 @@ func TestInsertPreservesExactAnswers(t *testing.T) {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if err := ix.tree.Validate(db); err != nil {
+	if err := ix.flat.Validate(); err != nil {
+		t.Fatalf("tree invalid after inserts: %v", err)
+	}
+	if err := ix.flat.Covers(0, db.Len()); err != nil {
 		t.Fatalf("tree invalid after inserts: %v", err)
 	}
 	for i, theta := range thetas {
@@ -105,7 +108,10 @@ func TestInsertIntoSingletonIndex(t *testing.T) {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if err := ix.tree.Validate(db); err != nil {
+	if err := ix.flat.Validate(); err != nil {
+		t.Fatalf("tree invalid: %v", err)
+	}
+	if err := ix.flat.Covers(0, db.Len()); err != nil {
 		t.Fatalf("tree invalid: %v", err)
 	}
 	res, err := ix.NewSession(func([]float64) bool { return true }).TopK(1e9, 1)

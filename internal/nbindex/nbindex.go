@@ -36,18 +36,27 @@
 // pass-list length. The paper's batch updates (Theorems 6–8) are not
 // implemented: with lazy bounds they no longer change the work measurably,
 // so the tree keeps no node radii or diameters, the inputs they need.
+//
+// # One form
+//
+// An index part keeps each component in the one form the NBIDX004 format
+// stores and queries read: the vantage rows, the flat NB-Tree
+// (nbtree.Flat) and the encoded embedding table (ged.Table). A build writes
+// them on the heap; an open wraps views of the file; Insert grows either
+// kind in place, copying views before the first write; a save writes them
+// out as they are.
 package nbindex
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"graphrep/internal/bitset"
 	"graphrep/internal/core"
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
@@ -62,8 +71,6 @@ type Options struct {
 	// NumVPs is the number of vantage points (|V|). Choose via
 	// stats.MinVPsForFPR or default to a small constant.
 	NumVPs int
-	// VPPolicy selects the vantage point policy (default SelectRandom).
-	VPPolicy vantage.SelectionPolicy
 	// Branching is the NB-Tree fan-out b (≥ 2).
 	Branching int
 	// ThetaGrid lists the indexed thresholds, ascending (§7.1): the default
@@ -80,46 +87,37 @@ func DefaultOptions(grid []float64) Options {
 	return Options{NumVPs: 8, Branching: 4, ThetaGrid: grid}
 }
 
-// Index is an immutable NB-Index over a database — either the whole of it
+// Index is an NB-Index over a database — either the whole of it
 // (BuildContext, base 0) or one shard's contiguous ID range (BuildPartContext;
 // internal/shard coordinates several such parts). Build once per database;
-// relevance functions and θ are supplied at query time. It holds only what
-// queries, Insert and the load checks read: the vantage ordering, the tree
-// and the filter embeddings, plus the sketch rows derived from them. A
-// search reaches a graph from its leaf (the leaf's centroid), never the
-// other way, so there is no graph-to-leaf map.
+// relevance functions and θ are supplied at query time; Insert is the one
+// mutation. It holds only what queries, Insert and the load checks read:
+// the vantage ordering, the flat NB-Tree and the encoded embedding table,
+// plus the sketch rows derived from the table. A built index and one opened
+// from an NBIDX004 file hold these same structures, on the heap or as views
+// of the file. A search reaches a graph from its leaf (the leaf's centroid),
+// never the other way, so there is no graph-to-leaf map.
 type Index struct {
 	db *graph.Database
 	m  metric.Metric
 	vo *vantage.Ordering
-	// flat is the NB-Tree in array form — the representation every query
-	// navigates, whether the index was built in memory or opened over a
-	// mapping. Always set.
+	// flat is the NB-Tree every query navigates.
 	flat *nbtree.Flat
-	// tree is the pointer form, present when the index was built (or thawed
-	// for mutation); nil for view-backed indexes until something needs it.
-	// Tree() materializes it on demand from flat.
-	tree *nbtree.Tree
 	grid []float64
 	// base is the first graph ID covered; 0 for a full-database index.
 	base graph.ID
-	// embs[i] is the filter embedding of graph base+i: the precomputed
-	// vector whose L1-style lower bound opens the bounded distance cascade.
-	// Embeddings are a pure function of the graphs — independent of the
-	// metric and of whether the bounded kernel is enabled — so index bytes
-	// stay identical either way. Built indexes compute them; view-backed
-	// indexes carry embTab instead and leave embs nil until thawed.
-	embs []*ged.Embedding
-	// embTab is the encoded embedding table of a view-backed index (nil for
-	// built indexes): the same vectors as embs, decoded on demand by the
-	// metric instead of eagerly at load.
+	// embTab holds the filter embedding of graph base+i as record i: the
+	// vector whose L1-style lower bound opens the bounded distance cascade,
+	// decoded on demand by the metric. Embeddings are a pure function of the
+	// graphs — independent of the metric and of whether the bounded kernel
+	// is enabled — so index bytes stay identical either way.
 	embTab *ged.Table
 	// sketch holds one star-histogram sketch row per covered graph,
 	// ged.SketchWidth cells each (graph base+i at sketch[i*ged.SketchWidth:]):
-	// 50 bytes per graph, derived from the embeddings and never persisted.
-	// Built indexes compute the rows with their embeddings; view-backed
-	// indexes derive them from embTab in the deferred validation pass, which
-	// reads every record anyway, so every row exists once EnsureValid passed.
+	// 50 bytes per graph, derived from embTab and never persisted. A build
+	// derives the rows at once; a view-backed part derives them in the
+	// deferred validation pass, which reads every record anyway, so every row
+	// exists once EnsureValid passed.
 	sketch []uint16
 	// sketchFilter turns on the sketch test in every query's vantage pass.
 	// The sketch bounds the star distance only, so the engine turns it on
@@ -186,7 +184,7 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 	if numVPs > db.Len() {
 		numVPs = db.Len()
 	}
-	vps, err := vantage.SelectVPs(db, m, numVPs, opt.VPPolicy, rng)
+	vps, err := vantage.SelectVPs(db, m, numVPs, vantage.SelectRandom, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +226,7 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 	for i := range ids {
 		ids[i] = base + graph.ID(i)
 	}
-	tree, err := nbtree.BuildSubsetContext(ctx, db, m, ids,
+	flat, err := nbtree.BuildSubsetContext(ctx, db, m, ids,
 		nbtree.Options{Branching: branching, VO: vo, Workers: workers}, rng)
 	if err != nil {
 		return nil, err
@@ -238,8 +236,7 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 		db:      db,
 		m:       m,
 		vo:      vo,
-		flat:    tree.Flatten(),
-		tree:    tree,
+		flat:    flat,
 		grid:    append([]float64(nil), grid...),
 		base:    base,
 		workers: workers,
@@ -249,29 +246,32 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 			Total:   done.Sub(start),
 		},
 	}
-	if err := ix.computeEmbeddings(ctx, workers); err != nil {
+	embs := make([]*ged.Embedding, count)
+	// Each embedding is a pure function of its graph, so the fill
+	// parallelizes freely without affecting the table.
+	if err := pool.Ranges(ctx, count, workers, 16, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			embs[i] = ged.NewEmbedding(db.Graph(base + graph.ID(i)))
+		}
+	}); err != nil {
 		return nil, err
 	}
+	if ix.embTab, err = ged.NewTableFromEmbeddings(embs); err != nil {
+		return nil, err
+	}
+	ix.extendSketch()
 	return ix, nil
 }
 
-// computeEmbeddings fills embs from the database graphs at build time. Each
-// row is a pure function of its graph, so the fill parallelizes freely
-// without affecting the result.
-func (ix *Index) computeEmbeddings(ctx context.Context, workers int) error {
-	embs := make([]*ged.Embedding, ix.vo.Len())
-	sketch := make([]uint16, len(embs)*ged.SketchWidth)
-	if err := pool.Ranges(ctx, len(embs), workers, 16, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			embs[i] = ged.NewEmbedding(ix.db.Graph(ix.base + graph.ID(i)))
-			// Appending to the empty slice capped at row i fills row i in place.
-			embs[i].AppendSketch(sketch[i*ged.SketchWidth : i*ged.SketchWidth : (i+1)*ged.SketchWidth])
-		}
-	}); err != nil {
-		return err
+// extendSketch appends the sketch rows of the table records that have none
+// yet — every record after a build or a load's validation, the new one after
+// an Insert — read from the encoded records.
+func (ix *Index) extendSketch() {
+	have := len(ix.sketch) / ged.SketchWidth
+	ix.sketch = slices.Grow(ix.sketch, (ix.embTab.Len()-have)*ged.SketchWidth)
+	for i := have; i < ix.embTab.Len(); i++ {
+		ix.sketch = ix.embTab.AppendSketch(i, ix.sketch)
 	}
-	ix.embs, ix.sketch = embs, sketch
-	return nil
 }
 
 // UseSketchFilter turns on the sketch test in every later query's vantage
@@ -281,44 +281,21 @@ func (ix *Index) computeEmbeddings(ctx context.Context, workers int) error {
 // concurrently with queries.
 func (ix *Index) UseSketchFilter() { ix.sketchFilter = true }
 
-// Embeddings returns the per-graph filter embeddings, indexed by covered
-// graph ID minus Base(). The engine hands them to the metric
-// (metric.EmbeddingPrimer) so threshold tests on far pairs resolve from the
-// cached vectors without materializing star signatures. Nil for view-backed
-// indexes, which carry EmbeddingTable instead.
-func (ix *Index) Embeddings() []*ged.Embedding { return ix.embs }
-
-// PartFromViews assembles an index part from persisted components — typically
-// zero-copy views over one shard's v4 sections: the vantage ordering (see
-// vantage.FromViews), the flat NB-Tree (see nbtree.NewFlat) and the encoded
-// embedding table. Beyond what the component constructors already
-// guarantee, it validates the cross-component invariants queries lean on:
-// the tree covers exactly the ordering's range (root size, every centroid in
-// range), its leaves hold every covered graph exactly once (as many leaves
-// as graphs, no graph under two), and the embedding table matches the
-// database graph for graph (record count and per-record star count). The
-// validation also derives the part's sketch rows from the embedding table.
-// The components are retained, not copied; grid is copied. It is
-// PartFromViewsDeferred followed immediately by EnsureValid.
-func PartFromViews(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, embTab *ged.Table, workers int) (*Index, error) {
-	ix, err := PartFromViewsDeferred(db, m, vo, flat, grid, embTab, workers)
-	if err != nil {
-		return nil, err
-	}
-	if err := ix.EnsureValid(); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// PartFromViewsDeferred is PartFromViews minus the O(count) content scans:
-// the shape invariants (grid ascending, range within the database, root
-// size, claimed leaf count, array lengths) are checked now, in O(grid), and
-// the content scans — the components' own deferred Validates plus the
-// cross-component loops — run once on first use, via EnsureValid. Sessions
-// and Insert call EnsureValid themselves, so a part whose content never
-// validated cannot be navigated; this is what keeps a mapped open's cost
-// independent of index size.
+// PartFromViewsDeferred assembles an index part from persisted components —
+// typically zero-copy views over one shard's v4 sections: the vantage
+// ordering (vantage.FromViewsDeferred), the flat NB-Tree
+// (nbtree.NewFlatDeferred) and the encoded embedding table
+// (ged.NewTableDeferred). The shape invariants (grid ascending, range within
+// the database, root size, claimed leaf count, array lengths) are checked
+// now, in O(grid). The content scans run once on first use, via
+// EnsureValid: the components' own Validates, the tree's coverage of the
+// ordering's range (every centroid in range, every covered graph under
+// exactly one leaf), and the embedding table matching the database graph
+// for graph (per-record star count); that pass also derives the part's
+// sketch rows from the table. Sessions and Insert call EnsureValid
+// themselves, so a part whose content never validated cannot be navigated;
+// this is what keeps a mapped open's cost independent of index size. The
+// components are retained, not copied; grid is copied.
 func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, embTab *ged.Table, workers int) (*Index, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("nbindex: empty theta grid")
@@ -356,9 +333,8 @@ func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Orde
 	return ix, nil
 }
 
-// validateViews is the deferred content scan of a view-backed part: the
-// component Validates plus the cross-component loops PartFromViews
-// documents. Runs once, via EnsureValid.
+// validateViews is the deferred content scan of a view-backed part, as
+// PartFromViewsDeferred documents it. Runs once, via EnsureValid.
 func (ix *Index) validateViews() error {
 	if err := ix.vo.Validate(); err != nil {
 		return err
@@ -366,43 +342,28 @@ func (ix *Index) validateViews() error {
 	if err := ix.flat.Validate(); err != nil {
 		return err
 	}
+	base, count := ix.base, ix.vo.Len()
+	if err := ix.flat.Covers(base, count); err != nil {
+		return err
+	}
 	if err := ix.embTab.Validate(); err != nil {
 		return err
 	}
-	base, count, flat := ix.base, ix.vo.Len(), ix.flat
-	// The tree has exactly count leaves (checked at assembly and by
-	// flat.Validate), so distinct leaf graphs put every covered graph under
-	// exactly one leaf.
-	inLeaf := bitset.New(count)
-	for i, c := range flat.Centroids {
-		if c < base || int(c-base) >= count {
-			return fmt.Errorf("nbindex: node %d centroid %d outside covered range [%d, %d)", i, c, base, int(base)+count)
-		}
-		if !flat.Leaf(int32(i)) {
-			continue
-		}
-		if inLeaf.Contains(int(c - base)) {
-			return fmt.Errorf("nbindex: leaf node %d repeats graph %d", i, c)
-		}
-		inLeaf.Add(int(c - base))
-	}
-	sketch := make([]uint16, 0, count*ged.SketchWidth)
 	for i := 0; i < count; i++ {
 		if order := ix.db.Graph(base + graph.ID(i)).Order(); ix.embTab.Stars(i) != order {
 			return fmt.Errorf("nbindex: embedding %d has %d stars, graph %d has %d vertices",
 				i, ix.embTab.Stars(i), int(base)+i, order)
 		}
-		sketch = ix.embTab.AppendSketch(i, sketch)
 	}
-	ix.sketch = sketch
+	ix.extendSketch()
 	return nil
 }
 
 // EnsureValid runs a deferred content validation (PartFromViewsDeferred)
-// exactly once and returns its verdict — nil for indexes built in memory or
-// loaded through eagerly-validating paths. Safe for concurrent callers;
-// sessions and Insert call it before the first navigation, so corrupt
-// content surfaces as an error there rather than as a fault mid-query.
+// exactly once and returns its verdict — nil for indexes built in memory.
+// Safe for concurrent callers; sessions and Insert call it before the first
+// navigation, so corrupt content surfaces as an error there rather than as a
+// fault mid-query.
 func (ix *Index) EnsureValid() error {
 	ix.checkOnce.Do(func() {
 		if ix.deferredCheck != nil {
@@ -424,9 +385,13 @@ func (ix *Index) SetWorkers(w int) { ix.workers = w }
 // Insert extends the index with a graph already appended to the database
 // (its ID must be the database's last, and this index must be the one whose
 // range ends there — the last shard, in sharded deployments). Costs |V|
-// vantage distances plus a tree descent. Sessions created before an Insert
-// do not see the new graph; create a fresh Session afterwards. Not safe
-// concurrently with queries.
+// vantage distances plus a tree descent; the graph's embedding joins the
+// table as one new record, and its sketch row follows. View-backed parts
+// grow copy-on-write: the flat tree copies its arrays on the first Insert,
+// and the ordering's and the table's appends reallocate views (which have
+// no spare capacity), so a mapping is never written. Sessions created before an Insert do not see the new
+// graph; create a fresh Session afterwards. Not safe concurrently with
+// queries.
 func (ix *Index) Insert(id graph.ID) error {
 	if err := ix.EnsureValid(); err != nil {
 		return err
@@ -437,55 +402,20 @@ func (ix *Index) Insert(id graph.ID) error {
 	if int(id-ix.base) != ix.vo.Len() {
 		return fmt.Errorf("nbindex: inserting id %d, index covers [%d, %d)", id, ix.base, int(ix.base)+ix.vo.Len())
 	}
-	ix.thaw()
+	tab, err := ix.embTab.Append(ged.NewEmbedding(ix.db.Graph(id)))
+	if err != nil {
+		return err
+	}
 	if err := ix.vo.Insert(id, ix.m); err != nil {
 		return err
 	}
-	ix.tree.Insert(id, ix.m)
-	emb := ged.NewEmbedding(ix.db.Graph(id))
-	ix.embs = append(ix.embs, emb)
-	ix.sketch = emb.AppendSketch(ix.sketch)
-	// The flat form queries navigate is re-derived last, so it always
-	// reflects the mutated tree.
-	ix.flat = ix.tree.Flatten()
+	ix.flat.Insert(id, ix.m)
+	ix.embTab = tab
+	ix.extendSketch()
 	return nil
 }
 
-// thaw moves a view-backed index fully onto the heap so it can be mutated:
-// the pointer tree is rebuilt from the flat form and the encoded embedding
-// table is decoded into the eager slice. Built indexes are already
-// heap-resident, so thaw is a no-op for them. Vantage rows need no thaw:
-// views are handed out with cap == len, so the ordering's appends and its
-// sorted insertion reallocate first.
-func (ix *Index) thaw() {
-	if ix.tree == nil {
-		ix.tree = ix.flat.Rebuild()
-	}
-	if ix.embTab != nil {
-		if ix.embs == nil {
-			embs := make([]*ged.Embedding, ix.embTab.Len())
-			for i := range embs {
-				embs[i] = ix.embTab.At(i)
-			}
-			ix.embs = embs
-		}
-		ix.embTab = nil
-	}
-}
-
-// Tree exposes the underlying NB-Tree in pointer form, materializing it from
-// the flat representation if the index was opened over a mapping. Queries
-// never call this — they navigate Flat — so view-backed indexes pay the
-// rebuild only when something genuinely needs pointer nodes (inspection and
-// tests). Not safe concurrently with itself or with Insert.
-func (ix *Index) Tree() *nbtree.Tree {
-	if ix.tree == nil {
-		ix.tree = ix.flat.Rebuild()
-	}
-	return ix.tree
-}
-
-// Flat exposes the array form of the NB-Tree every query navigates.
+// Flat exposes the NB-Tree every query navigates (read-only).
 func (ix *Index) Flat() *nbtree.Flat { return ix.flat }
 
 // VO exposes the vantage orderings (read-only).
@@ -500,23 +430,17 @@ func (ix *Index) Base() graph.ID { return ix.base }
 // Count returns the number of graphs the index covers.
 func (ix *Index) Count() int { return ix.vo.Len() }
 
-// EmbeddingTable returns the encoded embedding table of a view-backed index,
-// or nil when the embeddings live decoded on the heap (see Embeddings).
+// EmbeddingTable returns the encoded embedding table, record i holding the
+// filter embedding of graph Base()+i (read-only). The engine primes the
+// metric with it.
 func (ix *Index) EmbeddingTable() *ged.Table { return ix.embTab }
 
 // Bytes approximates the index memory footprint: vantage orderings, the
-// NB-Tree (Fig. 6(l)), and the filter embeddings — encoded table or decoded
-// vectors, whichever form this index carries. The derived sketch rows, 50
-// bytes per graph, are not counted.
+// NB-Tree (Fig. 6(l)) and the encoded embedding table — the same figure for
+// a built index and for the index reopened from its file. The derived
+// sketch rows, 50 bytes per graph, are not counted.
 func (ix *Index) Bytes() int64 {
-	b := ix.vo.Bytes() + ix.flat.Bytes()
-	if ix.embTab != nil {
-		return b + ix.embTab.Bytes()
-	}
-	for _, e := range ix.embs {
-		b += e.Bytes()
-	}
-	return b
+	return ix.vo.Bytes() + ix.flat.Bytes() + ix.embTab.Bytes()
 }
 
 // Session is the initialization phase for one relevance function over a

@@ -248,9 +248,17 @@ func TestCandidateListsMatchBruteForce(t *testing.T) {
 	for k, id := range rel {
 		key[id] = int32(k)
 	}
+	embs := make([]*ged.Embedding, db.Len())
+	for i := range embs {
+		embs[i] = ged.NewEmbedding(db.Graph(graph.ID(i)))
+	}
+	tab, err := ged.NewTableFromEmbeddings(embs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sketches := make([][]uint16, db.Len())
 	for i := range sketches {
-		sketches[i] = ged.NewEmbedding(db.Graph(graph.ID(i))).AppendSketch(nil)
+		sketches[i] = tab.AppendSketch(i, nil)
 	}
 	ctx := context.Background()
 	sketchDropped := 0
@@ -542,14 +550,17 @@ func TestAccessorsAndFootprint(t *testing.T) {
 	db, m := clusteredDB(t, 3, 6, 18)
 	grid := []float64{2, 8}
 	ix := buildIndex(t, db, m, grid, 19)
-	if ix.Tree() == nil || ix.VO() == nil {
+	if ix.Flat() == nil || ix.VO() == nil || ix.EmbeddingTable() == nil {
 		t.Fatal("nil components")
+	}
+	if ix.EmbeddingTable().Len() != db.Len() {
+		t.Errorf("embedding table holds %d records for %d graphs", ix.EmbeddingTable().Len(), db.Len())
 	}
 	if !reflect.DeepEqual(ix.Grid(), grid) {
 		t.Errorf("Grid = %v", ix.Grid())
 	}
-	if ix.Bytes() <= 0 {
-		t.Error("Bytes <= 0")
+	if want := ix.VO().Bytes() + ix.Flat().Bytes() + ix.EmbeddingTable().Bytes(); ix.Bytes() != want {
+		t.Errorf("Bytes = %d, want %d (ordering + tree + table)", ix.Bytes(), want)
 	}
 	sess := ix.NewSession(func([]float64) bool { return true })
 	if sess.RelevantCount() != db.Len() {
@@ -564,7 +575,12 @@ func TestMoreVPsNeverHurtCandidateCounts(t *testing.T) {
 	relevance := func(f []float64) bool { return f[0] > 0.25 }
 	run := func(numVPs int) int {
 		m := metric.NewCache(base)
-		ix, err := Build(db, m, Options{NumVPs: numVPs, VPPolicy: vantage.SelectMaxMin, Branching: 4, ThetaGrid: []float64{2, 4, 8, 16, 64}}, rand.New(rand.NewSource(21)))
+		rng := rand.New(rand.NewSource(21))
+		vps, err := vantage.SelectVPs(db, m, numVPs, vantage.SelectMaxMin, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := BuildPartContext(context.Background(), db, m, vps, []float64{2, 4, 8, 16, 64}, 0, db.Len(), 4, 0, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

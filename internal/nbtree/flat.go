@@ -2,17 +2,22 @@ package nbtree
 
 import (
 	"fmt"
+	"slices"
 
+	"graphrep/internal/bitset"
 	"graphrep/internal/graph"
+	"graphrep/internal/metric"
 )
 
-// Flat is the NB-Tree as parallel arrays indexed by node index — the
-// representation the v4 index format stores and the query path navigates.
-// First-child/next-sibling links replace child pointer slices; both links
-// point strictly forward (children always have larger indices than their
-// parent, for preorder-built and insert-appended trees alike), so every walk
-// terminates. A Flat built over mapped sections serves queries directly from
-// the mapping; one built by Flatten aliases nothing.
+// Flat is the NB-Tree as parallel arrays indexed by node index: the one
+// form of the tree, which the builder writes, Insert extends, the v4 index
+// format stores and every query navigates. First-child/next-sibling links
+// replace child pointer slices; both links point strictly forward (children
+// always have larger indices than their parent, for preorder-built and
+// insert-appended trees alike), so every walk terminates, and each child
+// chain runs in ascending index order. A Flat assembled over mapped
+// sections (NewFlatDeferred) serves queries directly from the mapping; one
+// built by Build aliases nothing.
 //
 // All slices have identical length. Leaves[i] is 1 for single-graph leaves,
 // 0 otherwise; FirstChild/NextSibling/Parents use -1 for "none".
@@ -23,82 +28,22 @@ type Flat struct {
 	NextSibling []int32
 	Sizes       []int32
 	Leaves      []byte
-	stats       BuildStats
+	// owned reports that the arrays are heap memory this tree may write:
+	// true when Build made them, false for caller-provided views until the
+	// first Insert copies them.
+	owned bool
+	stats BuildStats
 }
 
-// Flatten converts the pointer tree into its array form. The result passes
-// NewFlat validation and shares no memory with the tree.
-func (t *Tree) Flatten() *Flat {
-	n := len(t.nodes)
-	f := &Flat{
-		Centroids:   make([]graph.ID, n),
-		Parents:     make([]int32, n),
-		FirstChild:  make([]int32, n),
-		NextSibling: make([]int32, n),
-		Sizes:       make([]int32, n),
-		Leaves:      make([]byte, n),
-		stats:       t.stats,
-	}
-	// Links default to -1 up front: parents have smaller indices than their
-	// children, so setting the default inside the main loop would clobber
-	// sibling links the parent's iteration already wrote.
-	for i := range f.FirstChild {
-		f.FirstChild[i] = -1
-		f.NextSibling[i] = -1
-	}
-	for i, nd := range t.nodes {
-		f.Centroids[i] = nd.Centroid
-		f.Sizes[i] = int32(nd.Size)
-		if nd.Leaf {
-			f.Leaves[i] = 1
-		}
-		if nd.Parent != nil {
-			f.Parents[i] = int32(nd.Parent.Idx)
-		} else {
-			f.Parents[i] = -1
-		}
-		if len(nd.Children) > 0 {
-			f.FirstChild[i] = int32(nd.Children[0].Idx)
-			for j := 0; j+1 < len(nd.Children); j++ {
-				f.NextSibling[nd.Children[j].Idx] = int32(nd.Children[j+1].Idx)
-			}
-		}
-	}
-	return f
-}
-
-// NewFlat assembles a Flat from its component arrays (typically zero-copy
-// views over a v4 index section) after validating every structural invariant
-// a query walk relies on: equal lengths, a single root at index 0, parent
-// links that point strictly backward, child/sibling links that point strictly
-// forward to nodes with the right parent, every non-root node appearing in
-// exactly one child chain, leaf flags consistent with fan-out, and sizes that
-// sum bottom-up. Centroid range checks are the caller's job (the valid ID
-// range is not known here). stats.Nodes and stats.Leaves are recomputed, not
-// trusted. The arrays are retained, not copied.
-func NewFlat(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int32, leaves []byte, stats BuildStats) (*Flat, error) {
-	leafCount := 0
-	for _, l := range leaves {
-		if l == 1 {
-			leafCount++
-		}
-	}
-	stats.Leaves = leafCount
-	f, err := NewFlatDeferred(centroids, parents, firstChild, nextSibling, sizes, leaves, stats)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// NewFlatDeferred is NewFlat minus the O(n) structural walk: it checks only
-// the array lengths and the root's parent, records stats (whose Leaves field
-// is the caller's claim, e.g. from persisted metadata), and defers Validate
-// to the caller. The tree must not be navigated until Validate — which also
-// checks the claimed leaf count — has passed.
+// NewFlatDeferred assembles a Flat from its component arrays, typically
+// zero-copy views over a v4 index section. It checks only the array lengths
+// and the root's parent, records stats (whose Leaves field is the caller's
+// claim, e.g. from persisted metadata; Nodes is the array length), and
+// defers the O(n) structural walk to Validate. The tree must not be
+// navigated until Validate — which also checks the claimed leaf count — has
+// passed. The arrays are retained, not copied; Insert copies them before
+// its first write. Centroid range checks are Covers' job (the valid ID
+// range is not known here).
 func NewFlatDeferred(centroids []graph.ID, parents, firstChild, nextSibling, sizes []int32, leaves []byte, stats BuildStats) (*Flat, error) {
 	n := len(centroids)
 	if n == 0 {
@@ -192,6 +137,98 @@ func (f *Flat) Validate() error {
 	return nil
 }
 
+// Covers checks that the tree holds exactly the graphs [base, base+count):
+// every centroid lies in that range, and there are count leaves holding
+// distinct graphs, so each graph of the range sits under exactly one leaf.
+// Run it after Validate on a tree whose arrays came from outside.
+func (f *Flat) Covers(base graph.ID, count int) error {
+	inLeaf := bitset.New(count)
+	leaves := 0
+	for i, c := range f.Centroids {
+		if c < base || int(c-base) >= count {
+			return fmt.Errorf("nbtree: node %d centroid %d outside covered range [%d, %d)", i, c, base, int(base)+count)
+		}
+		if f.Leaves[i] != 1 {
+			continue
+		}
+		if inLeaf.Contains(int(c - base)) {
+			return fmt.Errorf("nbtree: leaf node %d repeats graph %d", i, c)
+		}
+		inLeaf.Add(int(c - base))
+		leaves++
+	}
+	if leaves != count {
+		return fmt.Errorf("nbtree: tree has %d leaves for %d graphs", leaves, count)
+	}
+	return nil
+}
+
+// Insert adds a newly appended database graph to the tree: it descends to
+// the closest leaf-level cluster, appends a new leaf there, and grows the
+// sizes along the path. At each level it computes the distance from id to
+// every non-leaf child's centroid, in child-chain order, and counts each in
+// Stats().ExactDistances. Fan-out may temporarily exceed the build-time
+// branching factor; rebuild periodically if insert volume is high. Arrays
+// that are views (NewFlatDeferred) are copied onto the heap before the
+// first write, so a mapping is never written. Not safe concurrently with
+// reads.
+func (f *Flat) Insert(id graph.ID, m metric.Metric) {
+	if !f.owned {
+		f.Centroids = slices.Clone(f.Centroids)
+		f.Parents = slices.Clone(f.Parents)
+		f.FirstChild = slices.Clone(f.FirstChild)
+		f.NextSibling = slices.Clone(f.NextSibling)
+		f.Sizes = slices.Clone(f.Sizes)
+		f.Leaves = slices.Clone(f.Leaves)
+		f.owned = true
+	}
+	if f.Leaves[0] == 1 {
+		// Single-graph tree: grow a root cluster over both.
+		old := f.Centroids[0]
+		f.Centroids = []graph.ID{old, old, id}
+		f.Parents = []int32{-1, 0, 0}
+		f.FirstChild = []int32{1, -1, -1}
+		f.NextSibling = []int32{-1, 2, -1}
+		f.Sizes = []int32{2, 1, 1}
+		f.Leaves = []byte{0, 1, 1}
+		f.stats.Nodes = 3
+		f.stats.Leaves++
+		return
+	}
+	n := int32(0)
+	for {
+		f.Sizes[n]++
+		// Stop at a node whose children are leaves; otherwise descend into
+		// the child cluster with the closest centroid.
+		best, bestD, last := int32(-1), 0.0, int32(-1)
+		for c := f.FirstChild[n]; c != -1; c = f.NextSibling[c] {
+			last = c
+			if f.Leaves[c] == 1 {
+				continue
+			}
+			dc := m.Distance(f.Centroids[c], id)
+			f.stats.ExactDistances++
+			if best == -1 || dc < bestD {
+				best, bestD = c, dc
+			}
+		}
+		if best == -1 {
+			leaf := int32(len(f.Centroids))
+			f.Centroids = append(f.Centroids, id)
+			f.Parents = append(f.Parents, n)
+			f.FirstChild = append(f.FirstChild, -1)
+			f.NextSibling = append(f.NextSibling, -1)
+			f.Sizes = append(f.Sizes, 1)
+			f.Leaves = append(f.Leaves, 1)
+			f.NextSibling[last] = leaf
+			f.stats.Nodes++
+			f.stats.Leaves++
+			return
+		}
+		n = best
+	}
+}
+
 // Len returns the number of nodes.
 func (f *Flat) Len() int { return len(f.Centroids) }
 
@@ -205,29 +242,4 @@ func (f *Flat) Stats() BuildStats { return f.stats }
 func (f *Flat) Bytes() int64 {
 	n := int64(f.Len())
 	return n * (4 + 4 + 4 + 4 + 4 + 1)
-}
-
-// Rebuild reconstructs the pointer tree. Children are appended in ascending
-// node index, which reproduces the original child order for both
-// preorder-built trees and trees grown by Insert (appended leaves always get
-// the largest index). Used to thaw a mapped tree before mutation.
-func (f *Flat) Rebuild() *Tree {
-	n := f.Len()
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = &Node{
-			Idx:      i,
-			Centroid: f.Centroids[i],
-			Size:     int(f.Sizes[i]),
-			Leaf:     f.Leaves[i] == 1,
-		}
-	}
-	for i := 0; i < n; i++ {
-		if p := f.Parents[i]; p != -1 {
-			parent := nodes[p]
-			nodes[i].Parent = parent
-			parent.Children = append(parent.Children, nodes[i])
-		}
-	}
-	return &Tree{root: nodes[0], nodes: nodes, stats: f.stats}
 }

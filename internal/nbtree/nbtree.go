@@ -8,6 +8,11 @@
 // queries here bound leaves lazily instead (internal/nbindex), so neither
 // is computed.
 //
+// The tree has one form, Flat: parallel arrays in DFS preorder, which the
+// builder writes directly, Insert extends in place, the NBIDX004 index
+// format stores, and every query walks — over heap arrays or over views of
+// a mapped file alike.
+//
 // Construction can be accelerated with vantage orderings: the vantage lower
 // bound discards pivot/graph pairs that cannot improve the current closest
 // pivot, so exact distances are computed for only a small minority of pairs
@@ -40,28 +45,6 @@ type Options struct {
 	Workers int
 }
 
-// Node is one cluster in the NB-Tree. Leaves represent single graphs
-// (Centroid = the graph itself).
-type Node struct {
-	// Idx is the node's position in Tree.Nodes(), assigned in DFS preorder.
-	// Query-time state (leaf bounds) is kept in arrays indexed by Idx.
-	Idx      int
-	Centroid graph.ID
-	Children []*Node
-	Parent   *Node
-	// Size is the number of graphs in the subtree.
-	Size int
-	// Leaf marks single-graph nodes; for those Centroid is the graph.
-	Leaf bool
-}
-
-// Tree is an immutable NB-Tree over a database.
-type Tree struct {
-	root  *Node
-	nodes []*Node
-	stats BuildStats
-}
-
 // BuildStats reports how much work construction did.
 type BuildStats struct {
 	// ExactDistances is the number of exact distance computations issued.
@@ -74,7 +57,7 @@ type BuildStats struct {
 }
 
 // Build clusters db into an NB-Tree with no cancellation. See BuildContext.
-func Build(db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Tree, error) {
+func Build(db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Flat, error) {
 	return BuildContext(context.Background(), db, m, opt, rng)
 }
 
@@ -83,7 +66,7 @@ func Build(db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*T
 // Cancellation is checked at every cluster boundary and between distance
 // chunks inside a partition; a cancelled build returns ctx.Err() with no
 // partial tree.
-func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Tree, error) {
+func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Flat, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("nbtree: empty database")
 	}
@@ -98,7 +81,7 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 // NB-Tree — a shard's contiguous ID range, say. The clustering machinery is
 // identical to BuildContext (which is the full-subset special case); opt.VO
 // only needs to cover the subset's IDs. The ids slice is not retained.
-func BuildSubsetContext(ctx context.Context, db *graph.Database, m metric.Metric, ids []graph.ID, opt Options, rng *rand.Rand) (*Tree, error) {
+func BuildSubsetContext(ctx context.Context, db *graph.Database, m metric.Metric, ids []graph.ID, opt Options, rng *rand.Rand) (*Flat, error) {
 	if opt.Branching < 2 {
 		return nil, fmt.Errorf("nbtree: branching factor %d < 2", opt.Branching)
 	}
@@ -106,81 +89,28 @@ func BuildSubsetContext(ctx context.Context, db *graph.Database, m metric.Metric
 		return nil, fmt.Errorf("nbtree: empty subset")
 	}
 	b := &builder{ctx: ctx, db: db, m: m, opt: opt, rng: rng}
-	root, err := b.build(append([]graph.ID(nil), ids...))
-	if err != nil {
+	if err := b.build(append([]graph.ID(nil), ids...), -1); err != nil {
 		return nil, err
 	}
-	t := &Tree{root: root, stats: b.snapshotStats()}
-	t.index(root, nil)
-	t.stats.Nodes = len(t.nodes)
-	for _, n := range t.nodes {
-		if n.Leaf {
-			t.stats.Leaves++
-		}
-	}
-	return t, nil
+	return &Flat{
+		Centroids:   b.centroids,
+		Parents:     b.parents,
+		FirstChild:  b.firstChild,
+		NextSibling: b.nextSibling,
+		Sizes:       b.sizes,
+		Leaves:      b.leaves,
+		owned:       true,
+		stats: BuildStats{
+			ExactDistances:  b.exact.Load(),
+			PrunedDistances: b.pruned.Load(),
+			Nodes:           len(b.centroids),
+			Leaves:          b.leafCount,
+		},
+	}, nil
 }
 
-// Root returns the root cluster (the whole database).
-func (t *Tree) Root() *Node { return t.root }
-
-// Nodes returns all nodes in DFS preorder; Node.Idx indexes this slice.
-func (t *Tree) Nodes() []*Node { return t.nodes }
-
-// Stats returns construction statistics.
-func (t *Tree) Stats() BuildStats { return t.stats }
-
-// Height returns the height of the tree (a single leaf has height 0).
-func (t *Tree) Height() int { return height(t.root) }
-
-func height(n *Node) int {
-	h := 0
-	for _, c := range n.Children {
-		if ch := height(c) + 1; ch > h {
-			h = ch
-		}
-	}
-	return h
-}
-
-// Bytes approximates the memory footprint of the tree structure (the
-// NB-Tree component of the paper's storage cost analysis).
-func (t *Tree) Bytes() int64 {
-	// Node: idx + centroid + size + leaf + child/parent pointers.
-	var bytes int64
-	for _, n := range t.nodes {
-		bytes += 48 + int64(len(n.Children))*8
-	}
-	return bytes
-}
-
-// VisitGraphs calls fn for every graph in n's subtree.
-func (n *Node) VisitGraphs(fn func(graph.ID)) {
-	if n.Leaf {
-		fn(n.Centroid)
-		return
-	}
-	for _, c := range n.Children {
-		c.VisitGraphs(fn)
-	}
-}
-
-// Graphs returns the graphs in n's subtree.
-func (n *Node) Graphs() []graph.ID {
-	out := make([]graph.ID, 0, n.Size)
-	n.VisitGraphs(func(id graph.ID) { out = append(out, id) })
-	return out
-}
-
-func (t *Tree) index(n *Node, parent *Node) {
-	n.Idx = len(t.nodes)
-	n.Parent = parent
-	t.nodes = append(t.nodes, n)
-	for _, c := range n.Children {
-		t.index(c, n)
-	}
-}
-
+// builder clusters recursively and writes each node into the flat arrays
+// as it reaches it, which is DFS preorder.
 type builder struct {
 	ctx context.Context
 	db  *graph.Database
@@ -191,10 +121,12 @@ type builder struct {
 	// a worker pool; the pruning decisions themselves depend only on state
 	// each index owns, so both totals are deterministic for any worker count.
 	exact, pruned atomic.Int64
-}
-
-func (b *builder) snapshotStats() BuildStats {
-	return BuildStats{ExactDistances: b.exact.Load(), PrunedDistances: b.pruned.Load()}
+	// The tree so far, one entry per node (see Flat). lastChild[i] is the
+	// end of node i's child chain, where its next child is linked.
+	centroids                                          []graph.ID
+	parents, firstChild, nextSibling, sizes, lastChild []int32
+	leaves                                             []byte
+	leafCount                                          int
 }
 
 // dist issues an exact distance computation and counts it.
@@ -203,32 +135,60 @@ func (b *builder) dist(a, c graph.ID) float64 {
 	return b.m.Distance(a, c)
 }
 
+// node appends a node under parent (−1 for the root), last in the parent's
+// child chain, and returns its index.
+func (b *builder) node(centroid graph.ID, size int, leaf bool, parent int32) int32 {
+	i := int32(len(b.centroids))
+	b.centroids = append(b.centroids, centroid)
+	b.parents = append(b.parents, parent)
+	b.firstChild = append(b.firstChild, -1)
+	b.nextSibling = append(b.nextSibling, -1)
+	b.lastChild = append(b.lastChild, -1)
+	b.sizes = append(b.sizes, int32(size))
+	flag := byte(0)
+	if leaf {
+		flag = 1
+		b.leafCount++
+	}
+	b.leaves = append(b.leaves, flag)
+	if parent >= 0 {
+		if prev := b.lastChild[parent]; prev == -1 {
+			b.firstChild[parent] = i
+		} else {
+			b.nextSibling[prev] = i
+		}
+		b.lastChild[parent] = i
+	}
+	return i
+}
+
 // partitionChunk sizes the parallel distance fills: clusters at or below it
 // run inline, so the deep, small tail of the recursion pays no goroutine
 // overhead.
 const partitionChunk = 32
 
-// build clusters ids into a node. len(ids) ≥ 1.
-func (b *builder) build(ids []graph.ID) (*Node, error) {
+// build clusters ids into a node under parent. len(ids) ≥ 1.
+func (b *builder) build(ids []graph.ID, parent int32) error {
 	if err := b.ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if len(ids) == 1 {
-		return &Node{Centroid: ids[0], Size: 1, Leaf: true}, nil
+		b.node(ids[0], 1, true, parent)
+		return nil
 	}
 	pivots, assign, err := b.partition(ids)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	node := &Node{Size: len(ids), Centroid: pivots[0]}
+	n := b.node(pivots[0], len(ids), false, parent)
 	if len(pivots) == 1 {
 		// Degenerate cluster: every member coincides with the pivot
 		// (distance 0). Recursing would not shrink the cluster, so emit the
 		// members directly as leaves.
 		for _, id := range ids {
-			node.Children = append(node.Children, &Node{Centroid: id, Size: 1, Leaf: true})
+			b.node(id, 1, true, n)
 		}
-		return node, nil
+		return nil
 	}
 	for p := range pivots {
 		var sub []graph.ID
@@ -240,13 +200,11 @@ func (b *builder) build(ids []graph.ID) (*Node, error) {
 		if len(sub) == 0 {
 			continue
 		}
-		child, err := b.build(sub)
-		if err != nil {
-			return nil, err
+		if err := b.build(sub, n); err != nil {
+			return err
 		}
-		node.Children = append(node.Children, child)
 	}
-	return node, nil
+	return nil
 }
 
 // partition chooses up to b pivots farthest-first and assigns every id to
@@ -312,89 +270,4 @@ func (b *builder) partition(ids []graph.ID) (pivots []graph.ID, assign []int, er
 		}
 	}
 	return pivots, assign, nil
-}
-
-// Insert adds a newly appended database graph to the tree: it descends to
-// the closest leaf-level cluster, appends a new leaf there, and grows the
-// sizes along the path. Fan-out may temporarily exceed the build-time
-// branching factor; rebuild periodically if insert volume is high. Not safe
-// concurrently with reads.
-func (t *Tree) Insert(id graph.ID, m metric.Metric) {
-	n := t.root
-	if n.Leaf {
-		// Single-graph tree: grow a root cluster over both.
-		old := n
-		newRoot := &Node{Centroid: old.Centroid, Size: 2}
-		oldLeaf := &Node{Centroid: old.Centroid, Size: 1, Leaf: true, Parent: newRoot}
-		newLeaf := &Node{Centroid: id, Size: 1, Leaf: true, Parent: newRoot}
-		newRoot.Children = []*Node{oldLeaf, newLeaf}
-		t.root = newRoot
-		t.nodes = nil
-		t.index(newRoot, nil)
-		t.stats.Nodes = len(t.nodes)
-		t.stats.Leaves++
-		return
-	}
-	for {
-		n.Size++
-		// Stop at a node whose children are leaves; otherwise descend into
-		// the child cluster with the closest centroid.
-		allLeaves := true
-		var best *Node
-		bestD := 0.0
-		for _, c := range n.Children {
-			if !c.Leaf {
-				allLeaves = false
-				dc := m.Distance(c.Centroid, id)
-				t.stats.ExactDistances++
-				if best == nil || dc < bestD {
-					best, bestD = c, dc
-				}
-			}
-		}
-		if allLeaves || best == nil {
-			leaf := &Node{Idx: len(t.nodes), Centroid: id, Size: 1, Leaf: true, Parent: n}
-			n.Children = append(n.Children, leaf)
-			t.nodes = append(t.nodes, leaf)
-			t.stats.Nodes++
-			t.stats.Leaves++
-			return
-		}
-		n = best
-	}
-}
-
-// Validate checks the structural invariants of the tree over db: every
-// graph appears exactly once, leaves are single graphs, parent links match
-// the child lists, and Size fields sum bottom-up. Intended for tests.
-func (t *Tree) Validate(db *graph.Database) error {
-	seen := make(map[graph.ID]int)
-	t.root.VisitGraphs(func(id graph.ID) { seen[id]++ })
-	if len(seen) != db.Len() {
-		return fmt.Errorf("nbtree: tree covers %d graphs, database has %d", len(seen), db.Len())
-	}
-	for id, c := range seen {
-		if c != 1 {
-			return fmt.Errorf("nbtree: graph %d appears %d times", id, c)
-		}
-	}
-	for _, n := range t.nodes {
-		if n.Leaf {
-			if n.Size != 1 || len(n.Children) != 0 {
-				return fmt.Errorf("nbtree: malformed leaf %d", n.Idx)
-			}
-			continue
-		}
-		size := 0
-		for _, c := range n.Children {
-			size += c.Size
-			if c.Parent != n {
-				return fmt.Errorf("nbtree: node %d has wrong parent link", c.Idx)
-			}
-		}
-		if size != n.Size {
-			return fmt.Errorf("nbtree: node %d size %d != children sum %d", n.Idx, n.Size, size)
-		}
-	}
-	return nil
 }

@@ -48,20 +48,23 @@ func TestBuildValidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(b=%d): %v", b, err)
 		}
-		if err := tree.Validate(db); err != nil {
+		if err := tree.Validate(); err != nil {
 			t.Fatalf("Validate(b=%d): %v", b, err)
 		}
-		if tree.Root().Size != db.Len() {
-			t.Errorf("root size = %d, want %d", tree.Root().Size, db.Len())
+		if err := tree.Covers(0, db.Len()); err != nil {
+			t.Fatalf("Covers(b=%d): %v", b, err)
 		}
-		if tree.Stats().Leaves != db.Len() {
-			t.Errorf("leaves = %d, want %d", tree.Stats().Leaves, db.Len())
+		if int(tree.Sizes[0]) != db.Len() {
+			t.Errorf("root size = %d, want %d", tree.Sizes[0], db.Len())
 		}
-		if tree.Height() < 1 {
-			t.Errorf("height = %d", tree.Height())
+		if st := tree.Stats(); st.Leaves != db.Len() || st.Nodes != tree.Len() {
+			t.Errorf("stats count %d nodes / %d leaves, want %d / %d", st.Nodes, st.Leaves, tree.Len(), db.Len())
 		}
-		if tree.Bytes() <= 0 {
-			t.Error("Bytes <= 0")
+		if tree.Leaf(0) {
+			t.Error("root of a 60-graph tree is a leaf")
+		}
+		if tree.Bytes() != int64(21*tree.Len()) {
+			t.Errorf("Bytes = %d, want 21 per node", tree.Bytes())
 		}
 	}
 }
@@ -77,19 +80,29 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestNodeIdxMatchesNodesSlice(t *testing.T) {
+// TestBuildEmitsPreorder pins the layout the index format stores: nodes in
+// DFS preorder, so walking the child chains from the root visits 0, 1, 2, …
+// in order, and every chain runs in ascending index order.
+func TestBuildEmitsPreorder(t *testing.T) {
 	db, m := randDB(t, 40, 4)
 	tree, err := Build(db, m, Options{Branching: 3}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	for i, n := range tree.Nodes() {
-		if n.Idx != i {
-			t.Fatalf("node at %d has Idx %d", i, n.Idx)
+	next := int32(0)
+	var visit func(i int32)
+	visit = func(i int32) {
+		if i != next {
+			t.Fatalf("preorder walk reached node %d, want %d", i, next)
+		}
+		next++
+		for c := tree.FirstChild[i]; c != -1; c = tree.NextSibling[c] {
+			visit(c)
 		}
 	}
-	if tree.Nodes()[0] != tree.Root() {
-		t.Error("root is not first node")
+	visit(0)
+	if int(next) != tree.Len() {
+		t.Fatalf("preorder walk visited %d of %d nodes", next, tree.Len())
 	}
 }
 
@@ -122,12 +135,15 @@ func TestDuplicateGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := tree.Validate(db); err != nil {
+	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	for _, c := range tree.Root().Children {
-		if !c.Leaf {
-			t.Errorf("root child %d is not a leaf; the tree should be flat", c.Idx)
+	if err := tree.Covers(0, db.Len()); err != nil {
+		t.Fatalf("Covers: %v", err)
+	}
+	for c := tree.FirstChild[0]; c != -1; c = tree.NextSibling[c] {
+		if !tree.Leaf(c) {
+			t.Errorf("root child %d is not a leaf; the tree should be flat", c)
 		}
 	}
 }
@@ -138,8 +154,8 @@ func TestSingletonDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if !tree.Root().Leaf || tree.Height() != 0 {
-		t.Errorf("singleton tree malformed: leaf=%v height=%d", tree.Root().Leaf, tree.Height())
+	if tree.Len() != 1 || !tree.Leaf(0) {
+		t.Errorf("singleton tree malformed: %d nodes, root leaf=%v", tree.Len(), tree.Leaf(0))
 	}
 }
 
@@ -159,8 +175,11 @@ func TestVPAcceleratedBuildIsValidAndPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if err := tree.Validate(db); err != nil {
+	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+	if err := tree.Covers(0, db.Len()); err != nil {
+		t.Fatalf("Covers: %v", err)
 	}
 	st := tree.Stats()
 	if st.PrunedDistances == 0 {
@@ -176,20 +195,6 @@ func TestVPAcceleratedBuildIsValidAndPrunes(t *testing.T) {
 	}
 	if counter.Count() >= counter2.Count() {
 		t.Errorf("VP build used %d distances, plain build %d; expected fewer", counter.Count(), counter2.Count())
-	}
-}
-
-func TestVisitGraphsAndGraphs(t *testing.T) {
-	db, m := randDB(t, 30, 10)
-	tree, err := Build(db, m, Options{Branching: 3}, rand.New(rand.NewSource(11)))
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	for _, n := range tree.Nodes() {
-		g := n.Graphs()
-		if len(g) != n.Size {
-			t.Fatalf("node %d: Graphs len %d != Size %d", n.Idx, len(g), n.Size)
-		}
 	}
 }
 

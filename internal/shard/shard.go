@@ -46,8 +46,6 @@ type Options struct {
 	// NumVPs is the size of the global vantage point set (shared by every
 	// shard).
 	NumVPs int
-	// VPPolicy selects the vantage point policy (default SelectRandom).
-	VPPolicy vantage.SelectionPolicy
 	// Branching is the per-shard NB-Tree fan-out (≥ 2; 0 defaults to 4).
 	Branching int
 	// ThetaGrid lists the indexed thresholds, ascending: SweepTheta's default
@@ -125,7 +123,7 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 	if numVPs > db.Len() {
 		numVPs = db.Len()
 	}
-	vps, err := vantage.SelectVPs(db, m, numVPs, opt.VPPolicy, rng)
+	vps, err := vantage.SelectVPs(db, m, numVPs, vantage.SelectRandom, rng)
 	if err != nil {
 		return nil, err
 	}

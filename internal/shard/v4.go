@@ -51,7 +51,8 @@ const (
 
 var magic = [8]byte{'N', 'B', 'I', 'D', 'X', '0', '0', '4'}
 
-// Encode persists the set as an NBIDX004 container. Output bytes are a pure
+// Encode persists the set as an NBIDX004 container, writing every part's
+// arrays and embedding table as they are held. Output bytes are a pure
 // function of the set's contents — sections are emitted in a fixed order,
 // and embeddings depend only on the graphs — so they are identical for any
 // build worker count, for either bounded-kernel setting, and for a set that
@@ -71,26 +72,9 @@ func (s *Set) Encode(w io.Writer) error {
 	add(secManifest, 0, uint64(8*len(manifest)), writeLE(manifest))
 	add(secGrid, 0, uint64(8*len(s.grid)), writeLE(s.grid))
 
-	// Embedding tables are assembled up front: heap-built indexes encode
-	// their vectors once here, view-backed indexes pass their blob through.
-	tabs := make([]*ged.Table, len(s.parts))
-	for p, part := range s.parts {
-		tab := part.EmbeddingTable()
-		if tab == nil {
-			var err error
-			if tab, err = ged.NewTableFromEmbeddings(part.Embeddings()); err != nil {
-				return fmt.Errorf("shard: shard %d: %w", p, err)
-			}
-		}
-		if tab.Len() != part.Count() {
-			return fmt.Errorf("shard: shard %d has %d embeddings for %d graphs", p, tab.Len(), part.Count())
-		}
-		tabs[p] = tab
-	}
-
 	for p, part := range s.parts {
 		sh := uint32(p)
-		vo, f, tab := part.VO(), part.Flat(), tabs[p]
+		vo, f, tab := part.VO(), part.Flat(), part.EmbeddingTable()
 		count, nv, nn := part.Count(), vo.NumVPs(), f.Len()
 
 		add(secVPs, sh, uint64(4*nv), writeLE(vo.VPs()))

@@ -78,9 +78,17 @@ func checkSubsetScans(t *testing.T, set *shard.Set, db *graph.Database, rng *ran
 	for k, id := range ids {
 		key[id] = int32(k)
 	}
+	embs := make([]*ged.Embedding, db.Len())
+	for i := range embs {
+		embs[i] = ged.NewEmbedding(db.Graph(graph.ID(i)))
+	}
+	tab, err := ged.NewTableFromEmbeddings(embs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sketches := make(map[graph.ID][]uint16, db.Len())
 	for i := 0; i < db.Len(); i++ {
-		sketches[graph.ID(i)] = ged.NewEmbedding(db.Graph(graph.ID(i))).AppendSketch(nil)
+		sketches[graph.ID(i)] = tab.AppendSketch(i, nil)
 	}
 	grid := set.Grid()
 	for p := 0; p < set.Shards(); p++ {

@@ -7,29 +7,15 @@ import (
 	"graphrep/internal/graph"
 )
 
-// FromViews assembles an Ordering from persisted arrays — typically zero-copy
-// views over v4 index sections. dist is a row-major len(vps)×count matrix and
-// order the count IDs sorted along the first space; rows are sliced out with
-// capacity clipped to the row, so an Insert-time append on any row
-// reallocates instead of growing into its neighbor (or through a mapping).
-//
-// It is FromViewsDeferred followed immediately by Validate — use the
-// deferred pair when the O(count) content scan should wait until first use.
-func FromViews(vps []graph.ID, base graph.ID, count int, dist []float64, order []graph.ID) (*Ordering, error) {
-	o, err := FromViewsDeferred(vps, base, count, dist, order)
-	if err != nil {
-		return nil, err
-	}
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// FromViewsDeferred is FromViews minus the content scan: it checks only the
-// shape invariants (non-empty, matrix dimensions) in O(1) and defers
-// Validate to the caller, keeping a mapped open independent of index size.
-// The Ordering must not serve lookups until Validate has passed.
+// FromViewsDeferred assembles an Ordering from persisted arrays — typically
+// zero-copy views over v4 index sections. dist is a row-major
+// len(vps)×count matrix and order the count IDs sorted along the first
+// space; rows are sliced out with capacity clipped to the row, so an
+// Insert-time append on any row reallocates instead of growing into its
+// neighbor (or through a mapping). It checks only the shape invariants
+// (non-empty, matrix dimensions) in O(1) and defers the content scan to
+// Validate, keeping a mapped open independent of index size. The Ordering
+// must not serve lookups until Validate has passed.
 func FromViewsDeferred(vps []graph.ID, base graph.ID, count int, dist []float64, order []graph.ID) (*Ordering, error) {
 	if len(vps) == 0 {
 		return nil, fmt.Errorf("vantage: no vantage points")
