@@ -3,8 +3,8 @@
 // plain Euclidean vectors — no graph structure at all — by supplying a
 // custom metric: each database object is a stub graph whose feature vector
 // holds its coordinates, and the engine's distance is Euclidean. The
-// NB-Index machinery (vantage orderings, NB-Tree, π̂-vectors) works
-// unchanged, because it only ever relies on the triangle inequality.
+// NB-Index machinery (vantage orderings, π̂ bounds, the best-first search)
+// works unchanged, because it only ever relies on the triangle inequality.
 package main
 
 import (

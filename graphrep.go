@@ -9,10 +9,10 @@
 // problem is NP-hard; the greedy answer computed here carries the best
 // possible polynomial-time guarantee of (1 − 1/e) of the optimum.
 //
-// The Engine type wraps the paper's NB-Index: a combination of vantage
-// orderings (a Lipschitz embedding of the graph metric space) and the
-// NB-Tree (a hierarchical clustering carrying representative-power upper
-// bounds), which answers queries with a small fraction of the graph distance
+// The Engine type wraps the paper's NB-Index: vantage orderings (a
+// Lipschitz embedding of the graph metric space) whose candidate
+// neighborhoods bound each graph's representative power, searched best
+// first. It answers queries with a small fraction of the graph distance
 // computations a direct implementation needs, and supports interactive
 // refinement of θ at a fraction of the initial query cost.
 //
@@ -174,8 +174,6 @@ type Options struct {
 	// NumVPs is the number of vantage points; 0 picks a default scaled to
 	// the database size.
 	NumVPs int
-	// Branching is the NB-Tree fan-out; 0 defaults to 4.
-	Branching int
 	// ThetaGrid lists the thresholds to index, SweepTheta's default points;
 	// nil derives a grid from the sampled distance distribution (§7.1).
 	ThetaGrid []float64
@@ -187,23 +185,21 @@ type Options struct {
 	// the default metric is cached automatically.
 	Metric Metric
 	// Workers bounds the goroutines used for index construction (the θ-grid
-	// sampling, the vantage distance matrix, the NB-Tree partition fills)
-	// and each query's vantage pass; ≤ 0 means GOMAXPROCS. The index bytes and
+	// sampling, the vantage distance matrix, the embedding table) and each
+	// query's vantage pass; ≤ 0 means GOMAXPROCS. The index bytes and
 	// every answer are identical for any value — all randomized decisions
 	// stay single-threaded and parallel work is pre-partitioned — so Workers
 	// trades nothing but wall time. Custom metrics must be safe for
 	// concurrent use (the built-in ones are).
 	Workers int
 	// Shards partitions the database into that many contiguous ID ranges,
-	// each owning its own vantage rows and NB-Tree, built concurrently and
-	// queried by a scatter-gather coordinator. Values ≤ 1 mean one shard
-	// (the classic layout); counts beyond the database size are clamped.
-	// Answers are byte-identical for any shard count — shards share one
-	// global vantage point set and θ grid, so bounds compose exactly — while
-	// builds parallelize per shard and internal/server can confine Insert's
-	// write lock to the one shard it lands in. Per-query work counters
-	// (QueryStats) do vary with the shard count, since each count's forest
-	// has its own shape.
+	// each owning its own vantage rows and embedding records, built one
+	// after another and queried by one coordinator session. Values ≤ 1 mean
+	// one shard (the classic layout); counts beyond the database size are
+	// clamped. Answers and per-query work counters (QueryStats) are
+	// identical for any shard count — shards share one global vantage point
+	// set and θ grid, so bounds compose exactly, and one search heap spans
+	// every shard. Insert extends only the last shard.
 	Shards int
 	// DisableBoundedKernel turns off the threshold-aware distance kernel:
 	// every candidate test d(q, g) ≤ θ falls back to a full exact distance
@@ -261,9 +257,9 @@ func Open(db *Database, opts ...Options) (*Engine, error) {
 }
 
 // OpenContext indexes db and returns a query engine, observing ctx
-// throughout construction: the θ-grid sampling, the vantage matrix fill,
-// and the NB-Tree clustering all check cancellation at phase boundaries and
-// per work batch, so a cancelled or expired context makes OpenContext
+// throughout construction: the θ-grid sampling, the vantage matrix fill
+// and the embedding table fill all check cancellation at phase boundaries
+// and per work batch, so a cancelled or expired context makes OpenContext
 // return ctx.Err() promptly with no engine. Construction parallelism is
 // bounded by Options.Workers; the resulting index is byte-identical for any
 // worker count.
@@ -321,14 +317,9 @@ func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, e
 	if numVPs > db.Len() {
 		numVPs = db.Len()
 	}
-	branching := o.Branching
-	if branching == 0 {
-		branching = 4
-	}
 	set, err := shard.BuildContext(ctx, db, m, shard.Options{
 		Shards:    o.Shards,
 		NumVPs:    numVPs,
-		Branching: branching,
 		ThetaGrid: grid,
 		Workers:   o.Workers,
 	}, rng)
@@ -510,15 +501,12 @@ func (e *Engine) Shards() int { return e.set.Shards() }
 func (e *Engine) ShardFor(id ID) int { return e.set.PartFor(id) }
 
 // Insert appends a graph to the database and extends the index
-// incrementally — |V| vantage distances plus a tree descent instead of a
-// rebuild. The graph's ID must equal Database().Len(). The clustering
-// degrades slightly as inserts accumulate, since new leaves only widen the
-// leaf-level clusters (answers stay exact; queries slow gradually), so
-// rebuild with Open after heavy insert volume. Not safe
-// concurrently with queries — the caller must exclude in-flight queries
-// externally; internal/server is the worked example, holding a
-// sync.RWMutex write lock around Insert while every query path reads under
-// RLock. Fields accessed under such a lock are annotated
+// incrementally — a vantage row costing |V| distances, plus the graph's
+// embedding record, instead of a rebuild. The graph's ID must equal
+// Database().Len(). Not safe concurrently with queries — the caller must
+// exclude in-flight queries externally; internal/server is the worked
+// example, holding a sync.RWMutex write lock around Insert while every query
+// path reads under RLock. Fields accessed under such a lock are annotated
 // `// guarded by <mu>` in their struct declarations; the lockguard analyzer
 // (cmd/replint) then enforces that only functions which lock that mutex —
 // or are named *Locked to declare the caller holds it — touch them.
@@ -650,14 +638,13 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 		return nil, err
 	}
 	shardBuild, err := reg.NewGaugeVec("graphrep_shard_build_seconds",
-		"Wall time spent building each shard's vantage rows and NB-Tree.", "shard")
+		"Wall time spent building each shard's vantage rows.", "shard")
 	if err != nil {
 		return nil, err
 	}
 	for p := 0; p < set.Shards(); p++ {
 		t.setShardGauges(set, p)
-		pt := set.Part(p).Timing()
-		shardBuild.With(strconv.Itoa(p)).Set((pt.Vantage + pt.Tree).Seconds())
+		shardBuild.With(strconv.Itoa(p)).Set(set.Part(p).Timing().Vantage.Seconds())
 	}
 	// Build-phase wall times: fixed after Open, so the closures capture the
 	// computed values. All zero when the index was loaded from disk. Each
@@ -681,11 +668,6 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 	if err := reg.NewGaugeFunc("graphrep_build_vantage_seconds",
 		"Wall time of the vantage distance-matrix phase.",
 		secsGauge(timing.Vantage)); err != nil {
-		return nil, err
-	}
-	if err := reg.NewGaugeFunc("graphrep_build_tree_seconds",
-		"Wall time of the NB-Tree clustering phase.",
-		secsGauge(timing.Tree)); err != nil {
 		return nil, err
 	}
 	if err := reg.NewGaugeFunc("graphrep_build_total_seconds",
@@ -912,7 +894,7 @@ func (e *Engine) NewSessionContext(ctx context.Context, rel Relevance) (*Session
 func (s *Session) TopK(theta float64, k int) (*Result, error) { return s.s.TopK(theta, k) }
 
 // TopKContext is TopK with cancellation: the search checks ctx at every
-// greedy pick and periodically inside the best-first loop, returning
+// greedy pick and periodically inside each pick's heap loop, returning
 // ctx.Err() promptly after it fires.
 func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*Result, error) {
 	return s.s.TopKContext(ctx, theta, k)

@@ -410,7 +410,6 @@ func TestOpenWithCustomGridAndVPs(t *testing.T) {
 	db, _ := graphrep.GenerateDataset("dblp", 60, 9)
 	engine, err := graphrep.Open(db, graphrep.Options{
 		NumVPs:    3,
-		Branching: 2,
 		ThetaGrid: []float64{2, 8, 32},
 		Seed:      7,
 	})

@@ -32,7 +32,8 @@ import (
 //     identical results, QueryStats included;
 //   - the committed golden file (dud-120 seed-7, two shards) is exactly what
 //     a fresh build saves, loads, answers identically, and re-saves to the
-//     same bytes;
+//     same bytes, and so does the file as saved while the NB-Tree sections
+//     were still written;
 //   - any other format — the retired gob layouts NBIDX001–NBIDX003, or
 //     bytes that are no index at all — fails with an error naming it, and
 //     an NBIDX004 file from before the current section set fails with an
@@ -319,16 +320,17 @@ func TestOpenWithIndexFileDisableMmap(t *testing.T) {
 	}
 }
 
-// withoutSection returns the NBIDX004 file data rewritten without its
-// sections of the given kind, every other section kept byte for byte: how a
-// file saved before that kind existed looks to the reader.
-func withoutSection(t *testing.T, data []byte, kind uint32) []byte {
+// rewriteSections returns the NBIDX004 file data rewritten without its
+// sections of kind drop and with extra appended, every other section kept
+// byte for byte: how a file saved before kind drop existed, or while the
+// extra kinds were still written, looks to the reader.
+func rewriteSections(t *testing.T, data []byte, drop uint32, extra ...container.Section) []byte {
 	t.Helper()
 	count := binary.LittleEndian.Uint64(data[8:])
 	var secs []container.Section
 	for i := uint64(0); i < count; i++ {
 		ent := data[container.HeaderLen+i*container.EntryLen:]
-		if binary.LittleEndian.Uint32(ent) == kind {
+		if binary.LittleEndian.Uint32(ent) == drop {
 			continue
 		}
 		off, n := binary.LittleEndian.Uint64(ent[8:]), binary.LittleEndian.Uint64(ent[16:])
@@ -338,22 +340,41 @@ func withoutSection(t *testing.T, data []byte, kind uint32) []byte {
 			Write: func(w io.Writer) error { _, err := w.Write(body); return err },
 		})
 	}
-	if uint64(len(secs)) == count {
-		t.Fatalf("the file has no section of kind %d", kind)
+	if drop != 0 && uint64(len(secs)) == count {
+		t.Fatalf("the file has no section of kind %d", drop)
 	}
 	var buf bytes.Buffer
-	if err := container.Write(&buf, [8]byte(data[:8]), secs); err != nil {
+	if err := container.Write(&buf, [8]byte(data[:8]), append(secs, extra...)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// withRetiredTree returns the golden file data with a section of each
+// retired NB-Tree kind (20–26) per shard added, as files saved while the
+// tree was still written carry them. Their bodies are zeros: no reader asks
+// for those kinds.
+func withRetiredTree(t *testing.T, data []byte, shards int) []byte {
+	t.Helper()
+	var extra []container.Section
+	for sh := uint32(0); sh < uint32(shards); sh++ {
+		for kind := uint32(20); kind <= 26; kind++ {
+			extra = append(extra, container.Section{Kind: kind, Shard: sh, Len: 64,
+				Write: func(w io.Writer) error { _, err := w.Write(make([]byte, 64)); return err }})
+		}
+	}
+	return rewriteSections(t, data, 0, extra...)
+}
+
 // TestIndexCompatMatrix pins the one index format. The committed golden
 // file (dud-120 seed-7, two shards) must equal a fresh 2-shard save byte for
 // byte, load with its shard layout, answer exactly like a fresh build, and
-// re-save to the same bytes. Files in any other format — the retired gob
-// layouts NBIDX001–NBIDX003 and bytes that are no index — must fail through
-// both open paths with an error that names the magic and says to rebuild.
+// re-save to the same bytes. So must the golden file with the retired
+// NB-Tree sections (kinds 20–26) added, through both open paths: files
+// saved before the tree was retired still open. Files in any other format —
+// the retired gob layouts NBIDX001–NBIDX003 and bytes that are no index —
+// must fail through both open paths with an error that names the magic and
+// says to rebuild.
 // So must an NBIDX004 file saved before the order section (kind 14)
 // replaced the retired sorted views, with an error that names the section.
 func TestIndexCompatMatrix(t *testing.T) {
@@ -379,26 +400,48 @@ func TestIndexCompatMatrix(t *testing.T) {
 		t.Fatalf("a fresh 2-shard save (%d bytes) differs from the committed golden file (%d bytes)",
 			freshSave.Len(), len(golden))
 	}
-	loaded, err := graphrep.OpenWithIndex(db, bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("golden file no longer loads: %v", err)
-	}
-	if loaded.Shards() != 2 {
-		t.Fatalf("golden file loaded as %d shards, want 2", loaded.Shards())
-	}
-	answers, _, points := collectAnswers(t, loaded, 5)
-	if !reflect.DeepEqual(answers, wantAnswers) {
-		t.Errorf("golden answers differ from a fresh build:\n got %+v\nwant %+v", answers, wantAnswers)
-	}
-	if !reflect.DeepEqual(points, wantPoints) {
-		t.Error("golden sweep curve differs from a fresh build")
-	}
-	var resave bytes.Buffer
-	if err := loaded.SaveIndex(&resave); err != nil {
+	dir := t.TempDir()
+	treeFile := withRetiredTree(t, golden, 2)
+	withTree := filepath.Join(dir, "with_tree.nbx")
+	if err := os.WriteFile(withTree, treeFile, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(resave.Bytes(), golden) {
-		t.Error("golden file re-saves to different bytes")
+	opens := map[string]func() (*graphrep.Engine, error){
+		"golden": func() (*graphrep.Engine, error) {
+			return graphrep.OpenWithIndex(db, bytes.NewReader(golden))
+		},
+		"golden with tree sections, streamed": func() (*graphrep.Engine, error) {
+			return graphrep.OpenWithIndex(db, bytes.NewReader(treeFile))
+		},
+		"golden with tree sections, mapped": func() (*graphrep.Engine, error) {
+			return graphrep.OpenWithIndexFile(db, withTree)
+		},
+	}
+	for name, open := range opens {
+		loaded, err := open()
+		if err != nil {
+			t.Fatalf("%s no longer loads: %v", name, err)
+		}
+		if loaded.Shards() != 2 {
+			t.Fatalf("%s loaded as %d shards, want 2", name, loaded.Shards())
+		}
+		answers, _, points := collectAnswers(t, loaded, 5)
+		if !reflect.DeepEqual(answers, wantAnswers) {
+			t.Errorf("%s answers differ from a fresh build:\n got %+v\nwant %+v", name, answers, wantAnswers)
+		}
+		if !reflect.DeepEqual(points, wantPoints) {
+			t.Errorf("%s sweep curve differs from a fresh build", name)
+		}
+		var resave bytes.Buffer
+		if err := loaded.SaveIndex(&resave); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resave.Bytes(), golden) {
+			t.Errorf("%s re-saves to bytes other than the golden file's", name)
+		}
+		if err := loaded.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Each unusable file, with what its error must name besides "rebuild".
@@ -411,8 +454,7 @@ func TestIndexCompatMatrix(t *testing.T) {
 		// The golden body behind another magic.
 		olds = append(olds, oldFile{fmt.Sprintf("%q", m), append([]byte(m), golden[8:]...)})
 	}
-	olds = append(olds, oldFile{"section kind 14", withoutSection(t, golden, 14)})
-	dir := t.TempDir()
+	olds = append(olds, oldFile{"section kind 14", rewriteSections(t, golden, 14)})
 	for _, old := range olds {
 		path := filepath.Join(dir, "old.nbx")
 		if err := os.WriteFile(path, old.blob, 0o644); err != nil {

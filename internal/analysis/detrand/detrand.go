@@ -31,7 +31,6 @@ var ScopePackages = map[string]bool{
 	"graphrep": true,
 	"shard":    true,
 	"nbindex":  true,
-	"nbtree":   true,
 	"vantage":  true,
 	"mtree":    true,
 	"metric":   true,
@@ -47,7 +46,7 @@ var ScopePackages = map[string]bool{
 var Analyzer = &framework.Analyzer{
 	Name: "detrand",
 	Doc: "forbid global math/rand state and time.Now in the deterministic " +
-		"build/query packages (graphrep, shard, nbindex, nbtree, vantage, mtree, metric, core, ged, mmapfile)",
+		"build/query packages (graphrep, shard, nbindex, vantage, mtree, metric, core, ged, mmapfile)",
 	Run: run,
 }
 

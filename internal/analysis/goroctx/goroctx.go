@@ -34,7 +34,6 @@ var ScopePackages = map[string]bool{
 	"graphrep": true,
 	"shard":    true,
 	"nbindex":  true,
-	"nbtree":   true,
 	"vantage":  true,
 	"mtree":    true,
 	"metric":   true,

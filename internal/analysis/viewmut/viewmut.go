@@ -3,11 +3,11 @@
 //
 // The v4 index container is queried through zero-copy views: mmapfile.View
 // reinterprets mapped bytes as []T, and the deferred constructors
-// (vantage.FromViewsDeferred, nbtree.NewFlatDeferred, ged.NewTableDeferred,
+// (vantage.FromViewsDeferred, ged.NewTableDeferred,
 // nbindex.PartFromViewsDeferred) retain those views in struct fields. A
 // write through any of them is a write to PROT_READ memory — SIGSEGV at
 // best, silent cross-section corruption if the page was ever made private.
-// The compiler cannot see this; viewmut can, via three facts that cross
+// The compiler cannot see this; viewmut can, via four facts that cross
 // package boundaries:
 //
 //   - ViewSource, on a function: its result may alias a mapping (e.g.
@@ -21,6 +21,10 @@
 //     slice memory (derived from constructors assigning parameters or
 //     tainted values into fields), so every read of the field is tainted
 //     everywhere the type is used.
+//   - MutatesParams, on a function: it writes into, copies into, sorts or
+//     appends to the listed slice parameters, itself or through a callee
+//     (e.g. a helper that appends records to the blob it is handed), so a
+//     call passing a tainted slice in one of those positions is a mutation.
 //
 // Holder fields are restricted to scalar-element slices (and maps of them) —
 // exactly what mapped sections can store — so pointerful bookkeeping slices
@@ -31,7 +35,9 @@
 package viewmut
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strconv"
@@ -59,6 +65,21 @@ func (f *AliasesParams) String() string {
 	return "AliasesParams(" + strings.Join(parts, ",") + ")"
 }
 
+// MutatesParams marks a function that mutates the memory of the slice
+// parameters at the listed indices: an element write, a copy into, an
+// in-place sort or an append, made by the function itself or by a callee it
+// passes the parameter to.
+type MutatesParams struct{ Params []int }
+
+func (*MutatesParams) AFact() {}
+func (f *MutatesParams) String() string {
+	parts := make([]string, len(f.Params))
+	for i, p := range f.Params {
+		parts[i] = strconv.Itoa(p)
+	}
+	return "MutatesParams(" + strings.Join(parts, ",") + ")"
+}
+
 // ViewHolder marks a struct field that may retain caller-provided (and
 // therefore possibly mapping-backed) slice memory.
 type ViewHolder struct{}
@@ -74,7 +95,6 @@ var ScopePackages = map[string]bool{
 	"mmapfile":  true,
 	"container": true,
 	"vantage":   true,
-	"nbtree":    true,
 	"ged":       true,
 	"nbindex":   true,
 	"shard":     true,
@@ -91,10 +111,6 @@ var ThawSites = map[string]string{
 	// onto the heap before the copy and element write that follow touch the
 	// order.
 	"vantage.(*Ordering).Insert": "rows and order are cap==len views; each append reallocates before any element write",
-	// A deferred tree keeps its arrays as views (owned is false); Insert
-	// clones all six onto the heap and sets owned before its first element
-	// write or append, so every later write lands in memory the tree owns.
-	"nbtree.(*Flat).Insert": "the arrays are copied onto the heap before the first element write",
 	// A table over views holds the offsets and blob sections, which the
 	// container clips to cap==len, so Append's first appends reallocate; a
 	// table Append returned has spare capacity only past its own length,
@@ -111,9 +127,10 @@ var Analyzer = &framework.Analyzer{
 		"deferred v4 constructors retain them in struct fields. viewmut\n" +
 		"taint-tracks them across packages via ViewSource/AliasesParams/\n" +
 		"ViewHolder facts and reports element writes, copies, sorts, and\n" +
-		"appends outside the sanctioned copy-on-write thaw sites.",
+		"appends outside the sanctioned copy-on-write thaw sites, including\n" +
+		"those a callee makes on a slice argument (MutatesParams facts).",
 	Run:       run,
-	FactTypes: []framework.Fact{&ViewSource{}, &AliasesParams{}, &ViewHolder{}},
+	FactTypes: []framework.Fact{&ViewSource{}, &AliasesParams{}, &ViewHolder{}, &MutatesParams{}},
 }
 
 func run(pass *framework.Pass) error {
@@ -570,6 +587,21 @@ func (st *fnState) derive() bool {
 	if fnObj == nil {
 		return changed
 	}
+	// Parameter mutation: any mutation whose target aliases a parameter.
+	mutated := map[int]bool{}
+	st.mutations(func(_ token.Pos, target ast.Expr, _ string) {
+		for p := range st.aliasSet(target) {
+			mutated[p] = true
+		}
+	})
+	if len(mutated) > 0 {
+		var old MutatesParams
+		st.pass.ImportObjectFact(fnObj, &old)
+		if ps, grew := mergeParams(old.Params, mutated); grew {
+			st.pass.ExportObjectFact(fnObj, &MutatesParams{Params: ps})
+			changed = true
+		}
+	}
 	aliased := map[int]bool{}
 	source := false
 	ast.Inspect(st.fn.Body, func(n ast.Node) bool {
@@ -600,24 +632,33 @@ func (st *fnState) derive() bool {
 	if len(aliased) > 0 {
 		var old AliasesParams
 		st.pass.ImportObjectFact(fnObj, &old)
-		merged := map[int]bool{}
-		for _, p := range old.Params {
-			merged[p] = true
-		}
-		for p := range aliased {
-			merged[p] = true
-		}
-		if len(merged) > len(old.Params) {
-			ps := make([]int, 0, len(merged))
-			for p := range merged {
-				ps = append(ps, p)
-			}
-			sort.Ints(ps)
+		if ps, grew := mergeParams(old.Params, aliased); grew {
 			st.pass.ExportObjectFact(fnObj, &AliasesParams{Params: ps})
 			changed = true
 		}
 	}
 	return changed
+}
+
+// mergeParams returns the sorted union of old and add, and whether it is
+// larger than old.
+func mergeParams(old []int, add map[int]bool) ([]int, bool) {
+	merged := map[int]bool{}
+	for _, p := range old {
+		merged[p] = true
+	}
+	for p := range add {
+		merged[p] = true
+	}
+	if len(merged) == len(old) {
+		return old, false
+	}
+	ps := make([]int, 0, len(merged))
+	for p := range merged {
+		ps = append(ps, p)
+	}
+	sort.Ints(ps)
+	return ps, true
 }
 
 // retainTarget resolves an assignment LHS of the form x.f or x.f[i] to the
@@ -655,60 +696,90 @@ func (st *fnState) exportHolder(f *types.Var) bool {
 
 // report sweeps the body for mutations of tainted slices.
 func (st *fnState) report() {
+	st.mutations(func(pos token.Pos, target ast.Expr, msg string) {
+		if st.mutable(target) {
+			st.pass.Reportf(pos, "%s", msg)
+		}
+	})
+}
+
+// mutations calls visit with every slice expression the body (closures
+// included) mutates in place, and the report message for it: the slice
+// under an element write, the destination of append, copy, an in-place
+// sort or a standard-library Append function, and each argument a callee's
+// MutatesParams fact names.
+func (st *fnState) mutations(visit func(pos token.Pos, target ast.Expr, msg string)) {
 	info := st.pass.TypesInfo
+	write := func(pos token.Pos, x ast.Expr) {
+		visit(pos, x, fmt.Sprintf("write into view-backed slice %s; it may alias the read-only mapping — thaw (copy) before mutating", types.ExprString(x)))
+	}
+	appendTo := func(pos token.Pos, x ast.Expr) {
+		visit(pos, x, fmt.Sprintf("append to view-backed slice %s outside a sanctioned thaw site; copy it off the mapping first", types.ExprString(x)))
+	}
 	ast.Inspect(st.fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				ix, ok := lhs.(*ast.IndexExpr)
-				if !ok {
-					continue
-				}
-				if st.mutable(ix.X) {
-					st.pass.Reportf(lhs.Pos(), "write into view-backed slice %s; it may alias the read-only mapping — thaw (copy) before mutating", types.ExprString(ix.X))
+				if ix, ok := lhs.(*ast.IndexExpr); ok {
+					write(lhs.Pos(), ix.X)
 				}
 			}
 		case *ast.IncDecStmt:
-			if ix, ok := n.X.(*ast.IndexExpr); ok && st.mutable(ix.X) {
-				st.pass.Reportf(n.Pos(), "write into view-backed slice %s; it may alias the read-only mapping — thaw (copy) before mutating", types.ExprString(ix.X))
+			if ix, ok := n.X.(*ast.IndexExpr); ok {
+				write(n.Pos(), ix.X)
 			}
 		case *ast.CallExpr:
-			st.reportCall(n, info)
+			if len(n.Args) == 0 {
+				return true
+			}
+			if id, ok := unwrapFun(n.Fun).(*ast.Ident); ok {
+				if b, isB := info.Uses[id].(*types.Builtin); isB {
+					switch b.Name() {
+					case "append":
+						appendTo(n.Pos(), n.Args[0])
+					case "copy":
+						visit(n.Pos(), n.Args[0], fmt.Sprintf("copy into view-backed slice %s; it may alias the read-only mapping — thaw before mutating", types.ExprString(n.Args[0])))
+					}
+					return true
+				}
+			}
+			if path, name, ok := framework.QualifiedCall(info, n); ok {
+				inPlaceSort := (path == "sort" && (name == "Slice" || name == "SliceStable" || name == "Ints" ||
+					name == "Float64s" || name == "Strings")) ||
+					(path == "slices" && strings.HasPrefix(name, "Sort")) ||
+					(path == "slices" && name == "Reverse")
+				if inPlaceSort {
+					visit(n.Pos(), n.Args[0], fmt.Sprintf("in-place sort of view-backed slice %s; it may alias the read-only mapping — sort a copy", types.ExprString(n.Args[0])))
+					return true
+				}
+			}
+			callee, _ := st.callee(n).(*types.Func)
+			if callee == nil {
+				return true
+			}
+			// The standard library's Append functions (strconv.AppendInt,
+			// binary.LittleEndian.AppendUint32, …) append to their first
+			// argument; no facts are derived for the standard library.
+			if pkg := callee.Pkg(); pkg != nil && stdAppendPackages[pkg.Path()] && strings.HasPrefix(callee.Name(), "Append") {
+				appendTo(n.Pos(), n.Args[0])
+				return true
+			}
+			var mp MutatesParams
+			if st.pass.ImportObjectFact(callee, &mp) {
+				for _, p := range mp.Params {
+					if p < len(n.Args) {
+						visit(n.Pos(), n.Args[p], fmt.Sprintf("view-backed slice %s passed to %s, which mutates that parameter; thaw (copy) it first", types.ExprString(n.Args[p]), callee.Name()))
+					}
+				}
+			}
 		}
 		return true
 	})
 }
 
-func (st *fnState) reportCall(call *ast.CallExpr, info *types.Info) {
-	if fun := unwrapFun(call.Fun); fun != nil {
-		if id, ok := fun.(*ast.Ident); ok {
-			if b, isB := info.Uses[id].(*types.Builtin); isB && len(call.Args) > 0 {
-				switch b.Name() {
-				case "append":
-					if st.mutable(call.Args[0]) {
-						st.pass.Reportf(call.Pos(), "append to view-backed slice %s outside a sanctioned thaw site; copy it off the mapping first", types.ExprString(call.Args[0]))
-					}
-				case "copy":
-					if st.mutable(call.Args[0]) {
-						st.pass.Reportf(call.Pos(), "copy into view-backed slice %s; it may alias the read-only mapping — thaw before mutating", types.ExprString(call.Args[0]))
-					}
-				}
-				return
-			}
-		}
-	}
-	path, name, ok := framework.QualifiedCall(info, call)
-	if !ok || len(call.Args) == 0 {
-		return
-	}
-	inPlaceSort := (path == "sort" && (name == "Slice" || name == "SliceStable" || name == "Ints" ||
-		name == "Float64s" || name == "Strings")) ||
-		(path == "slices" && strings.HasPrefix(name, "Sort")) ||
-		(path == "slices" && name == "Reverse")
-	if inPlaceSort && st.mutable(call.Args[0]) {
-		st.pass.Reportf(call.Pos(), "in-place sort of view-backed slice %s; it may alias the read-only mapping — sort a copy", types.ExprString(call.Args[0]))
-	}
-}
+// stdAppendPackages lists the standard-library packages whose Append*
+// functions the engine calls; each appends to its first argument.
+var stdAppendPackages = map[string]bool{"encoding/binary": true, "strconv": true}
 
 // mutable reports whether writing through e is a violation: e is a tainted
 // slice (not a map) and is not rooted in a struct this function built.

@@ -8,5 +8,5 @@ import (
 )
 
 func TestViewmut(t *testing.T) {
-	analysistest.Run(t, "testdata", viewmut.Analyzer, "mmapfile", "vantage", "nbtree", "ged", "shard")
+	analysistest.Run(t, "testdata", viewmut.Analyzer, "mmapfile", "vantage", "ged", "shard")
 }

@@ -20,8 +20,8 @@ import (
 // can regenerate them.
 
 // RunExtAblation measures each NB-Index design choice in isolation on the
-// DUD-like dataset: the vantage point count, the NB-Tree branching factor,
-// the update and selection steps of Alg. 1, and the distance function.
+// DUD-like dataset: the vantage point count, the update and selection steps
+// of Alg. 1, and the distance function.
 func RunExtAblation(w io.Writer, s Scale) error {
 	fx, err := NewFixture("dud", s.N, s, 2000)
 	if err != nil {
@@ -36,7 +36,7 @@ func RunExtAblation(w io.Writer, s Scale) error {
 			break
 		}
 		ixV, err := nbindex.Build(fx.DB, fx.M, nbindex.Options{
-			NumVPs: nv, Branching: 4, ThetaGrid: fx.Grid,
+			NumVPs: nv, ThetaGrid: fx.Grid,
 		}, rand.New(rand.NewSource(2001)))
 		if err != nil {
 			return err
@@ -50,26 +50,7 @@ func RunExtAblation(w io.Writer, s Scale) error {
 		fmt.Fprintf(w, "%-8d %14d %12.1f\n", nv, fx.Count.Count()-before, ms(time.Since(start)))
 	}
 
-	// 2. Branching factor: build cost and query cost vs b.
-	fmt.Fprintf(w, "\n%-8s %14s %14s\n", "b", "build ms", "query ms")
-	for _, b := range []int{2, 4, 8, 16, 40} {
-		start := time.Now()
-		ixB, err := nbindex.Build(fx.DB, fx.M, nbindex.Options{
-			NumVPs: s.NumVPs, Branching: b, ThetaGrid: fx.Grid,
-		}, rand.New(rand.NewSource(2002)))
-		if err != nil {
-			return err
-		}
-		build := time.Since(start)
-		fx.ResetDistances()
-		start = time.Now()
-		if _, err := ixB.NewSession(fx.Rel).TopK(fx.Theta, 10); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-8d %14.1f %14.1f\n", b, ms(build), ms(time.Since(start)))
-	}
-
-	// 3. Update-step work: literal Alg. 1 with and without the Theorem 3
+	// 2. Update-step work: literal Alg. 1 with and without the Theorem 3
 	// restriction, and the CELF lazy evaluation of the selection step.
 	mt, err := fx.MTree()
 	if err != nil {
@@ -92,7 +73,7 @@ func RunExtAblation(w io.Writer, s Scale) error {
 	fmt.Fprintf(w, "selection-step ablation: CELF evaluations=%d vs plain %d\n",
 		lazyStats.Evaluations, len(rel)*len(lazyRes.Answer))
 
-	// 4. Distance function: star metric vs bipartite GED cost and agreement.
+	// 3. Distance function: star metric vs bipartite GED cost and agreement.
 	fmt.Fprintf(w, "\n%-12s %14s\n", "distance", "ns/computation")
 	rng := rand.New(rand.NewSource(2003))
 	pairs := make([][2]graph.ID, 200)

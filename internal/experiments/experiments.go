@@ -196,7 +196,6 @@ func (fx *Fixture) NBIndex(s Scale) (*nbindex.Index, error) {
 	if fx.nb == nil {
 		ix, err := nbindex.Build(fx.DB, fx.M, nbindex.Options{
 			NumVPs:    s.NumVPs,
-			Branching: 4,
 			ThetaGrid: fx.Grid,
 		}, rand.New(rand.NewSource(fx.Seed+2)))
 		if err != nil {

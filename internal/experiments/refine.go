@@ -32,7 +32,7 @@ func RunFig5lThresholdGap(w io.Writer, s Scale) error {
 		grid := []float64{fx.Theta + gap, fx.Theta * 8}
 		sort.Float64s(grid)
 		ix, err := nbindex.Build(fx.DB, fx.M, nbindex.Options{
-			NumVPs: s.NumVPs, Branching: 4, ThetaGrid: grid,
+			NumVPs: s.NumVPs, ThetaGrid: grid,
 		}, rand.New(rand.NewSource(901)))
 		if err != nil {
 			return err

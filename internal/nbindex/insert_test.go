@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"graphrep/internal/core"
+	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
 )
@@ -28,8 +29,9 @@ func TestInsertPreservesExactAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := metric.NewCache(metric.Star(db))
-	ix, err := Build(db, m, Options{NumVPs: 5, Branching: 4, ThetaGrid: []float64{2, 4, 8, 16, 64}},
+	counter := metric.NewCounter(metric.Star(db))
+	m := metric.NewCache(counter)
+	ix, err := Build(db, m, Options{NumVPs: 5, ThetaGrid: []float64{2, 4, 8, 16, 64}},
 		rand.New(rand.NewSource(401)))
 	if err != nil {
 		t.Fatal(err)
@@ -55,16 +57,15 @@ func TestInsertPreservesExactAnswers(t *testing.T) {
 		if err := db.Append(g); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
+		before := counter.Count()
 		if err := ix.Insert(graph.ID(i)); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
+		if got, want := counter.Count()-before, int64(ix.VO().NumVPs()); got != want {
+			t.Fatalf("Insert %d computed %d distances, want the %d vantage distances", i, got, want)
+		}
 	}
-	if err := ix.flat.Validate(); err != nil {
-		t.Fatalf("tree invalid after inserts: %v", err)
-	}
-	if err := ix.flat.Covers(0, db.Len()); err != nil {
-		t.Fatalf("tree invalid after inserts: %v", err)
-	}
+	checkCovers(t, ix, db.Len())
 	for i, theta := range thetas {
 		if got, err := early.TopK(theta, 6); err != nil || !reflect.DeepEqual(got, before[i]) {
 			t.Fatalf("θ=%v: session opened before the inserts answered %+v (%v), want %+v", theta, got, err, before[i])
@@ -90,7 +91,7 @@ func TestInsertIntoSingletonIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := metric.NewCache(metric.Star(db))
-	ix, err := Build(db, m, Options{NumVPs: 1, Branching: 2, ThetaGrid: []float64{4}},
+	ix, err := Build(db, m, Options{NumVPs: 1, ThetaGrid: []float64{4}},
 		rand.New(rand.NewSource(403)))
 	if err != nil {
 		t.Fatal(err)
@@ -108,18 +109,23 @@ func TestInsertIntoSingletonIndex(t *testing.T) {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	if err := ix.flat.Validate(); err != nil {
-		t.Fatalf("tree invalid: %v", err)
-	}
-	if err := ix.flat.Covers(0, db.Len()); err != nil {
-		t.Fatalf("tree invalid: %v", err)
-	}
+	checkCovers(t, ix, db.Len())
 	res, err := ix.NewSession(func([]float64) bool { return true }).TopK(1e9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Power != 1 || res.Relevant != 5 {
 		t.Errorf("post-insert query: %+v", res)
+	}
+}
+
+// checkCovers fails unless ix has a vantage row, an embedding record and a
+// sketch row for each of the n graphs.
+func checkCovers(t *testing.T, ix *Index, n int) {
+	t.Helper()
+	if ix.Count() != n || ix.EmbeddingTable().Len() != n || len(ix.sketch) != n*ged.SketchWidth {
+		t.Fatalf("index holds %d vantage rows, %d embedding records and %d sketch cells for %d graphs",
+			ix.Count(), ix.EmbeddingTable().Len(), len(ix.sketch), n)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package nbindex implements the NB-Index of §6–7: the paper's index over
-// θ-neighborhoods that makes top-k representative queries scale. It unifies
-//
-//   - vantage orderings (internal/vantage): a Lipschitz embedding giving the
-//     candidate neighborhoods N̂_θ(g) ⊇ N_θ(g) of Theorem 5, and
-//   - the NB-Tree (internal/nbtree): a hierarchical clustering whose nodes
-//     carry π̂ ceilings — upper bounds on representative power (Definition
-//     6) — enabling the best-first search of Alg. 2.
+// θ-neighborhoods that makes top-k representative queries scale. Its
+// vantage orderings (internal/vantage) are a Lipschitz embedding giving the
+// candidate neighborhoods N̂_θ(g) ⊇ N_θ(g) of Theorem 5, whose sizes are
+// the π̂ upper bounds on representative power (Definition 6) that drive the
+// best-first search of Alg. 2. The paper's NB-Tree is one level here: its
+// leaves are the relevant graphs, held in one heap per query (DESIGN.md
+// explains why the deeper tree went).
 //
 // # Query processing
 //
@@ -19,29 +19,29 @@
 // threshold-tests the rest. For the star metric the pass also drops every
 // candidate whose star-histogram sketch (ged.SketchWithin) proves it
 // farther than θ, so the bound counts only pairs no cheap test rules out.
-// Leaf bounds propagate up each tree as subtree maxima (Eq. 14), and one
-// best-first search pops the nodes of every part's tree from one heap.
-// Calling TopK again with a refined θ reuses the session, which is the
-// interactive zoom scenario of Fig. 6(i). The indexed θ grid (§7.1)
-// supplies SweepTheta's default thresholds.
+// One heap per call holds every relevant graph of every part, keyed by its
+// bound, and each pick pops graphs from it best first. Calling TopK again
+// with a refined θ reuses the session, which is the interactive zoom
+// scenario of Fig. 6(i). The indexed θ grid (§7.1) supplies SweepTheta's
+// default thresholds.
 //
 // # Update rule
 //
 // Bounds are lazy in the sense of Minoux's accelerated greedy (CELF): once
-// a leaf is verified its bound falls to the exact marginal gain the
-// verification returned, and once it is picked to −1; the new value is
-// re-propagated up the tree. By submodularity a graph's gain only falls as
-// coverage grows, so an exact gain stays a valid bound at every later pick
-// and Alg. 2's pruning stays admissible. Leaves never verified keep their
-// pass-list length. The paper's batch updates (Theorems 6–8) are not
-// implemented: with lazy bounds they no longer change the work measurably,
-// so the tree keeps no node radii or diameters, the inputs they need.
+// a graph is verified its bound falls to the exact marginal gain the
+// verification returned, and once it is picked it leaves the heap. By
+// submodularity a graph's gain only falls as coverage grows, so an exact
+// gain stays a valid bound at every later pick and Alg. 2's pruning stays
+// admissible. Graphs never verified keep their pass-list length. The
+// paper's batch updates (Theorems 6–8) credit whole clusters and so need a
+// deeper tree; with lazy bounds they no longer change the work measurably,
+// so they are not implemented.
 //
 // # One form
 //
 // An index part keeps each component in the one form the NBIDX004 format
-// stores and queries read: the vantage rows, the flat NB-Tree
-// (nbtree.Flat) and the encoded embedding table (ged.Table). A build writes
+// stores and queries read: the vantage rows and the encoded embedding table
+// (ged.Table). A build writes
 // them on the heap; an open wraps views of the file; Insert grows either
 // kind in place, copying views before the first write; a save writes them
 // out as they are.
@@ -61,7 +61,6 @@ import (
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
-	"graphrep/internal/nbtree"
 	"graphrep/internal/pool"
 	"graphrep/internal/vantage"
 )
@@ -71,8 +70,6 @@ type Options struct {
 	// NumVPs is the number of vantage points (|V|). Choose via
 	// stats.MinVPsForFPR or default to a small constant.
 	NumVPs int
-	// Branching is the NB-Tree fan-out b (≥ 2).
-	Branching int
 	// ThetaGrid lists the indexed thresholds, ascending (§7.1): the default
 	// points of SweepTheta.
 	ThetaGrid []float64
@@ -84,7 +81,7 @@ type Options struct {
 
 // DefaultOptions returns a memory-resident configuration.
 func DefaultOptions(grid []float64) Options {
-	return Options{NumVPs: 8, Branching: 4, ThetaGrid: grid}
+	return Options{NumVPs: 8, ThetaGrid: grid}
 }
 
 // Index is an NB-Index over a database — either the whole of it
@@ -92,17 +89,14 @@ func DefaultOptions(grid []float64) Options {
 // internal/shard coordinates several such parts). Build once per database;
 // relevance functions and θ are supplied at query time; Insert is the one
 // mutation. It holds only what queries, Insert and the load checks read:
-// the vantage ordering, the flat NB-Tree and the encoded embedding table,
-// plus the sketch rows derived from the table. A built index and one opened
-// from an NBIDX004 file hold these same structures, on the heap or as views
-// of the file. A search reaches a graph from its leaf (the leaf's centroid),
-// never the other way, so there is no graph-to-leaf map.
+// the vantage ordering and the encoded embedding table, plus the sketch
+// rows derived from the table. A built index and one opened from an
+// NBIDX004 file hold these same structures, on the heap or as views of the
+// file.
 type Index struct {
-	db *graph.Database
-	m  metric.Metric
-	vo *vantage.Ordering
-	// flat is the NB-Tree every query navigates.
-	flat *nbtree.Flat
+	db   *graph.Database
+	m    metric.Metric
+	vo   *vantage.Ordering
 	grid []float64
 	// base is the first graph ID covered; 0 for a full-database index.
 	base graph.ID
@@ -145,10 +139,8 @@ type Index struct {
 type BuildTiming struct {
 	// VPSelect covers vantage point selection (sequential; rng-driven).
 	VPSelect time.Duration
-	// Vantage covers the |V|×n vantage distance-matrix fill and sorted views.
+	// Vantage covers the |V|×n vantage distance-matrix fill and sorted view.
 	Vantage time.Duration
-	// Tree covers the NB-Tree clustering.
-	Tree time.Duration
 	// Total is the whole Build call.
 	Total time.Duration
 }
@@ -159,7 +151,7 @@ func Build(db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*I
 }
 
 // BuildContext constructs the NB-Index: vantage point selection, vantage
-// orderings, and the VP-accelerated NB-Tree. Cancellation is checked at
+// orderings and the embedding table. Cancellation is checked at
 // every phase boundary and per work batch inside the parallel fills; a
 // cancelled build returns ctx.Err() and no index. The result is identical
 // for any Workers value.
@@ -189,7 +181,7 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 		return nil, err
 	}
 	tVPs := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
-	ix, err := BuildPartContext(ctx, db, m, vps, opt.ThetaGrid, 0, db.Len(), opt.Branching, opt.Workers, rng)
+	ix, err := BuildPartContext(ctx, db, m, vps, opt.ThetaGrid, 0, db.Len(), opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -202,11 +194,10 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 // [base, base+count) of db with an externally chosen vantage point set and θ
 // grid. This is the shard build path: every shard shares one global VP set
 // (so embedding coordinates are comparable across shards) and one global
-// grid, while owning its own vantage rows and NB-Tree. BuildContext is the
-// base=0, count=n special case with the VPs selected internally. rng drives
-// only the NB-Tree pivot draws; pass a per-shard seeded source for
-// reproducible shard builds.
-func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, vps []graph.ID, grid []float64, base graph.ID, count, branching, workers int, rng *rand.Rand) (*Index, error) {
+// grid, while owning its own vantage rows and embedding records.
+// BuildContext is the base=0, count=n special case with the VPs selected
+// internally. The part draws no randomness.
+func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, vps []graph.ID, grid []float64, base graph.ID, count, workers int) (*Index, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("nbindex: empty theta grid")
 	}
@@ -219,32 +210,14 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 		return nil, err
 	}
 	tVO := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
-	if branching < 2 {
-		branching = 4
-	}
-	ids := make([]graph.ID, count)
-	for i := range ids {
-		ids[i] = base + graph.ID(i)
-	}
-	flat, err := nbtree.BuildSubsetContext(ctx, db, m, ids,
-		nbtree.Options{Branching: branching, VO: vo, Workers: workers}, rng)
-	if err != nil {
-		return nil, err
-	}
-	done := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
 	ix := &Index{
 		db:      db,
 		m:       m,
 		vo:      vo,
-		flat:    flat,
 		grid:    append([]float64(nil), grid...),
 		base:    base,
 		workers: workers,
-		timing: BuildTiming{
-			Vantage: tVO.Sub(start),
-			Tree:    done.Sub(tVO),
-			Total:   done.Sub(start),
-		},
+		timing:  BuildTiming{Vantage: tVO.Sub(start)},
 	}
 	embs := make([]*ged.Embedding, count)
 	// Each embedding is a pure function of its graph, so the fill
@@ -260,6 +233,7 @@ func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, 
 		return nil, err
 	}
 	ix.extendSketch()
+	ix.timing.Total = time.Since(start)
 	return ix, nil
 }
 
@@ -283,20 +257,17 @@ func (ix *Index) UseSketchFilter() { ix.sketchFilter = true }
 
 // PartFromViewsDeferred assembles an index part from persisted components —
 // typically zero-copy views over one shard's v4 sections: the vantage
-// ordering (vantage.FromViewsDeferred), the flat NB-Tree
-// (nbtree.NewFlatDeferred) and the encoded embedding table
+// ordering (vantage.FromViewsDeferred) and the encoded embedding table
 // (ged.NewTableDeferred). The shape invariants (grid ascending, range within
-// the database, root size, claimed leaf count, array lengths) are checked
-// now, in O(grid). The content scans run once on first use, via
-// EnsureValid: the components' own Validates, the tree's coverage of the
-// ordering's range (every centroid in range, every covered graph under
-// exactly one leaf), and the embedding table matching the database graph
-// for graph (per-record star count); that pass also derives the part's
-// sketch rows from the table. Sessions and Insert call EnsureValid
+// the database, array lengths) are checked now, in O(grid). The content
+// scans run once on first use, via EnsureValid: the components' own
+// Validates and the embedding table matching the database graph for graph
+// (per-record star count); that pass also derives the part's sketch rows
+// from the table. Sessions and Insert call EnsureValid
 // themselves, so a part whose content never validated cannot be navigated;
 // this is what keeps a mapped open's cost independent of index size. The
 // components are retained, not copied; grid is copied.
-func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Ordering, flat *nbtree.Flat, grid []float64, embTab *ged.Table, workers int) (*Index, error) {
+func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Ordering, grid []float64, embTab *ged.Table, workers int) (*Index, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("nbindex: empty theta grid")
 	}
@@ -306,12 +277,6 @@ func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Orde
 	base, count := vo.Base(), vo.Len()
 	if int(base)+count > db.Len() {
 		return nil, fmt.Errorf("nbindex: part covers [%d, %d), database has %d graphs", base, int(base)+count, db.Len())
-	}
-	if rootSize := int(flat.Sizes[0]); rootSize != count {
-		return nil, fmt.Errorf("nbindex: tree covers %d graphs, ordering covers %d", rootSize, count)
-	}
-	if flat.Stats().Leaves != count {
-		return nil, fmt.Errorf("nbindex: tree has %d leaves, ordering covers %d graphs", flat.Stats().Leaves, count)
 	}
 	if embTab == nil {
 		return nil, fmt.Errorf("nbindex: part has no embedding table")
@@ -323,7 +288,6 @@ func PartFromViewsDeferred(db *graph.Database, m metric.Metric, vo *vantage.Orde
 		db:      db,
 		m:       m,
 		vo:      vo,
-		flat:    flat,
 		grid:    append([]float64(nil), grid...),
 		base:    base,
 		embTab:  embTab,
@@ -339,13 +303,7 @@ func (ix *Index) validateViews() error {
 	if err := ix.vo.Validate(); err != nil {
 		return err
 	}
-	if err := ix.flat.Validate(); err != nil {
-		return err
-	}
 	base, count := ix.base, ix.vo.Len()
-	if err := ix.flat.Covers(base, count); err != nil {
-		return err
-	}
 	if err := ix.embTab.Validate(); err != nil {
 		return err
 	}
@@ -384,14 +342,13 @@ func (ix *Index) SetWorkers(w int) { ix.workers = w }
 
 // Insert extends the index with a graph already appended to the database
 // (its ID must be the database's last, and this index must be the one whose
-// range ends there — the last shard, in sharded deployments). Costs |V|
-// vantage distances plus a tree descent; the graph's embedding joins the
-// table as one new record, and its sketch row follows. View-backed parts
-// grow copy-on-write: the flat tree copies its arrays on the first Insert,
-// and the ordering's and the table's appends reallocate views (which have
-// no spare capacity), so a mapping is never written. Sessions created before an Insert do not see the new
-// graph; create a fresh Session afterwards. Not safe concurrently with
-// queries.
+// range ends there — the last shard, in sharded deployments). It appends a
+// vantage row, costing the |V| vantage distances and no other, a table
+// record holding the graph's embedding, and its sketch row. View-backed
+// parts grow copy-on-write: the ordering's and the table's appends
+// reallocate views (which have no spare capacity), so a mapping is never
+// written. Sessions created before an Insert do not see the new graph;
+// create a fresh Session afterwards. Not safe concurrently with queries.
 func (ix *Index) Insert(id graph.ID) error {
 	if err := ix.EnsureValid(); err != nil {
 		return err
@@ -409,14 +366,10 @@ func (ix *Index) Insert(id graph.ID) error {
 	if err := ix.vo.Insert(id, ix.m); err != nil {
 		return err
 	}
-	ix.flat.Insert(id, ix.m)
 	ix.embTab = tab
 	ix.extendSketch()
 	return nil
 }
-
-// Flat exposes the NB-Tree every query navigates (read-only).
-func (ix *Index) Flat() *nbtree.Flat { return ix.flat }
 
 // VO exposes the vantage orderings (read-only).
 func (ix *Index) VO() *vantage.Ordering { return ix.vo }
@@ -435,19 +388,19 @@ func (ix *Index) Count() int { return ix.vo.Len() }
 // metric with it.
 func (ix *Index) EmbeddingTable() *ged.Table { return ix.embTab }
 
-// Bytes approximates the index memory footprint: vantage orderings, the
-// NB-Tree (Fig. 6(l)) and the encoded embedding table — the same figure for
-// a built index and for the index reopened from its file. The derived
-// sketch rows, 50 bytes per graph, are not counted.
+// Bytes approximates the index memory footprint (Fig. 6(l)): the vantage
+// rows and the encoded embedding table — the same figure for a built index
+// and for the index reopened from its file. The derived sketch rows, 50
+// bytes per graph, are not counted.
 func (ix *Index) Bytes() int64 {
-	return ix.vo.Bytes() + ix.flat.Bytes() + ix.embTab.Bytes()
+	return ix.vo.Bytes() + ix.embTab.Bytes()
 }
 
 // Session is the initialization phase for one relevance function over a
 // forest of index parts: the relevant set L_q, which no threshold changes. A
 // Session answers any number of TopK calls at varying θ (interactive
 // refinement) without repeating it; whatever a call derives from θ —
-// candidate lists, leaf bounds, coverage — lives in that call's locals.
+// candidate lists, bounds, coverage — lives in that call's locals.
 //
 // After initialization a Session is read-only apart from the LastStats
 // bookkeeping, which is mutex-guarded, so TopK and SweepTheta are safe to
@@ -456,7 +409,8 @@ func (ix *Index) Bytes() int64 {
 // are in flight.
 type Session struct {
 	parts []*Index
-	rel   *relSet
+	// rel lists the relevant graphs in ascending ID order: 4 bytes each.
+	rel []graph.ID
 	// statsMu guards lastStats; every other Session field is immutable after
 	// initialization, which is what makes concurrent TopK calls safe.
 	statsMu   sync.Mutex
@@ -465,8 +419,8 @@ type Session struct {
 
 // QueryStats describes the work one TopK call performed.
 type QueryStats struct {
-	// PQPops counts the best-first search's heap pops, summed over the
-	// call's greedy picks, for any number of parts.
+	// PQPops counts the search's heap pops, summed over the call's greedy
+	// picks. Each pop verifies one graph, so it equals VerifiedLeaves.
 	PQPops int
 	// VerifiedLeaves counts candidate verifications, including the memoized
 	// re-verifications of a graph already verified earlier in the call.
@@ -527,15 +481,15 @@ func NewForestSession(ctx context.Context, parts []*Index, q core.Relevance) (*S
 	if int(next) != db.Len() {
 		return nil, fmt.Errorf("nbindex: sessions require parts covering the database, these cover [0, %d) of %d graphs", next, db.Len())
 	}
-	rel, err := newRelSet(ctx, db, q)
-	if err != nil {
+	rel := core.Relevant(db, q)
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return &Session{parts: parts, rel: rel}, nil
 }
 
 // RelevantCount returns |L_q| for the session.
-func (s *Session) RelevantCount() int { return len(s.rel.ids) }
+func (s *Session) RelevantCount() int { return len(s.rel) }
 
 // LastStats returns statistics from the most recently completed TopK call.
 // With concurrent TopK calls in flight, "most recent" means whichever call

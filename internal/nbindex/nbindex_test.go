@@ -86,7 +86,7 @@ func buildIndex(t testing.TB, db *graph.Database, m metric.Metric, grid []float6
 	if t != nil {
 		t.Helper()
 	}
-	ix, err := Build(db, m, Options{NumVPs: 5, Branching: 4, ThetaGrid: grid}, rand.New(rand.NewSource(seed)))
+	ix, err := Build(db, m, Options{NumVPs: 5, ThetaGrid: grid}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic(err)
 	}
@@ -99,17 +99,17 @@ func buildIndex(t testing.TB, db *graph.Database, m metric.Metric, grid []float6
 func TestBuildErrors(t *testing.T) {
 	db, m := clusteredDB(t, 3, 5, 1)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Build(db, m, Options{NumVPs: 2, Branching: 2, ThetaGrid: nil}, rng); err == nil {
+	if _, err := Build(db, m, Options{NumVPs: 2, ThetaGrid: nil}, rng); err == nil {
 		t.Error("empty grid accepted")
 	}
-	if _, err := Build(db, m, Options{NumVPs: 2, Branching: 2, ThetaGrid: []float64{5, 3}}, rng); err == nil {
+	if _, err := Build(db, m, Options{NumVPs: 2, ThetaGrid: []float64{5, 3}}, rng); err == nil {
 		t.Error("unsorted grid accepted")
 	}
-	if _, err := Build(db, m, Options{NumVPs: 0, Branching: 2, ThetaGrid: []float64{1}}, rng); err == nil {
+	if _, err := Build(db, m, Options{NumVPs: 0, ThetaGrid: []float64{1}}, rng); err == nil {
 		t.Error("NumVPs=0 accepted")
 	}
 	empty, _ := graph.NewDatabase(nil)
-	if _, err := Build(empty, m, Options{NumVPs: 1, Branching: 2, ThetaGrid: []float64{1}}, rng); err == nil {
+	if _, err := Build(empty, m, Options{NumVPs: 1, ThetaGrid: []float64{1}}, rng); err == nil {
 		t.Error("empty db accepted")
 	}
 }
@@ -267,8 +267,7 @@ func TestCandidateListsMatchBruteForce(t *testing.T) {
 		var orders []*vantage.Ordering
 		var plain, sketched []*vantage.Subset
 		for base := 0; base < db.Len(); base += per {
-			part, err := BuildPartContext(ctx, db, m, vps, grid, graph.ID(base), min(per, db.Len()-base), 4, 1,
-				rand.New(rand.NewSource(int64(16+base))))
+			part, err := BuildPartContext(ctx, db, m, vps, grid, graph.ID(base), min(per, db.Len()-base), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,10 +343,11 @@ func TestCandidateListsMatchBruteForce(t *testing.T) {
 
 // TestCELFBoundsAdmissible checks the invariant the lazy bounds rest on: at
 // every greedy pick of randomized queries, over one part and over a forest
-// of four, each unpicked relevant leaf's current bound is ≥ its exact
-// marginal gain, computed by brute force over the uncovered relevant set.
-// The test drives the call's picks itself; its answers and work must equal
-// the search's.
+// of four, every unpicked relevant graph with a positive exact marginal
+// gain, computed by brute force over the uncovered relevant set, has a heap
+// entry whose bound is ≥ that gain. The test drives the call's picks itself;
+// its answers and work must equal the search's, and each heap pop verifies
+// one graph.
 func TestCELFBoundsAdmissible(t *testing.T) {
 	db, m := clusteredDB(t, 5, 10, 91)
 	grid := []float64{2, 4, 8, 16, 64}
@@ -361,81 +361,72 @@ func TestCELFBoundsAdmissible(t *testing.T) {
 		per := (db.Len() + nparts - 1) / nparts
 		var parts []*Index
 		for base := 0; base < db.Len(); base += per {
-			part, err := BuildPartContext(ctx, db, m, vps, grid, graph.ID(base), min(per, db.Len()-base), 3, 1,
-				rand.New(rand.NewSource(int64(93+base))))
+			part, err := BuildPartContext(ctx, db, m, vps, grid, graph.ID(base), min(per, db.Len()-base), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			part.UseSketchFilter()
 			parts = append(parts, part)
 		}
-		// leafOf[p][id-base] is the flat leaf node of part p holding graph id.
-		leafOf := make([][]int32, len(parts))
-		for p, part := range parts {
-			leafOf[p] = make([]int32, part.Count())
-			for n, c := range part.flat.Centroids {
-				if part.flat.Leaf(int32(n)) {
-					leafOf[p][c-part.base] = int32(n)
-				}
-			}
-		}
 		for trial := 0; trial < 8; trial++ {
 			cut, theta, k := rng.Float64()*0.6, 1+rng.Float64()*12, 1+rng.Intn(8)
-			rs, err := newRelSet(ctx, db, func(f []float64) bool { return f[0] > cut })
-			if err != nil {
-				t.Fatal(err)
-			}
+			rel := core.Relevant(db, func(f []float64) bool { return f[0] > cut })
 			cfg := fmt.Sprintf("%d parts, cut %.3f, θ=%.3f, k=%d", nparts, cut, theta, k)
 			var st QueryStats
-			c, err := newCall(ctx, parts, rs, theta, &st)
+			c, err := newCall(ctx, parts, rel, theta, &st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			picked := make([]bool, len(rs.ids))
+			picked := make([]bool, len(rel))
 			var answer []graph.ID
 			for pick := 0; ; pick++ {
-				for pos, id := range rs.ids {
+				bound := make(map[int32]int32, len(c.heap))
+				for _, e := range c.heap {
+					if _, dup := bound[e.pos]; dup {
+						t.Fatalf("%s, pick %d: graph %d has two heap entries", cfg, pick, rel[e.pos])
+					}
+					bound[e.pos] = e.bound
+				}
+				for pos, id := range rel {
 					if picked[pos] {
 						continue
 					}
 					gain := int32(0)
-					for q, other := range rs.ids {
+					for q, other := range rel {
 						if !c.covered.Contains(q) && m.Distance(id, other) <= theta {
 							gain++
 						}
 					}
-					p := 0
-					for p+1 < len(parts) && parts[p+1].base <= id {
-						p++
-					}
-					if b := c.bound[p][leafOf[p][id-parts[p].base]]; b < gain {
-						t.Fatalf("%s, pick %d: graph %d has bound %d < exact gain %d", cfg, pick, id, b, gain)
+					if b, ok := bound[int32(pos)]; gain > 0 && (!ok || b < gain) {
+						t.Fatalf("%s, pick %d: graph %d has bound %d (in heap: %v) < exact gain %d", cfg, pick, id, b, ok, gain)
 					}
 				}
 				if pick == k {
 					break
 				}
-				best, pos, nbrs, err := c.pick(ctx)
+				pos, nbrs, err := c.pick(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if pos < 0 {
 					break
 				}
-				c.setBound(best, -1)
 				picked[pos] = true
-				answer = append(answer, rs.ids[pos])
+				answer = append(answer, rel[pos])
 				for _, q := range nbrs {
 					c.covered.Add(int(q))
 				}
 			}
 			var st2 QueryStats
-			res, err := search(ctx, parts, rs, theta, k, &st2)
+			res, err := search(ctx, parts, rel, theta, k, &st2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(answer, res.Answer) || st != st2 {
 				t.Fatalf("%s: driven picks %v (%+v), search %v (%+v)", cfg, answer, st, res.Answer, st2)
+			}
+			if st.PQPops != st.VerifiedLeaves {
+				t.Fatalf("%s: %d heap pops for %d verifications", cfg, st.PQPops, st.VerifiedLeaves)
 			}
 		}
 	}
@@ -460,7 +451,6 @@ func TestCrossEngineEquivalenceSoak(t *testing.T) {
 		}
 		ix, err := Build(db, m, Options{
 			NumVPs:    1 + rng.Intn(7),
-			Branching: 2 + rng.Intn(6),
 			ThetaGrid: grid,
 		}, rand.New(rand.NewSource(int64(800+trial))))
 		if err != nil {
@@ -550,7 +540,7 @@ func TestAccessorsAndFootprint(t *testing.T) {
 	db, m := clusteredDB(t, 3, 6, 18)
 	grid := []float64{2, 8}
 	ix := buildIndex(t, db, m, grid, 19)
-	if ix.Flat() == nil || ix.VO() == nil || ix.EmbeddingTable() == nil {
+	if ix.VO() == nil || ix.EmbeddingTable() == nil {
 		t.Fatal("nil components")
 	}
 	if ix.EmbeddingTable().Len() != db.Len() {
@@ -559,8 +549,8 @@ func TestAccessorsAndFootprint(t *testing.T) {
 	if !reflect.DeepEqual(ix.Grid(), grid) {
 		t.Errorf("Grid = %v", ix.Grid())
 	}
-	if want := ix.VO().Bytes() + ix.Flat().Bytes() + ix.EmbeddingTable().Bytes(); ix.Bytes() != want {
-		t.Errorf("Bytes = %d, want %d (ordering + tree + table)", ix.Bytes(), want)
+	if want := ix.VO().Bytes() + ix.EmbeddingTable().Bytes(); ix.Bytes() != want {
+		t.Errorf("Bytes = %d, want %d (ordering + table)", ix.Bytes(), want)
 	}
 	sess := ix.NewSession(func([]float64) bool { return true })
 	if sess.RelevantCount() != db.Len() {
@@ -580,7 +570,7 @@ func TestMoreVPsNeverHurtCandidateCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, err := BuildPartContext(context.Background(), db, m, vps, []float64{2, 4, 8, 16, 64}, 0, db.Len(), 4, 0, rng)
+		ix, err := BuildPartContext(context.Background(), db, m, vps, []float64{2, 4, 8, 16, 64}, 0, db.Len(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

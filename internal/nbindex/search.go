@@ -9,53 +9,16 @@ import (
 	"graphrep/internal/core"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
-	"graphrep/internal/nbtree"
 	"graphrep/internal/pool"
 	"graphrep/internal/vantage"
 )
 
-// relSet is the relevant set L_q of one relevance function, the state a
-// session keeps because no threshold changes it.
-type relSet struct {
-	// ids lists the relevant graphs in ascending ID order. A graph's index
-	// in ids is its rel position, the key of every per-call array, so
-	// position order is ID order.
-	ids []graph.ID
-	// positions maps a database ID to its rel position, or −1: 4 bytes per
-	// database graph.
-	positions []int32
-}
-
-// newRelSet runs the relevance filter of q over db. A context cancelled by
-// the time the filter finishes returns ctx.Err() and no set.
-func newRelSet(ctx context.Context, db *graph.Database, q core.Relevance) (*relSet, error) {
-	ids := core.Relevant(db, q)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	positions := make([]int32, db.Len())
-	for i := range positions {
-		positions[i] = -1
-	}
-	for i, id := range ids {
-		positions[id] = int32(i)
-	}
-	return &relSet{ids: ids, positions: positions}, nil
-}
-
-// pos returns id's rel position, or −1 for an irrelevant graph or one
-// inserted after the set was built.
-func (r *relSet) pos(id graph.ID) int32 {
-	if int(id) >= len(r.positions) {
-		return -1
-	}
-	return r.positions[id]
-}
-
-// call is one TopK call's state over a forest of index parts: the
-// θ-neighborhood memo its vantage pass opens with, the leaf bounds of its
-// best-first search and its coverage. It lives in the call's locals, never
-// on a session, so concurrent calls on one session stay independent.
+// call is one TopK call's state: the θ-neighborhood memo its vantage pass
+// opens with, the lazy-greedy heap of its search and its coverage. It lives
+// in the call's locals, never on a session, so concurrent calls on one
+// session stay independent. Every per-call array, the heap included, is
+// keyed by rel position: a graph's index in rel, the session's relevant IDs
+// in ascending order, so position order is ID order.
 //
 // lists[pos] is rel position pos's pass candidate list until known has pos,
 // and its memoized neighbor list after. The first verification filters the
@@ -67,39 +30,41 @@ func (r *relSet) pos(id graph.ID) int32 {
 // pass candidate, up to twice that where the pass grew its buffer by
 // appending, plus a 24-byte slice header per relevant graph.
 //
-// bound[p][n] is the largest leaf bound under node n of part p's tree, −1
-// where no relevant unpicked leaf lies below. A leaf's bound starts as the
-// length of its pass list, an upper bound on |N_θ(g) ∩ L_q| (Theorem 5, the
-// π̂ of Definition 6 evaluated at θ itself). Once verified it falls to the
-// exact marginal gain (CELF); once picked, to −1.
+// heap holds one entry per relevant graph still in the running, keyed by
+// its bound. A bound starts as the length of the graph's pass list, an
+// upper bound on |N_θ(g) ∩ L_q| (Theorem 5, the π̂ of Definition 6
+// evaluated at θ itself). Once verified it falls to the exact marginal gain
+// (CELF); a picked graph, or one whose gain fell to 0, leaves the heap.
 type call struct {
 	m       metric.Metric
-	rel     *relSet
+	rel     []graph.ID
 	theta   float64
-	parts   []*Index
 	st      *QueryStats
 	lists   [][]int32
 	known   *bitset.Set
 	covered *bitset.Set
-	bound   [][]int32
 	heap    entryHeap
+	held    []entry
 }
 
 // search answers one TopK call at threshold theta with budget k over a
 // forest of index parts (see NewForestSession): one part for an unsharded
-// index, every shard's for internal/shard. Work is tallied into st.
+// index, every shard's for internal/shard. rel lists the relevant graphs in
+// ascending ID order. Work is tallied into st.
 //
 // The call opens with one vantage pass over the relevant graphs, on the
-// parts' worker pool (candidateLists). Each greedy pick then runs a
-// best-first search from every part's root at once (Alg. 2), popping nodes
-// by (bound desc, part asc, node asc) and verifying every leaf whose bound
-// reaches the best gain verified so far. Bounds are admissible and only
-// fall, by submodularity, so the pick is the exact greedy argmax — maximum
-// marginal gain, ties toward the lower graph ID, picks stopping when nothing
-// improves coverage — for any forest and any worker count. The context is
-// checked on entry, inside the pass, at every pick and every 256 heap pops;
-// a cancelled call returns ctx.Err().
-func search(ctx context.Context, parts []*Index, rel *relSet, theta float64, k int, st *QueryStats) (*core.Result, error) {
+// parts' worker pool (candidateLists), and seeds one heap with every
+// relevant graph at its pass-list bound. Each greedy pick then verifies the
+// graphs in (bound desc, rel position asc) order while a bound reaches the
+// best gain verified so far (Alg. 2 over a one-level NB-Tree whose leaves
+// are the relevant graphs). Bounds are admissible and only fall, by
+// submodularity, so the pick is the exact greedy argmax — maximum marginal
+// gain, ties toward the lower graph ID, picks stopping when nothing improves
+// coverage — for any forest and any worker count, and the work does not
+// depend on how the database is split into parts. The context is checked on
+// entry, inside the pass, at every pick and every 256 heap pops; a cancelled
+// call returns ctx.Err().
+func search(ctx context.Context, parts []*Index, rel []graph.ID, theta float64, k int, st *QueryStats) (*core.Result, error) {
 	if math.IsNaN(theta) {
 		return nil, fmt.Errorf("nbindex: theta is NaN")
 	}
@@ -112,8 +77,8 @@ func search(ctx context.Context, parts []*Index, rel *relSet, theta float64, k i
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res := &core.Result{Relevant: len(rel.ids)}
-	if len(rel.ids) == 0 {
+	res := &core.Result{Relevant: len(rel)}
+	if len(rel) == 0 {
 		return res, nil
 	}
 	c, err := newCall(ctx, parts, rel, theta, st)
@@ -124,15 +89,14 @@ func search(ctx context.Context, parts []*Index, rel *relSet, theta float64, k i
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		best, pos, nbrs, err := c.pick(ctx)
+		pos, nbrs, err := c.pick(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if pos < 0 {
 			break
 		}
-		c.setBound(best, -1)
-		res.Answer = append(res.Answer, rel.ids[pos])
+		res.Answer = append(res.Answer, rel[pos])
 		res.Gains = append(res.Gains, len(nbrs))
 		for _, p := range nbrs {
 			c.covered.Add(int(p))
@@ -143,118 +107,74 @@ func search(ctx context.Context, parts []*Index, rel *relSet, theta float64, k i
 	return res, nil
 }
 
-// newCall runs the call's vantage pass and seeds the search bounds from it.
-// A part's Subset carries sketch rows when the part's pass filter is on
+// newCall runs the call's vantage pass and seeds the heap from it. A part's
+// Subset carries sketch rows when the part's pass filter is on
 // (Index.UseSketchFilter).
-func newCall(ctx context.Context, parts []*Index, rel *relSet, theta float64, st *QueryStats) (*call, error) {
+func newCall(ctx context.Context, parts []*Index, rel []graph.ID, theta float64, st *QueryStats) (*call, error) {
 	views := make([]*vantage.Subset, len(parts))
 	for p, part := range parts {
 		var sketch []uint16
 		if part.sketchFilter {
 			sketch = part.sketch
 		}
-		views[p] = part.vo.Subset(rel.ids, sketch)
+		views[p] = part.vo.Subset(rel, sketch)
 	}
-	lists, err := candidateLists(ctx, views, len(rel.ids), theta, parts[0].workers)
+	lists, err := candidateLists(ctx, views, len(rel), theta, parts[0].workers)
 	if err != nil {
 		return nil, err
 	}
 	c := &call{
-		m: parts[0].m, rel: rel, theta: theta, parts: parts, st: st, lists: lists,
-		known:   bitset.New(len(rel.ids)),
-		covered: bitset.New(len(rel.ids)),
-		bound:   make([][]int32, len(parts)),
+		m: parts[0].m, rel: rel, theta: theta, st: st, lists: lists,
+		known:   bitset.New(len(rel)),
+		covered: bitset.New(len(rel)),
+		heap:    make(entryHeap, 0, len(rel)),
 	}
-	for p, part := range parts {
-		f := part.flat
-		b := make([]int32, f.Len())
-		// Children follow their parent in node order, so one backward sweep
-		// fills every maximum from finished children.
-		for n := int32(f.Len() - 1); n >= 0; n-- {
-			if !f.Leaf(n) {
-				b[n] = maxChild(f, b, n)
-			} else if pos := rel.pos(f.Centroids[n]); pos >= 0 {
-				b[n] = int32(len(lists[pos]))
-			} else {
-				b[n] = -1
-			}
+	for pos, l := range lists {
+		if len(l) > 0 {
+			c.heap = append(c.heap, entry{bound: int32(len(l)), pos: int32(pos)})
 		}
-		c.bound[p] = b
 	}
+	c.heap.init()
 	return c, nil
 }
 
-// maxChild returns the largest bound among node n's children, −1 for none.
-func maxChild(f *nbtree.Flat, b []int32, n int32) int32 {
-	best := int32(-1)
-	for ch := f.FirstChild[n]; ch != -1; ch = f.NextSibling[ch] {
-		best = max(best, b[ch])
-	}
-	return best
-}
-
-// setBound sets leaf e's bound to b and re-propagates the maxima upward,
-// stopping at the first ancestor whose maximum does not change.
-func (c *call) setBound(e entry, b int32) {
-	f, bd := c.parts[e.part].flat, c.bound[e.part]
-	bd[e.node] = b
-	for n := f.Parents[e.node]; n != -1; n = f.Parents[n] {
-		m := maxChild(f, bd, n)
-		if m == bd[n] {
-			return
-		}
-		bd[n] = m
-	}
-}
-
-// pick runs one greedy pick: a best-first search from every part's root
-// that verifies each leaf whose bound reaches the best gain found so far,
-// lowering the leaf's bound to its exact gain as it goes. Bounds equal to
-// the best gain are still explored so that ties resolve toward the lowest
-// graph ID. It returns the picked leaf, its rel position and the positions
-// it newly covers (the memo's own slice), or pos −1 when no graph has a
-// positive gain.
-func (c *call) pick(ctx context.Context) (best entry, pos int32, nbrs []int32, err error) {
+// pick runs one greedy pick. While the top bound reaches the best gain
+// verified so far (and is positive), it pops the top graph, verifies it and
+// holds it aside at its exact gain; entries at the best gain are still
+// verified so that ties resolve toward the lowest graph ID. The held graphs
+// then return to the heap at their exact gains, except the picked one and
+// any whose gain is 0. Holding them aside makes the pick verify exactly the
+// graphs whose bound reaches its best gain. It returns the picked graph's
+// rel position and the positions it newly covers (the memo's own slice), or
+// pos −1 when no graph has a positive gain.
+func (c *call) pick(ctx context.Context) (pos int32, nbrs []int32, err error) {
 	pos = -1
 	gain := int32(0)
-	h := c.heap[:0]
-	for p, b := range c.bound {
-		if b[0] > 0 {
-			h.push(entry{bound: b[0], part: int32(p)})
-		}
-	}
-	for len(h) > 0 {
-		e := h.pop()
+	held := c.held[:0]
+	for len(c.heap) > 0 && c.heap[0].bound >= max(gain, 1) {
+		e := c.heap.pop()
 		c.st.PQPops++
 		// One atomic load every 256 pops bounds the abort latency of even a
 		// pathological single-pick search.
 		if c.st.PQPops&255 == 0 {
 			if err := ctx.Err(); err != nil {
-				return entry{}, -1, nil, err
+				return -1, nil, err
 			}
 		}
-		if e.bound < gain {
-			break
-		}
-		f := c.parts[e.part].flat
-		if !f.Leaf(e.node) {
-			for ch := f.FirstChild[e.node]; ch != -1; ch = f.NextSibling[ch] {
-				if b := c.bound[e.part][ch]; b > 0 && b >= gain {
-					h.push(entry{bound: b, part: e.part, node: ch})
-				}
-			}
-			continue
-		}
-		p := c.rel.pos(f.Centroids[e.node])
-		got := c.verify(p)
+		got := c.verify(e.pos)
 		g := int32(len(got))
-		c.setBound(e, g)
-		if g > gain || (g == gain && g > 0 && p < pos) {
-			best, pos, gain, nbrs = e, p, g, got
+		held = append(held, entry{bound: g, pos: e.pos})
+		if g > gain || (g == gain && g > 0 && e.pos < pos) {
+			pos, gain, nbrs = e.pos, g, got
 		}
 	}
-	c.heap = h
-	return best, pos, nbrs, nil
+	for _, e := range held {
+		if e.bound > 0 && e.pos != pos {
+			c.heap.push(e)
+		}
+	}
+	c.held = held
+	return pos, nbrs, nil
 }
 
 // verify computes the exact marginal gain of rel position pos at the call's
@@ -269,7 +189,7 @@ func (c *call) pick(ctx context.Context) (best entry, pos int32, nbrs []int32, e
 func (c *call) verify(pos int32) []int32 {
 	c.st.VerifiedLeaves++
 	first := !c.known.Contains(int(pos))
-	g := c.rel.ids[pos]
+	g := c.rel[pos]
 	kept := c.lists[pos][:0]
 	for _, key := range c.lists[pos] {
 		if c.covered.Contains(int(key)) {
@@ -278,7 +198,7 @@ func (c *call) verify(pos int32) []int32 {
 		if first {
 			c.st.CandidateScans++
 			if key != pos {
-				leq, pruned := metric.Decide(c.m, g, c.rel.ids[key], c.theta)
+				leq, pruned := metric.Decide(c.m, g, c.rel[key], c.theta)
 				if pruned {
 					c.st.PrunedDistances++
 				} else {
@@ -338,29 +258,32 @@ func candidateLists(ctx context.Context, views []*vantage.Subset, n int, theta f
 	return lists, nil
 }
 
-// entry is a search heap element: node of part's flat NB-Tree with the
-// node's bound when pushed.
+// entry is a search heap element: a relevant graph's rel position with its
+// bound when pushed.
 type entry struct {
 	bound int32
-	part  int32
-	node  int32
+	pos   int32
 }
 
-// entryHeap is a typed max-heap on bound, ties toward the lower part and
-// then the lower node index. Entries are stored by value in one slice — no
-// container/heap, no interface boxing, no per-push allocation. A node is
-// pushed at most once per pick, so (part, node) keys are unique and the pop
-// order is a strict total order independent of the heap implementation.
+// entryHeap is a typed max-heap on bound, ties toward the lower rel
+// position. Entries are stored by value in one slice — no container/heap, no
+// interface boxing, no per-push allocation. A graph has at most one entry,
+// so positions are unique and the pop order is a strict total order
+// independent of the heap implementation.
 type entryHeap []entry
 
 func (h entryHeap) less(i, j int) bool {
 	if h[i].bound != h[j].bound {
 		return h[i].bound > h[j].bound
 	}
-	if h[i].part != h[j].part {
-		return h[i].part < h[j].part
+	return h[i].pos < h[j].pos
+}
+
+// init orders an arbitrary slice into a heap in O(n).
+func (h entryHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return h[i].node < h[j].node
 }
 
 // push inserts e and sifts it up.
@@ -383,21 +306,25 @@ func (h *entryHeap) pop() entry {
 	top := a[0]
 	n := len(a) - 1
 	a[0] = a[n]
-	a = a[:n]
-	*h = a
-	for i := 0; ; {
+	*h = a[:n]
+	h.down(0)
+	return top
+}
+
+// down sifts element i toward the leaves.
+func (h entryHeap) down(i int) {
+	for n := len(h); ; {
 		c := 2*i + 1
 		if c >= n {
-			break
+			return
 		}
-		if r := c + 1; r < n && a.less(r, c) {
+		if r := c + 1; r < n && h.less(r, c) {
 			c = r
 		}
-		if !a.less(c, i) {
-			break
+		if !h.less(c, i) {
+			return
 		}
-		a[i], a[c] = a[c], a[i]
+		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-	return top
 }

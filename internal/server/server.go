@@ -239,9 +239,10 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The engine's Insert extends the copy-on-write database (safe next to
-	// readers) and the last shard's vantage ordering and NB-Tree (not safe
-	// next to readers of that shard) — take the last shard's write lock
-	// only, so queries pinned to earlier shards keep running.
+	// readers) and the last shard's vantage rows and embedding table (not
+	// safe next to readers of that shard) — take the last shard's write
+	// lock. /query and /sweep read-lock every shard (withSession), so they
+	// wait for the insert; only /graph reads of earlier shards keep running.
 	last := len(s.locks) - 1
 	s.locks[last].Lock()
 	defer s.locks[last].Unlock()

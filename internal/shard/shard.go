@@ -1,27 +1,23 @@
 // Package shard partitions a graph database into contiguous ID ranges, each
-// owning its own NB-Index part (vantage rows + NB-Tree), and coordinates
-// top-k representative queries across them. A shard is just a top-level
-// cluster: the paper's π̂ bounds compose across disjoint partitions, so
-// sharding preserves exactness while unlocking parallel builds and
-// fine-grained write locking.
+// owning its own NB-Index part (vantage rows + embedding records), and
+// coordinates top-k representative queries across them. The paper's π̂
+// bounds compose across disjoint partitions, so sharding preserves
+// exactness.
 //
 // # Determinism contract
 //
 // Every shard shares one global vantage point set and one global θ grid,
-// both drawn from the build RNG exactly as the unsharded build draws them.
-// A graph's embedding coordinates (its distances to the global VPs) are
-// therefore valid against any shard's ordering, so cross-shard candidate
-// scans cost zero extra distance computations and the union of per-shard
-// candidate sets equals the unsharded candidate set exactly. A graph's
-// candidate list concatenated across shards is its unsharded list, so its
-// leaf bound is the unsharded one, bounds stay admissible, and the
-// coordinator's one best-first search over every shard's tree (an
-// nbindex.Session over the forest of parts) verifies every candidate whose
-// bound reaches the best verified gain — so answers are byte-identical to
-// the unsharded engine for any shard count (per-query work counters do vary
-// with the shard count, since each count's forest has its own shape). With
-// one shard the build passes the global RNG straight through and produces
-// bit-identical index bytes to the pre-shard engine.
+// both drawn from the build RNG exactly as the unsharded build draws them;
+// a part draws no randomness of its own. A graph's embedding coordinates
+// (its distances to the global VPs) are therefore valid against any shard's
+// ordering, so cross-shard candidate scans cost zero extra distance
+// computations and the union of per-shard candidate sets equals the
+// unsharded candidate set exactly. A graph's candidate list concatenated
+// across shards is its unsharded list, so its bound is the unsharded one,
+// and the coordinator's search (an nbindex.Session over the forest of
+// parts) keys one heap by global rel position. Answers and per-query work
+// counters are therefore identical to the unsharded engine's for any shard
+// count, and with one shard the index bytes are too.
 package shard
 
 import (
@@ -33,7 +29,6 @@ import (
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
 	"graphrep/internal/nbindex"
-	"graphrep/internal/pool"
 	"graphrep/internal/vantage"
 )
 
@@ -46,8 +41,6 @@ type Options struct {
 	// NumVPs is the size of the global vantage point set (shared by every
 	// shard).
 	NumVPs int
-	// Branching is the per-shard NB-Tree fan-out (≥ 2; 0 defaults to 4).
-	Branching int
 	// ThetaGrid lists the indexed thresholds, ascending: SweepTheta's default
 	// points. One global grid serves every shard.
 	ThetaGrid []float64
@@ -101,11 +94,9 @@ func Build(db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*S
 }
 
 // BuildContext constructs a sharded NB-Index. The global vantage point set
-// is selected from rng exactly as the unsharded build selects it; with one
-// shard rng then drives the tree build directly (bit-identical bytes to the
-// unsharded index), and with S > 1 each shard derives its own seed from rng
-// sequentially and the shard builds run concurrently on the worker pool —
-// every randomized decision is pinned before the fan-out, so the set is
+// is selected from rng exactly as the unsharded build selects it, and rng is
+// read no further. The parts then build one after another, each filling its
+// vantage rows and embedding records on the worker pool, so the set is
 // identical for any Workers value. Cancellation is observed at phase
 // boundaries and inside every parallel fill.
 func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Set, error) {
@@ -134,50 +125,17 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 		grid:  append([]float64(nil), opt.ThetaGrid...),
 		parts: make([]*nbindex.Index, len(plan)),
 	}
-	if len(plan) == 1 {
-		// Single shard: keep consuming the caller's RNG stream directly so
-		// the part is bit-identical to the pre-shard (unsharded) index.
-		part, err := nbindex.BuildPartContext(ctx, db, m, vps, opt.ThetaGrid,
-			plan[0].Base, plan[0].Count, opt.Branching, opt.Workers, rng)
+	for i, r := range plan {
+		part, err := nbindex.BuildPartContext(ctx, db, m, vps, opt.ThetaGrid, r.Base, r.Count, opt.Workers)
 		if err != nil {
 			return nil, err
 		}
-		s.parts[0] = part
-	} else {
-		// Multi-shard: pin one seed per shard from the sequential stream,
-		// then build shards concurrently, each on its own deterministic RNG.
-		seeds := make([]int64, len(plan))
-		for i := range seeds {
-			seeds[i] = rng.Int63()
-		}
-		errs := make([]error, len(plan))
-		outer := opt.Workers
-		if r := pool.Resolve(outer); r > len(plan) {
-			outer = len(plan)
-		}
-		if err := pool.Ranges(ctx, len(plan), outer, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s.parts[i], errs[i] = nbindex.BuildPartContext(ctx, db, m, vps, opt.ThetaGrid,
-					plan[i].Base, plan[i].Count, opt.Branching, opt.Workers,
-					rand.New(rand.NewSource(seeds[i])))
-			}
-		}); err != nil {
-			return nil, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
+		s.parts[i] = part
+		s.timing.Vantage += part.Timing().Vantage
 	}
 	done := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
 	s.timing.VPSelect = tVPs.Sub(start)
 	s.timing.Total = done.Sub(start)
-	for _, part := range s.parts {
-		t := part.Timing()
-		s.timing.Vantage += t.Vantage
-		s.timing.Tree += t.Tree
-	}
 	return s, nil
 }
 
@@ -191,7 +149,7 @@ func (s *Set) Part(p int) *nbindex.Index { return s.parts[p] }
 func (s *Set) Grid() []float64 { return s.grid }
 
 // Bytes approximates the memory footprint: the sum over shards of vantage
-// rows plus NB-Tree structure.
+// rows plus embedding table.
 func (s *Set) Bytes() int64 {
 	var b int64
 	for _, part := range s.parts {
@@ -201,8 +159,7 @@ func (s *Set) Bytes() int64 {
 }
 
 // Timing aggregates construction timing: VPSelect and Total are wall times
-// of the whole build; Vantage and Tree sum the per-shard phases (they exceed
-// wall time when shards build concurrently).
+// of the whole build; Vantage sums the per-shard vantage fills.
 func (s *Set) Timing() nbindex.BuildTiming { return s.timing }
 
 // SetWorkers bounds the goroutines later queries' vantage passes use (≤ 0
@@ -245,10 +202,10 @@ func (s *Set) PartFor(id graph.ID) int {
 
 // Insert extends the set with a graph already appended to the database (its
 // ID must be the database's last). The new graph lands in the last shard —
-// the only one whose range borders the database's end — so concurrent
-// readers of other shards are unaffected; internal/server exploits this with
-// per-shard locks. Not safe concurrently with queries touching the last
-// shard.
+// the only one whose range borders the database's end — and no other part
+// changes. A session spans every shard, so Insert is not safe concurrently
+// with any query; only reads confined to an earlier shard's graphs may run
+// beside it (internal/server's /graph).
 func (s *Set) Insert(id graph.ID) error {
 	// Inserting computes distances against mapped graph content; settle the
 	// store's deferred validation first (cached after the first call).

@@ -76,7 +76,7 @@ func testSet(t *testing.T, n, shards int, seed int64) (*Set, *graph.Database, me
 // TestCoordSessionStatsParitySingleShard runs the coordinator machinery over
 // a 1-shard set and compares it against the plain nbindex session on the same
 // part: answers AND QueryStats must match exactly — the coordinator's search
-// over a forest of one tree is precisely the unsharded search.
+// over a forest of one part is precisely the unsharded search.
 func TestCoordSessionStatsParitySingleShard(t *testing.T) {
 	set, db, _ := testSet(t, 90, 1, 11)
 	rel := core.FirstQuartileRelevance(db, nil)

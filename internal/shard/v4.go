@@ -11,7 +11,6 @@ import (
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
 	"graphrep/internal/nbindex"
-	"graphrep/internal/nbtree"
 	"graphrep/internal/vantage"
 )
 
@@ -21,10 +20,12 @@ import (
 // costs O(header + directory), not O(data). Global sections carry shard 0;
 // per-shard sections carry the 0-based shard number (global and per-shard
 // kinds are disjoint, so the (kind, shard) key is unique). A file holds
-// only what queries, Insert and the load checks read; kinds 12–13 (every
+// only what queries, Insert and the load checks read. Kinds 12–13 (every
 // space's sorted view), 27–28 (node radii and diameters) and 30 (a
 // graph-to-leaf map) are retired, and a file that still carries them lacks
-// kind 14, so it fails at open.
+// kind 14, so it fails at open. Kinds 20–26 (the NB-Tree in parallel
+// arrays) are retired too; nothing reads them, so a file that carries them
+// still opens, and it re-saves without them.
 const (
 	// Global sections.
 	secManifest = 1 // u64 shardCount, then per shard u64 base, u64 count
@@ -34,15 +35,6 @@ const (
 	secVPs   = 10 // i32 vantage point IDs
 	secDist  = 11 // f64 numVPs×count row-major: d(vp, g)
 	secOrder = 14 // i32 count: the shard's IDs sorted by the first row of Dist
-
-	// Per-shard NB-Tree in flattened (parallel-array) form.
-	secTreeMeta    = 20 // u64 ×5: numNodes, exactDists, prunedDists, nodes, leaves
-	secCentroid    = 21 // i32 per node
-	secParent      = 22 // i32 per node, −1 at the root
-	secFirstChild  = 23 // i32 per node, −1 at leaves
-	secNextSibling = 24 // i32 per node, −1 at chain ends
-	secSize        = 25 // i32 per node
-	secLeaf        = 26 // u8 per node, 0 or 1
 
 	// Per-shard filter embeddings, offset-tabled like the container itself.
 	secEmbOffsets = 40 // u32 per graph plus terminator, into EmbBlob
@@ -74,8 +66,8 @@ func (s *Set) Encode(w io.Writer) error {
 
 	for p, part := range s.parts {
 		sh := uint32(p)
-		vo, f, tab := part.VO(), part.Flat(), part.EmbeddingTable()
-		count, nv, nn := part.Count(), vo.NumVPs(), f.Len()
+		vo, tab := part.VO(), part.EmbeddingTable()
+		count, nv := part.Count(), vo.NumVPs()
 
 		add(secVPs, sh, uint64(4*nv), writeLE(vo.VPs()))
 		add(secDist, sh, 8*uint64(nv)*uint64(count), func(w io.Writer) error {
@@ -87,17 +79,6 @@ func (s *Set) Encode(w io.Writer) error {
 			return nil
 		})
 		add(secOrder, sh, uint64(4*count), writeLE(vo.Order()))
-
-		st := f.Stats()
-		meta := []uint64{uint64(nn), uint64(st.ExactDistances), uint64(st.PrunedDistances), uint64(st.Nodes), uint64(st.Leaves)}
-		add(secTreeMeta, sh, uint64(8*len(meta)), writeLE(meta))
-		add(secCentroid, sh, uint64(4*nn), writeLE(f.Centroids))
-		add(secParent, sh, uint64(4*nn), writeLE(f.Parents))
-		add(secFirstChild, sh, uint64(4*nn), writeLE(f.FirstChild))
-		add(secNextSibling, sh, uint64(4*nn), writeLE(f.NextSibling))
-		add(secSize, sh, uint64(4*nn), writeLE(f.Sizes))
-		add(secLeaf, sh, uint64(nn), func(w io.Writer) error { _, err := w.Write(f.Leaves); return err })
-
 		add(secEmbOffsets, sh, uint64(4*len(tab.Offsets())), writeLE(tab.Offsets()))
 		add(secEmbBlob, sh, uint64(len(tab.Blob())), func(w io.Writer) error { _, err := w.Write(tab.Blob()); return err })
 	}
@@ -198,10 +179,10 @@ func ReadBytesContext(ctx context.Context, data []byte, db *graph.Database, m me
 
 // readPart assembles one shard's index from its sections using the
 // deferred component constructors (vantage.FromViewsDeferred,
-// nbtree.NewFlatDeferred, ged.NewTableDeferred,
-// nbindex.PartFromViewsDeferred): only O(1)-per-shard shape checks — plus
-// the cross-section length couplings the components cannot see — run here,
-// so the open stays independent of index size. The O(count) content scans
+// ged.NewTableDeferred, nbindex.PartFromViewsDeferred): only
+// O(1)-per-shard shape checks — plus the cross-section length couplings the
+// components cannot see — run here, so the open stays independent of index
+// size. The O(count) content scans
 // run once at the part's first use (nbindex.Index.EnsureValid, called by
 // session creation and Insert), which is where corrupt content surfaces as
 // an error.
@@ -223,57 +204,6 @@ func readPart(d *container.Dir, sh uint32, base graph.ID, count int, db *graph.D
 		return nil, err
 	}
 
-	meta, err := container.View[uint64](d, secTreeMeta, sh)
-	if err != nil {
-		return nil, err
-	}
-	if len(meta) != 5 {
-		return nil, fmt.Errorf("nbtree: tree meta has %d entries, want 5", len(meta))
-	}
-	numNodes := meta[0]
-	if numNodes == 0 || numNodes > uint64(2*count) {
-		return nil, fmt.Errorf("nbtree: implausible node count %d for %d graphs", numNodes, count)
-	}
-	centroids, err := container.View[graph.ID](d, secCentroid, sh)
-	if err != nil {
-		return nil, err
-	}
-	parents, err := container.View[int32](d, secParent, sh)
-	if err != nil {
-		return nil, err
-	}
-	firstChild, err := container.View[int32](d, secFirstChild, sh)
-	if err != nil {
-		return nil, err
-	}
-	nextSibling, err := container.View[int32](d, secNextSibling, sh)
-	if err != nil {
-		return nil, err
-	}
-	sizes, err := container.View[int32](d, secSize, sh)
-	if err != nil {
-		return nil, err
-	}
-	leaves, err := d.Section(secLeaf, sh)
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(centroids)) != numNodes || uint64(len(leaves)) != numNodes {
-		return nil, fmt.Errorf("nbtree: tree sections cover %d/%d nodes, meta declares %d",
-			len(centroids), len(leaves), numNodes)
-	}
-	if meta[3] != numNodes || meta[4] > numNodes {
-		return nil, fmt.Errorf("nbtree: tree meta declares %d nodes / %d leaves for %d stored nodes",
-			meta[3], meta[4], numNodes)
-	}
-	// The claimed leaf count (meta[4]) is carried in the stats and verified
-	// against the actual flags by the deferred Flat.Validate.
-	flat, err := nbtree.NewFlatDeferred(centroids, parents, firstChild, nextSibling, sizes, leaves,
-		nbtree.BuildStats{ExactDistances: int64(meta[1]), PrunedDistances: int64(meta[2]), Leaves: int(meta[4])})
-	if err != nil {
-		return nil, err
-	}
-
 	embOffs, err := container.View[uint32](d, secEmbOffsets, sh)
 	if err != nil {
 		return nil, err
@@ -289,5 +219,5 @@ func readPart(d *container.Dir, sh uint32, base graph.ID, count int, db *graph.D
 	if err != nil {
 		return nil, err
 	}
-	return nbindex.PartFromViewsDeferred(db, m, vo, flat, grid, tab, 0)
+	return nbindex.PartFromViewsDeferred(db, m, vo, grid, tab, 0)
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func v4TestFile(tb testing.TB) (*graph.Database, metric.Metric, []float64, []byt
 		tb.Fatal(err)
 	}
 	m := metric.NewCache(metric.Star(db))
-	set, err := Build(db, m, Options{Shards: 2, NumVPs: 3, Branching: 3, ThetaGrid: []float64{3, 6, 9}},
+	set, err := Build(db, m, Options{Shards: 2, NumVPs: 3, ThetaGrid: []float64{3, 6, 9}},
 		rand.New(rand.NewSource(11)))
 	if err != nil {
 		tb.Fatal(err)
@@ -57,7 +58,7 @@ func FuzzReadIndexV4(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Add(repeatOrderingEntry(f, valid))
-	f.Add(repeatLeafCentroid(f, valid))
+	f.Add(withRetiredTree(f, valid))
 
 	theta := thetas[len(thetas)/2]
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -74,8 +75,8 @@ func FuzzReadIndexV4(f *testing.F) {
 			return
 		}
 		// Content validated too: queries must now be safe. (They need not
-		// be meaningful — a fuzzer CAN craft a consistent file describing a
-		// different clustering — but every array access must stay in range.)
+		// be meaningful — a fuzzer CAN craft a consistent file with
+		// different vantage rows — but every array access must stay in range.)
 		if _, err := sess.TopK(theta, 3); err != nil {
 			t.Fatalf("query on validated v4 index: %v", err)
 		}
@@ -118,55 +119,48 @@ func TestV4RepeatedOrderingEntry(t *testing.T) {
 	}
 }
 
-// repeatLeafCentroid returns a copy of the index file data whose shard-0
-// tree lists one graph under two leaves: the second leaf's centroid is
-// overwritten with the first leaf's. Every value stays in range and the leaf
-// count is unchanged, so only the distinct-leaves check of the part's
-// deferred validation catches it; the graph it displaces would have no leaf.
-func repeatLeafCentroid(tb testing.TB, data []byte) []byte {
+// withRetiredTree returns the index file data rewritten the way a file
+// saved while the NB-Tree was still written lays it out: each shard's
+// sections of the retired tree kinds 20–26 sit between its order and its
+// embedding sections. Their bodies are zeros; no reader asks for those
+// kinds, so the file must open and answer (TestIndexCompatMatrix checks
+// the answers on the committed golden file).
+func withRetiredTree(tb testing.TB, data []byte) []byte {
 	tb.Helper()
-	mut := append([]byte(nil), data...)
-	// Parse returns subslices of mut, so the sections alias the copy.
-	d, err := container.Parse(mut, magic)
+	d, err := container.Parse(data, magic)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	leaves, err := d.Section(secLeaf, 0)
+	manifest, err := container.View[uint64](d, secManifest, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	centroids, err := d.Section(secCentroid, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	first := -1
-	for i, leaf := range leaves {
-		if leaf != 1 {
-			continue
+	var secs []container.Section
+	keep := func(kind, shard uint32) {
+		body, err := d.Section(kind, shard)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		if first < 0 {
-			first = i
-			continue
+		secs = append(secs, container.Section{Kind: kind, Shard: shard, Len: uint64(len(body)),
+			Write: func(w io.Writer) error { _, err := w.Write(body); return err }})
+	}
+	keep(secManifest, 0)
+	keep(secGrid, 0)
+	for sh := uint32(0); uint64(sh) < manifest[0]; sh++ {
+		keep(secVPs, sh)
+		keep(secDist, sh)
+		keep(secOrder, sh)
+		for kind := uint32(20); kind <= 26; kind++ {
+			zeros := make([]byte, 8*manifest[2+2*sh])
+			secs = append(secs, container.Section{Kind: kind, Shard: sh, Len: uint64(len(zeros)),
+				Write: func(w io.Writer) error { _, err := w.Write(zeros); return err }})
 		}
-		copy(centroids[4*i:4*i+4], centroids[4*first:4*first+4])
-		return mut
+		keep(secEmbOffsets, sh)
+		keep(secEmbBlob, sh)
 	}
-	tb.Fatal("shard 0 has fewer than two leaves")
-	return nil
-}
-
-// TestV4RepeatedLeafCentroid checks that a file whose tree puts one graph
-// under two leaves is refused at the first session. Nothing else in the
-// file is out of range, so this is the check that stands in for a stored
-// graph-to-leaf map: with as many leaves as graphs, distinct leaf graphs
-// mean every graph has exactly one leaf.
-func TestV4RepeatedLeafCentroid(t *testing.T) {
-	db, m, _, data := v4TestFile(t)
-	s, err := ReadBytes(repeatLeafCentroid(t, data), db, m)
-	if err != nil {
-		t.Fatalf("ReadBytes: %v (the repeat should pass the O(1) shape checks)", err)
+	var buf bytes.Buffer
+	if err := container.Write(&buf, magic, secs); err != nil {
+		tb.Fatal(err)
 	}
-	if _, err := s.NewSession(func([]float64) bool { return true }); err == nil {
-		t.Fatal("NewSession accepted a tree that puts one graph under two leaves")
-	}
+	return buf.Bytes()
 }

@@ -12,7 +12,6 @@ package vantage
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -172,19 +171,6 @@ func (o *Ordering) Len() int { return len(o.dist[0]) }
 // VPDistance returns d(vps[v], g) from the precomputed embedding. g must lie
 // in the ordering's range.
 func (o *Ordering) VPDistance(v int, g graph.ID) float64 { return o.dist[v][g-o.base] }
-
-// LowerBound returns the vantage distance max_v |d(v,a) − d(v,b)|, a lower
-// bound on d(a,b) (Theorem 4 / Definition 4 lifted to a VP set). Both graphs
-// must lie in the ordering's range.
-func (o *Ordering) LowerBound(a, b graph.ID) float64 {
-	lb := 0.0
-	for v := range o.dist {
-		if d := math.Abs(o.dist[v][a-o.base] - o.dist[v][b-o.base]); d > lb {
-			lb = d
-		}
-	}
-	return lb
-}
 
 // FPRSample measures the observed false positive rate of the embedding: the
 // fraction of candidate pairs (within vantage distance θ) that are not true

@@ -16,15 +16,13 @@ import (
 //
 //   - answers (Answer, Gains, Covered, Power) are byte-identical for any
 //     shard count — the global vantage point set and θ grid make per-shard
-//     bounds compose exactly;
+//     bounds compose exactly — and so is the search work: one heap keyed by
+//     global rel position serves every shard count, and each heap pop
+//     verifies one graph;
 //   - at a fixed shard count, everything — answers, SaveIndex bytes, and
 //     QueryStats — is identical for any Workers value;
 //   - an index file round-trips through SaveIndex/OpenWithIndex with its
 //     shard count intact.
-//
-// QueryStats totals are deliberately NOT compared across different shard
-// counts: each count's forest has its own shape, so the search does a
-// different (equally correct) amount of bookkeeping work.
 
 var equalityThetas = []float64{4, 6, 8, 11}
 
@@ -67,7 +65,10 @@ func collectAnswers(t *testing.T, engine *graphrep.Engine, k int) ([]answer, []g
 
 // TestShardCountAnswerEquality builds the same database at 1, 2, and 4
 // shards and checks every answer — TopK at several θ and the full sweep
-// curve — is identical.
+// curve — is identical, as is each TopK call's search work: heap pops,
+// verified leaves, candidate scans and threshold tests issued. The split of
+// those tests between exact and pruned is left out, since memo order can
+// shift it. Every call must pop exactly the graphs it verifies.
 func TestShardCountAnswerEquality(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 150, 5)
 	if err != nil {
@@ -76,6 +77,7 @@ func TestShardCountAnswerEquality(t *testing.T) {
 	type run struct {
 		shards  int
 		answers []answer
+		work    []searchWork
 		points  []graphrep.ThetaPoint
 	}
 	var runs []run
@@ -87,13 +89,23 @@ func TestShardCountAnswerEquality(t *testing.T) {
 		if engine.Shards() != shards {
 			t.Fatalf("engine has %d shards, want %d", engine.Shards(), shards)
 		}
-		answers, _, points := collectAnswers(t, engine, 5)
-		runs = append(runs, run{shards, answers, points})
+		answers, stats, points := collectAnswers(t, engine, 5)
+		for i, st := range stats {
+			if st.PQPops != st.VerifiedLeaves {
+				t.Errorf("shards=%d θ=%v: %d heap pops for %d verified leaves",
+					shards, equalityThetas[i], st.PQPops, st.VerifiedLeaves)
+			}
+		}
+		runs = append(runs, run{shards, answers, searchWorkOf(stats), points})
 	}
 	for _, r := range runs[1:] {
 		if !reflect.DeepEqual(r.answers, runs[0].answers) {
 			t.Errorf("shards=%d answers differ from shards=1:\n got %+v\nwant %+v",
 				r.shards, r.answers, runs[0].answers)
+		}
+		if !reflect.DeepEqual(r.work, runs[0].work) {
+			t.Errorf("shards=%d search work differs from shards=1:\n got %+v\nwant %+v",
+				r.shards, r.work, runs[0].work)
 		}
 		if !reflect.DeepEqual(r.points, runs[0].points) {
 			t.Errorf("shards=%d sweep curve differs from shards=1", r.shards)
