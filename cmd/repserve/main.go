@@ -41,7 +41,7 @@ func main() {
 		drainFor = flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
 		workers  = flag.Int("workers", 0, "worker goroutines for index construction and each query's vantage pass (0 = GOMAXPROCS; results are identical for any value)")
 		queryTO  = flag.Duration("query-timeout", 0, "per-request deadline for /query and /sweep (0 = none; expired queries answer 504)")
-		shards   = flag.Int("shards", 1, "index shards; inserts write-lock only the last shard, so reads of other shards never wait (answers identical for any value; ignored when loading a stored index, which fixes its own shard count)")
+		shards   = flag.Int("shards", 1, "index shards; an insert extends only the last shard (answers identical for any value; ignored when loading a stored index, which fixes its own shard count)")
 	)
 	flag.Parse()
 	if *workers < 0 {
@@ -65,9 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := db.Stats()
-	log.Printf("serving %d graphs (avg |V|=%.1f, %d index shard(s)) on %s",
-		st.Graphs, st.AvgNodes, engine.Shards(), *addr)
+	log.Printf("serving %d graphs (%d index shard(s)) on %s", db.Len(), engine.Shards(), *addr)
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           server.New(engine, server.Options{Pprof: *pprofOn, QueryTimeout: *queryTO}).Handler(),

@@ -495,11 +495,6 @@ func (e *Engine) SaveIndex(w io.Writer) error { return e.set.Encode(w) }
 // for more, or the loaded index file recorded more).
 func (e *Engine) Shards() int { return e.set.Shards() }
 
-// ShardFor returns the index (0 ≤ p < Shards()) of the shard owning graph
-// id. Inserts always land in the last shard; internal/server uses this to
-// scope read locks to the one shard a request touches.
-func (e *Engine) ShardFor(id ID) int { return e.set.PartFor(id) }
-
 // Insert appends a graph to the database and extends the index
 // incrementally — a vantage row costing |V| distances, plus the graph's
 // embedding record, instead of a rebuild. The graph's ID must equal
@@ -931,13 +926,13 @@ func (s *Session) RelevantCount() int { return s.s.RelevantCount() }
 
 // FirstQuartileRelevance returns the paper's default relevance function: a
 // graph is relevant when its mean feature score (over dims, or all
-// dimensions when dims is nil) falls in the top quartile of the database.
+// dimensions when dims is empty) falls in the top quartile of the database.
 func FirstQuartileRelevance(db *Database, dims []int) Relevance {
 	return core.FirstQuartileRelevance(db, dims)
 }
 
 // DimensionScore scores a feature vector as the mean over the chosen
-// dimensions (all when dims is nil).
+// dimensions (all when dims is empty).
 func DimensionScore(dims []int) Score { return core.DimensionScore(dims) }
 
 // TopicScore is the cascade query function (Table 1, example 2): the soft

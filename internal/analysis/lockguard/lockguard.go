@@ -112,9 +112,8 @@ func collectGuards(pass *framework.Pass) map[types.Object]string {
 }
 
 // lockedMutexes collects the terminal field names of every mutex this
-// function acquires anywhere in its body: s.mu.RLock(), mu.Lock(), and the
-// per-shard slice form s.locks[i].RLock() all yield their field name ("mu",
-// "locks").
+// function acquires anywhere in its body: s.mu.RLock() and mu.Lock() both
+// yield "mu".
 func lockedMutexes(body *ast.BlockStmt) map[string]bool {
 	locked := map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -126,13 +125,7 @@ func lockedMutexes(body *ast.BlockStmt) map[string]bool {
 		if !ok || !lockMethods[sel.Sel.Name] {
 			return true
 		}
-		recv := sel.X
-		if idx, ok := recv.(*ast.IndexExpr); ok {
-			// Element of a mutex slice/array/map: the guard name is the
-			// collection's field name.
-			recv = idx.X
-		}
-		switch recv := recv.(type) {
+		switch recv := sel.X.(type) {
 		case *ast.SelectorExpr:
 			locked[recv.Sel.Name] = true
 		case *ast.Ident:

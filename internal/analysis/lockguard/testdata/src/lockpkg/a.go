@@ -58,20 +58,3 @@ func (s *Store) TryRead() (int, bool) {
 	defer s.mu.RUnlock()
 	return s.count, true
 }
-
-type Sharded struct {
-	locks []sync.RWMutex
-	// tables[i] is shard i's table.
-	// guarded by locks
-	tables [][]int
-}
-
-func (s *Sharded) ReadShard(i, j int) int {
-	s.locks[i].RLock()
-	defer s.locks[i].RUnlock()
-	return s.tables[i][j]
-}
-
-func (s *Sharded) RacyShard(i, j int) int {
-	return s.tables[i][j] // want `field tables is guarded by locks, but RacyShard neither locks locks nor is named \*Locked`
-}

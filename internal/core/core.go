@@ -336,7 +336,8 @@ func TraditionalTopK(db *graph.Database, score Score, k int) []graph.ID {
 // FirstQuartileRelevance returns the relevance function used throughout the
 // paper's experiments (§8.2.1): a graph is relevant when its feature-space
 // score falls within the top quartile of database scores. The score is the
-// mean of the selected feature dimensions (all dimensions when dims is nil).
+// mean of the selected feature dimensions (all dimensions when dims is
+// empty).
 func FirstQuartileRelevance(db *graph.Database, dims []int) Relevance {
 	score := DimensionScore(dims)
 	if db.Len() == 0 {
@@ -412,13 +413,14 @@ func WeightedRelevance(w []float64, tau float64) Relevance {
 }
 
 // DimensionScore scores a feature vector as the mean over the chosen
-// dimensions (§8.2.1's Σ g_i / d), or over all dimensions when dims is nil.
+// dimensions (§8.2.1's Σ g_i / d), or over all dimensions when dims is
+// empty, nil or not.
 func DimensionScore(dims []int) Score {
 	return func(f []float64) float64 {
 		if len(f) == 0 {
 			return 0
 		}
-		if dims == nil {
+		if len(dims) == 0 {
 			s := 0.0
 			for _, x := range f {
 				s += x

@@ -291,6 +291,15 @@ func TestDimensionScore(t *testing.T) {
 	if got := DimensionScore(nil)(nil); got != 0 {
 		t.Errorf("empty features score = %v", got)
 	}
+	// An empty list means every dimension, like nil: the two encode to the
+	// same JSON spec, so they must score alike.
+	db, _ := randDB(t, 100, 11)
+	all, empty := DimensionScore(nil), DimensionScore([]int{})
+	for _, g := range db.Graphs() {
+		if a, e := all(g.Features()), empty(g.Features()); e != a {
+			t.Fatalf("graph %d: DimensionScore([]int{}) = %v, DimensionScore(nil) = %v", g.ID(), e, a)
+		}
+	}
 }
 
 func TestAssignRepresentatives(t *testing.T) {

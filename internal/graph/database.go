@@ -53,7 +53,7 @@ type dbState struct {
 // of mutating the current one, so any number of readers may run concurrently
 // with one Append and each sees either the old or the new snapshot, never a
 // torn one. Concurrent Appends must still be serialized by the caller
-// (internal/server holds the last shard's write lock around each insert).
+// (internal/server holds its index write lock around each insert).
 type Database struct {
 	state atomic.Pointer[dbState]
 }

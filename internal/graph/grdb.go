@@ -242,8 +242,8 @@ func (s *mappedStore) Mapped() bool    { return s.f != nil && s.f.Mapped() }
 // mapping. Handles are not cached: the store's heap retention stays a small
 // constant rather than O(corpus), which is the point of the mapped path.
 func (s *mappedStore) Graph(id ID) *Graph {
-	lo := s.vtxOff[id]   //lint:allow oncevalid sessions, Insert, and Validate run EnsureValid before any graph access
-	hi := s.vtxOff[id+1] //lint:allow oncevalid sessions, Insert, and Validate run EnsureValid before any graph access
+	lo := s.vtxOff[id]   //lint:allow oncevalid sessions, Insert, Validate, the exact engines, and internal/server's /graph and /stats run EnsureValid before any graph access
+	hi := s.vtxOff[id+1] //lint:allow oncevalid sessions, Insert, Validate, the exact engines, and internal/server's /graph and /stats run EnsureValid before any graph access
 	g := &Graph{
 		id:       id,
 		labels:   s.labels[lo:hi:hi],

@@ -157,8 +157,8 @@ func TestConcurrentMixedLoad(t *testing.T) {
 }
 
 // TestConcurrentSessionInit fires many first-requests for the SAME spec at
-// once: the singleflight entry must produce exactly one initialization and
-// every request must succeed with the same answer.
+// once: several may initialize a session, one of them is cached, and every
+// request must succeed with the same answer.
 func TestConcurrentSessionInit(t *testing.T) {
 	ts, _ := testServer(t)
 	const n = 16

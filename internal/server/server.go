@@ -17,14 +17,18 @@
 // # Concurrency
 //
 // Queries run in parallel: sessions are safe for concurrent TopK calls, so
-// the server takes only read locks on the query path. Locking is per shard —
-// one RWMutex per index shard. /insert is the sole writer, and an insert
-// only ever extends the last shard (plus the copy-on-write database, which
-// tolerates concurrent readers by construction), so it takes just that
-// shard's write lock: queries that touch every shard (/query, /sweep,
-// /stats, /metrics) wait only for the insert itself, while reads scoped to
-// one earlier shard (/graph) are never blocked by an insert at all. Locks
-// are always acquired in ascending shard order.
+// the query path takes only read locks. One RWMutex guards the index:
+// /insert is the sole writer and write-locks it around ID assignment and
+// Engine.Insert, so inserts serialize and /query, /sweep, /stats and
+// /metrics wait only for the insert itself. /graph takes no index lock: it
+// reads only the copy-on-write database, which tolerates an insert running
+// beside it.
+//
+// Sessions are cached per relevance spec. Only sessions that initialized
+// without error are stored; two concurrent first requests for one spec may
+// each initialize one, and the first stored wins. The cache is bounded by
+// the relevant IDs its sessions hold (maxCachedIDsPerGraph per database
+// graph) and cleared when full, and every /insert clears it.
 //
 // Every /query and /sweep runs under its request's context: a client that
 // disconnects mid-query aborts the in-flight search (499 recorded), and
@@ -82,21 +86,19 @@ const maxBodyBytes = 1 << 20
 // Create at most one Server per engine: the HTTP metrics register on the
 // engine's telemetry registry under fixed names.
 type Server struct {
-	engine *graphrep.Engine // guarded by locks
+	// mu is the index lock: /insert write-locks it, and every path that
+	// reads the index read-locks it.
+	mu     sync.RWMutex
+	engine *graphrep.Engine // guarded by mu
 	// db is safe to read without locks: the database is copy-on-write, so
 	// /insert's append never mutates a snapshot a reader holds.
 	db   *graphrep.Database
 	opts Options
 
-	// locks[p] is shard p's index lock: /insert extends only the last shard
-	// and write-locks just locks[len-1]; query paths that consult every
-	// shard read-lock all of them in ascending order, and /graph read-locks
-	// only the shard owning the requested graph.
-	locks []sync.RWMutex
-
-	// sessMu guards the session cache. Lock order: locks before sessMu.
-	sessMu   sync.Mutex
-	sessions map[string]*sessionEntry // guarded by sessMu
+	// sessMu guards the session cache. Lock order: mu before sessMu.
+	sessMu    sync.Mutex
+	sessions  map[string]*graphrep.Session // guarded by sessMu
+	cachedIDs int                          // guarded by sessMu; Σ max(RelevantCount, 1) over sessions
 
 	requests *telemetry.CounterVec   // graphrep_http_requests_total{endpoint}
 	errors   *telemetry.CounterVec   // graphrep_http_errors_total{endpoint}
@@ -104,14 +106,10 @@ type Server struct {
 	inFlight *telemetry.Gauge        // graphrep_http_in_flight_requests
 }
 
-// sessionEntry initializes its session exactly once, so concurrent first
-// requests for one relevance spec share a single initialization instead of
-// racing to duplicate it.
-type sessionEntry struct {
-	once sync.Once
-	sess *graphrep.Session
-	err  error
-}
+// maxCachedIDsPerGraph bounds the session cache: once its sessions would
+// hold more than this many relevant IDs per database graph (256 B of IDs
+// per graph), the cache is cleared before the next session is stored.
+const maxCachedIDsPerGraph = 64
 
 // latencyBuckets spans sub-millisecond cache hits to multi-second sweeps.
 var latencyBuckets = telemetry.ExponentialBuckets(0.0005, 2, 14) // 0.5ms … 4s
@@ -127,8 +125,7 @@ func New(engine *graphrep.Engine, opts ...Options) *Server {
 		engine:   engine,
 		db:       engine.Database(),
 		opts:     o,
-		locks:    make([]sync.RWMutex, engine.Shards()),
-		sessions: make(map[string]*sessionEntry),
+		sessions: make(map[string]*graphrep.Session),
 		requests: reg.MustCounterVec("graphrep_http_requests_total",
 			"HTTP requests received, by endpoint.", "endpoint"),
 		errors: reg.MustCounterVec("graphrep_http_errors_total",
@@ -191,28 +188,17 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// rUnlockAll releases the read locks rLockAll-style loops acquired. (The
-// acquisition side stays inline at each call site so the lockguard analyzer
-// sees the lock call in the function that touches guarded state.)
-func (s *Server) rUnlockAll() {
-	for i := range s.locks {
-		s.locks[i].RUnlock()
-	}
-}
-
 // handleMetrics renders the engine's full registry — HTTP, distance-layer,
 // and NB-Index metrics — in the Prometheus text exposition format. The read
-// locks keep the scrape consistent with respect to /insert (the index gauges
+// lock keeps the scrape consistent with respect to /insert (the index gauges
 // read mutable state).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	for i := range s.locks {
-		s.locks[i].RLock()
-	}
-	defer s.rUnlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.engine.Telemetry().WritePrometheus(w); err != nil {
 		// Response already started; nothing to repair mid-stream.
@@ -239,13 +225,10 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The engine's Insert extends the copy-on-write database (safe next to
-	// readers) and the last shard's vantage rows and embedding table (not
-	// safe next to readers of that shard) — take the last shard's write
-	// lock. /query and /sweep read-lock every shard (withSession), so they
-	// wait for the insert; only /graph reads of earlier shards keep running.
-	last := len(s.locks) - 1
-	s.locks[last].Lock()
-	defer s.locks[last].Unlock()
+	// readers) and the index (not safe next to its readers), and the write
+	// lock also serializes ID assignment across concurrent inserts.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	id := graphrep.ID(s.db.Len())
 	b := graphrep.NewBuilder(len(req.Labels))
 	for _, l := range req.Labels {
@@ -267,12 +250,15 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	// Cached sessions predate the insert and would silently miss the new
 	// graph; drop them so the next query re-initializes.
 	s.sessMu.Lock()
-	s.sessions = make(map[string]*sessionEntry)
+	clear(s.sessions)
+	s.cachedIDs = 0
 	s.sessMu.Unlock()
 	writeJSON(w, InsertResponse{ID: int32(id)})
 }
 
-// RelevanceSpec selects graphs declaratively.
+// RelevanceSpec selects graphs declaratively. Dims, Topics and Weights each
+// name feature dimensions, so each holds at most FeatureDim entries; a longer
+// list is answered 400.
 type RelevanceSpec struct {
 	// Kind is "quartile", "threshold", "topics", or "weighted".
 	Kind string `json:"kind"`
@@ -288,16 +274,27 @@ type RelevanceSpec struct {
 	Weights []float64 `json:"weights,omitempty"`
 }
 
+// specError marks a relevance spec that does not compile: a client error,
+// answered 400, where other engine errors are answered 500.
+type specError struct{ error }
+
 // compileLocked turns a spec into a relevance function. The caller must hold
-// every shard's read lock, like the rest of session initialization.
+// mu's read lock, like the rest of session initialization, so a quartile cut
+// and the session it selects for see the same graphs.
 func (s *Server) compileLocked(spec RelevanceSpec) (graphrep.Relevance, error) {
+	dim := s.db.FeatureDim()
+	// Each list names feature dimensions, and relevance functions loop over
+	// the whole list for every graph, so a longer list only costs time.
+	if n := max(len(spec.Dims), len(spec.Topics), len(spec.Weights)); n > dim {
+		return nil, fmt.Errorf("relevance spec lists %d entries, more than the %d feature dimensions", n, dim)
+	}
 	switch spec.Kind {
 	case "quartile", "threshold":
 		// Both score by indexing the feature vector at each dim, so a dim
 		// out of range would panic inside session initialization.
 		for _, d := range spec.Dims {
-			if d < 0 || d >= s.db.FeatureDim() {
-				return nil, fmt.Errorf("relevance dim %d outside [0, %d)", d, s.db.FeatureDim())
+			if d < 0 || d >= dim {
+				return nil, fmt.Errorf("relevance dim %d outside [0, %d)", d, dim)
 			}
 		}
 	}
@@ -317,58 +314,55 @@ func (s *Server) compileLocked(spec RelevanceSpec) (graphrep.Relevance, error) {
 	}
 }
 
-// sessionLocked returns a cached session for the spec, creating it on first
-// use. The caller must hold every shard's read lock (session initialization
+// sessionLocked returns the cached session for the spec, initializing one
+// on a miss. The caller must hold mu's read lock (session initialization
 // reads the whole index), which is what the Locked suffix declares to the
-// lockguard analyzer.
-// Concurrent first requests for one spec share a single initialization via
-// the entry's once; requests for other specs are never blocked by it.
-//
-// Initialization runs under the first requester's context, so it dies with
-// that client or its deadline (concurrent requests sharing the once then see
-// the same context error). A context-cancelled entry is evicted before
-// returning so the next request re-initializes instead of inheriting a
-// permanently poisoned cache slot.
+// lockguard analyzer. Initialization runs without sessMu, under the
+// request's context, and only a session that initialized without error is
+// stored, so a failed, cancelled or panicking init leaves nothing behind.
 func (s *Server) sessionLocked(ctx context.Context, spec RelevanceSpec) (*graphrep.Session, error) {
 	key, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
 	s.sessMu.Lock()
-	e, ok := s.sessions[string(key)]
-	if !ok {
-		e = &sessionEntry{}
-		s.sessions[string(key)] = e
-	}
+	sess := s.sessions[string(key)]
 	s.sessMu.Unlock()
-	e.once.Do(func() {
-		rel, err := s.compileLocked(spec)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.sess, e.err = s.engine.NewSessionContext(ctx, rel)
-	})
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-		s.sessMu.Lock()
-		if s.sessions[string(key)] == e {
-			delete(s.sessions, string(key))
-		}
-		s.sessMu.Unlock()
+	if sess != nil {
+		return sess, nil
 	}
-	return e.sess, e.err
+	rel, err := s.compileLocked(spec)
+	if err != nil {
+		return nil, specError{err}
+	}
+	if sess, err = s.engine.NewSessionContext(ctx, rel); err != nil {
+		return nil, err
+	}
+	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
+	if cached := s.sessions[string(key)]; cached != nil {
+		return cached, nil // a concurrent first request stored the spec first
+	}
+	// A session costs at least its map entry, so one with no relevant
+	// graphs still counts.
+	ids := max(sess.RelevantCount(), 1)
+	if s.cachedIDs+ids > maxCachedIDsPerGraph*s.db.Len() {
+		clear(s.sessions)
+		s.cachedIDs = 0
+	}
+	s.sessions[string(key)] = sess
+	s.cachedIDs += ids
+	return sess, nil
 }
 
-// withSession runs fn on the cached session for spec while holding every
-// shard's read lock. The unlock is deferred so that it also runs when the
-// engine panics: net/http recovers a handler's panic, and a read lock leaked
-// there would block the next /insert forever, and every read queued behind
-// that writer.
+// withSession runs fn on the cached session for spec while holding mu's
+// read lock. The unlock is deferred so that it also runs when the engine
+// panics: net/http recovers a handler's panic, and a read lock leaked there
+// would block the next /insert forever, and every read queued behind that
+// writer.
 func (s *Server) withSession(ctx context.Context, spec RelevanceSpec, fn func(*graphrep.Session) error) error {
-	for i := range s.locks {
-		s.locks[i].RLock()
-	}
-	defer s.rUnlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	sess, err := s.sessionLocked(ctx, spec)
 	if err != nil {
 		return err
@@ -386,17 +380,21 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 	return r.Context(), func() {}
 }
 
-// writeQueryError maps a query failure to a status: timeouts to 504,
-// client disconnects to 499 (the write is moot, but the error counter still
-// records it), anything else to 400 (validation).
+// writeQueryError maps a query failure to a status: a spec that does not
+// compile to 400, timeouts to 504, client disconnects to 499 (the write is
+// moot, but the error counter still records it), and anything else — the
+// engine failing on a valid request, such as a corrupt corpus — to 500.
 func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
+	var bad specError
 	switch {
+	case errors.As(err, &bad):
+		httpError(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		httpError(w, http.StatusGatewayTimeout, "query timed out")
 	case errors.Is(err, context.Canceled) && r.Context().Err() != nil:
 		httpError(w, statusClientClosedRequest, "client closed request")
 	default:
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -426,10 +424,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "theta must be ≥ 0 and k ≥ 1")
 		return
 	}
-	// Sessions are safe for concurrent TopK calls; the per-shard read locks
-	// only exclude /insert on the last shard, so queries run in parallel.
-	// The derived context aborts the query when the client disconnects or
-	// the configured per-request timeout fires.
+	// Sessions are safe for concurrent TopK calls; the read lock only
+	// excludes /insert, so queries run in parallel. The derived context
+	// aborts the query when the client disconnects or the configured
+	// per-request timeout fires.
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	var res *graphrep.Result
@@ -523,11 +521,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	// Stats walks the database and index; exclude /insert while reading.
-	for i := range s.locks {
-		s.locks[i].RLock()
+	// Stats walks every graph, so settle a mapped corpus's deferred
+	// validation first. The read lock keeps the index figures consistent
+	// with /insert.
+	if err := s.db.EnsureValid(); err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	defer s.rUnlockAll()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	st := s.db.Stats()
 	snap := s.engine.Telemetry().Snapshot()
 	writeJSON(w, StatsResponse{
@@ -566,11 +568,13 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown graph id")
 		return
 	}
-	// Lock only the shard owning this graph: inserts (which write-lock the
-	// last shard) never delay reads of graphs in earlier shards.
-	p := s.engine.ShardFor(graphrep.ID(id))
-	s.locks[p].RLock()
-	defer s.locks[p].RUnlock()
+	// No index lock: the copy-on-write database is safe to read beside an
+	// insert. A mapped corpus validates its content on first use, and a
+	// graph handle over unvalidated offsets could slice out of range.
+	if err := s.db.EnsureValid(); err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	g := s.db.Graph(graphrep.ID(id))
 	resp := GraphResponse{ID: int32(id), Features: g.Features()}
 	for _, l := range g.VertexLabels() {

@@ -178,10 +178,11 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
-// A relevance spec naming a feature dim outside [0, FeatureDim) is a client
-// error on /query and /sweep: it is answered 400 on every attempt, not just
-// the first, and no shard lock stays held, so a later /insert completes and
-// a valid query still answers.
+// A relevance spec naming a feature dim outside [0, FeatureDim), or listing
+// more than FeatureDim dims, topics or weights, is a client error on /query
+// and /sweep: it is answered 400 on every attempt, not just the first, and
+// no index lock stays held, so a later /insert completes and a valid query
+// still answers. Lists of exactly FeatureDim entries are answered.
 func TestBadRelevanceDims(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 120, 1)
 	if err != nil {
@@ -204,6 +205,9 @@ func TestBadRelevanceDims(t *testing.T) {
 			{Kind: "quartile", Dims: []int{99}},
 			{Kind: "quartile", Dims: []int{-1}},
 			{Kind: "threshold", Dims: []int{0, db.FeatureDim()}, Tau: 0.5},
+			{Kind: "threshold", Dims: make([]int, db.FeatureDim()+1), Tau: 0.5},
+			{Kind: "topics", Topics: make([]int, db.FeatureDim()+1), Tau: 0.05},
+			{Kind: "weighted", Weights: make([]float64, db.FeatureDim()+1), Tau: 3},
 		} {
 			for try := 1; try <= 2; try++ {
 				r := postJSON(t, ts.URL+path, QueryRequest{Relevance: spec, Theta: 5, K: 3}, nil)
@@ -235,6 +239,20 @@ func TestBadRelevanceDims(t *testing.T) {
 		Relevance: RelevanceSpec{Kind: "quartile", Dims: []int{0}}, Theta: 5, K: 3,
 	}, &qr); r.StatusCode != http.StatusOK || len(qr.Answer) == 0 {
 		t.Fatalf("valid query after bad specs: status %d, answer %v", r.StatusCode, qr.Answer)
+	}
+	dims := make([]int, db.FeatureDim())
+	weights := make([]float64, db.FeatureDim())
+	for i := range dims {
+		dims[i], weights[i] = i, 1
+	}
+	for _, spec := range []RelevanceSpec{
+		{Kind: "threshold", Dims: dims, Tau: 0.3},
+		{Kind: "topics", Topics: dims, Tau: 0.05},
+		{Kind: "weighted", Weights: weights, Tau: 3},
+	} {
+		if r := postJSON(t, ts.URL+"/query", QueryRequest{Relevance: spec, Theta: 5, K: 3}, nil); r.StatusCode != http.StatusOK {
+			t.Errorf("%s with %d-entry lists: status %d, want 200", spec.Kind, db.FeatureDim(), r.StatusCode)
+		}
 	}
 }
 

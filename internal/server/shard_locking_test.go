@@ -11,8 +11,8 @@ import (
 	"graphrep"
 )
 
-// shardedServer builds a server over a multi-shard engine for the per-shard
-// locking tests.
+// shardedServer builds a server over a multi-shard engine for the locking
+// tests.
 func shardedServer(t *testing.T, shards int) (*Server, *httptest.Server, *graphrep.Database) {
 	t.Helper()
 	db, err := graphrep.GenerateDataset("dud", 120, 1)
@@ -32,57 +32,54 @@ func shardedServer(t *testing.T, shards int) (*Server, *httptest.Server, *graphr
 	return srv, ts, db
 }
 
-// TestInsertDoesNotBlockOtherShards pins the point of per-shard locking: with
-// the last shard's write lock held (an insert in flight), a /graph read of a
-// graph owned by an earlier shard completes immediately, while a read of a
-// last-shard graph waits for the lock. The write lock is taken directly so
-// the in-flight insert is held open deterministically instead of raced.
-func TestInsertDoesNotBlockOtherShards(t *testing.T) {
+// TestShardedInsertBlocksQueriesNotGraphReads pins what the index lock
+// excludes: with its write lock held (an insert in flight), /graph reads of
+// the first and the newest graph complete, because they read only the
+// copy-on-write database, while a /query waits for the unlock. The write
+// lock is taken directly so the in-flight insert is held open
+// deterministically instead of raced.
+func TestShardedInsertBlocksQueriesNotGraphReads(t *testing.T) {
 	srv, ts, db := shardedServer(t, 3)
 	c := &client{t: t, base: ts.URL}
 
-	last := len(srv.locks) - 1
-	srv.locks[last].Lock()
-
-	// Shard 0's graphs stay readable while the "insert" is in flight.
-	done := make(chan int, 1)
-	go func() { done <- c.get("/graph?id=0") }()
-	select {
-	case code := <-done:
-		if code != 200 {
-			t.Errorf("/graph?id=0 under last-shard write lock: status %d", code)
+	srv.mu.Lock()
+	for _, id := range []int{0, db.Len() - 1} {
+		done := make(chan int, 1)
+		go func() { done <- c.get(fmt.Sprintf("/graph?id=%d", id)) }()
+		select {
+		case code := <-done:
+			if code != 200 {
+				t.Errorf("/graph?id=%d under the write lock: status %d", id, code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("/graph?id=%d blocked behind the index write lock", id)
 		}
-	case <-time.After(5 * time.Second):
-		t.Error("/graph?id=0 blocked behind the last shard's write lock")
 	}
 
-	// A last-shard graph read must wait for the writer.
-	lastID := db.Len() - 1
-	if p := srv.engine.ShardFor(graphrep.ID(lastID)); p != last {
-		t.Fatalf("graph %d owned by shard %d, want last shard %d", lastID, p, last)
-	}
 	blocked := make(chan int, 1)
-	go func() { blocked <- c.get(fmt.Sprintf("/graph?id=%d", lastID)) }()
+	go func() {
+		blocked <- c.post("/query", QueryRequest{Relevance: RelevanceSpec{Kind: "quartile"}, Theta: 8, K: 4})
+	}()
 	select {
 	case code := <-blocked:
-		t.Errorf("/graph?id=%d returned %d while its shard was write-locked", lastID, code)
+		t.Errorf("/query returned %d while the index was write-locked", code)
 	case <-time.After(100 * time.Millisecond):
 		// Still waiting, as it should be.
 	}
 
-	srv.locks[last].Unlock()
+	srv.mu.Unlock()
 	select {
 	case code := <-blocked:
 		if code != 200 {
-			t.Errorf("/graph?id=%d after unlock: status %d", lastID, code)
+			t.Errorf("/query after unlock: status %d", code)
 		}
 	case <-time.After(5 * time.Second):
-		t.Errorf("/graph?id=%d never completed after unlock", lastID)
+		t.Error("/query never completed after unlock")
 	}
 }
 
 // TestShardedInsertQueryStorm hammers a multi-shard server with concurrent
-// inserts, queries, sweeps, early-shard graph reads, and metrics scrapes.
+// inserts, queries, sweeps, graph reads, and metrics scrapes.
 // The race detector owns the memory-safety assertions; the test body checks
 // that every well-formed request succeeds and the database grows by exactly
 // the insert count.
@@ -120,9 +117,14 @@ func TestShardedInsertQueryStorm(t *testing.T) {
 				Relevance: RelevanceSpec{Kind: "quartile"}, K: 3,
 			})
 		}},
-		{"graph-early", func(c *client, w, i int) int {
-			// Graphs in the first shards: reads that inserts must never block.
-			return c.get(fmt.Sprintf("/graph?id=%d", (w*iters+i)%(before/2)))
+		{"graph", func(c *client, w, i int) int {
+			// Any existing graph, and every other read the newest one:
+			// graph reads run beside the inserts that append it.
+			id := db.Len() - 1
+			if i%2 == 1 {
+				id = (w*iters + i) * 7 % db.Len()
+			}
+			return c.get(fmt.Sprintf("/graph?id=%d", id))
 		}},
 		{"stats", func(c *client, w, i int) int { return c.get("/stats") }},
 		{"metrics", func(c *client, w, i int) int { return c.get("/metrics") }},

@@ -186,26 +186,12 @@ func (s *Set) UseSketchFilter() {
 	}
 }
 
-// PartFor returns the index of the shard owning graph id.
-func (s *Set) PartFor(id graph.ID) int {
-	lo, hi := 0, len(s.parts)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if s.parts[mid].Base() <= id {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
 // Insert extends the set with a graph already appended to the database (its
 // ID must be the database's last). The new graph lands in the last shard —
 // the only one whose range borders the database's end — and no other part
 // changes. A session spans every shard, so Insert is not safe concurrently
-// with any query; only reads confined to an earlier shard's graphs may run
-// beside it (internal/server's /graph).
+// with any session's initialization or query; reads of the copy-on-write
+// database alone may run beside it (internal/server's /graph).
 func (s *Set) Insert(id graph.ID) error {
 	// Inserting computes distances against mapped graph content; settle the
 	// store's deferred validation first (cached after the first call).

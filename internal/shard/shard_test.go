@@ -172,18 +172,6 @@ func TestReadContextCancel(t *testing.T) {
 	}
 }
 
-// TestPartFor checks the owning-shard lookup across every boundary.
-func TestPartFor(t *testing.T) {
-	set, db, _ := testSet(t, 91, 4, 2)
-	for id := graph.ID(0); int(id) < db.Len(); id++ {
-		p := set.PartFor(id)
-		part := set.Part(p)
-		if id < part.Base() || int(id-part.Base()) >= part.Count() {
-			t.Fatalf("PartFor(%d) = %d covering [%d,+%d)", id, p, part.Base(), part.Count())
-		}
-	}
-}
-
 // TestInsertLandsInLastShard appends one graph and checks only the last
 // shard grew.
 func TestInsertLandsInLastShard(t *testing.T) {
@@ -220,7 +208,7 @@ func TestInsertLandsInLastShard(t *testing.T) {
 			t.Errorf("shard %d count %d after insert, want %d", p, got, want)
 		}
 	}
-	if set.PartFor(g.ID()) != set.Shards()-1 {
-		t.Errorf("inserted graph owned by shard %d, want last", set.PartFor(g.ID()))
+	if last := set.Part(set.Shards() - 1); g.ID() < last.Base() || int(g.ID()-last.Base()) >= last.Count() {
+		t.Errorf("last shard covers [%d,+%d), not the inserted graph %d", last.Base(), last.Count(), g.ID())
 	}
 }

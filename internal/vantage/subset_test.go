@@ -49,10 +49,15 @@ func bruteScan(o *vantage.Ordering, key map[graph.ID]int32, q []float64, sketche
 	return keys
 }
 
-// coordsOf returns g's embedding coordinates from whichever part covers it;
+// coordsOf returns g's embedding coordinates from whichever part covers it
+// (the last part starting at or before g, as parts tile the IDs from 0);
 // shards share one VP set, so they are a valid query point for every part.
 func coordsOf(set *shard.Set, g graph.ID) []float64 {
-	o := set.Part(set.PartFor(g)).VO()
+	p := set.Shards() - 1
+	for set.Part(p).Base() > g {
+		p--
+	}
+	o := set.Part(p).VO()
 	q := make([]float64, o.NumVPs())
 	for v := range q {
 		q[v] = o.VPDistance(v, g)
