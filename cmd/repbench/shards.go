@@ -35,7 +35,9 @@ type ShardBenchReport struct {
 }
 
 // benchShards builds the benchmark database once, then for each shard count
-// times the index build and the steady-state query, writing the JSON report
+// times the index build and the steady-state query at the fixed θ = 23 (a
+// constant, not a pick from the index's θ grid, so the query column compares
+// across builds that index different grids), writing the JSON report
 // to outPath and a human-readable summary to w. only > 0 restricts the run
 // to that single shard count (the CI smoke mode); 0 runs 1, 2, and 4.
 func benchShards(w io.Writer, outPath string, n, only int) error {
@@ -43,6 +45,7 @@ func benchShards(w io.Writer, outPath string, n, only int) error {
 		dataset    = "dud"
 		seed       = int64(1)
 		k          = 5
+		theta      = 23.0
 		buildIters = 3
 		queryIters = 20
 	)
@@ -55,32 +58,16 @@ func benchShards(w io.Writer, outPath string, n, only int) error {
 		return err
 	}
 	report := ShardBenchReport{
-		Dataset: dataset, N: n, Seed: seed, K: k,
+		Dataset: dataset, N: n, Seed: seed, K: k, Theta: theta,
 		Workers: runtime.GOMAXPROCS(0),
 	}
 	rel := graphrep.FirstQuartileRelevance(db, nil)
 	for _, shards := range counts {
 		opts := graphrep.Options{Seed: seed, Shards: shards}
-		// One untimed build to pick θ (identical at every shard count) and
-		// warm the process.
+		// One untimed build warms the process.
 		engine, err := graphrep.Open(db, opts)
 		if err != nil {
 			return err
-		}
-		if report.Theta == 0 {
-			sess, err := engine.NewSession(rel)
-			if err != nil {
-				return err
-			}
-			points, err := sess.SweepTheta(k)
-			if err != nil {
-				return err
-			}
-			best, err := graphrep.SuggestTheta(points)
-			if err != nil {
-				return err
-			}
-			report.Theta = best.Theta
 		}
 		start := time.Now()
 		for i := 0; i < buildIters; i++ {

@@ -58,6 +58,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// Stats walks every graph, so a mapped corpus must pass its content
+	// checks first; Open would run the same checks.
+	if err := db.Validate(); err != nil {
+		fatal(err)
+	}
 	st := db.Stats()
 	fmt.Printf("database: %d graphs, avg |V|=%.1f avg |E|=%.1f, %d labels\n",
 		st.Graphs, st.AvgNodes, st.AvgEdges, st.Labels)

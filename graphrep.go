@@ -175,7 +175,9 @@ type Options struct {
 	// the database size.
 	NumVPs int
 	// ThetaGrid lists the thresholds to index, SweepTheta's default points;
-	// nil derives a grid from the sampled distance distribution (§7.1).
+	// nil (or empty) places them at quantiles of the pairwise-distance
+	// distribution (§7.1, scheme 2), sampled from the distances the build
+	// computes anyway: every vantage point's distance to every other graph.
 	ThetaGrid []float64
 	// Seed drives index construction randomness; the default is 1.
 	Seed int64
@@ -184,11 +186,12 @@ type Options struct {
 	// expensive metrics in a memoizing layer if repeated queries matter;
 	// the default metric is cached automatically.
 	Metric Metric
-	// Workers bounds the goroutines used for index construction (the θ-grid
-	// sampling, the vantage distance matrix, the embedding table) and each
-	// query's vantage pass; ≤ 0 means GOMAXPROCS. The index bytes and
-	// every answer are identical for any value — all randomized decisions
-	// stay single-threaded and parallel work is pre-partitioned — so Workers
+	// Workers bounds the goroutines used for index construction (the vantage
+	// distance matrix and the embedding table; the θ grid is read from the
+	// former and has no sampling phase of its own) and each query's vantage
+	// pass; ≤ 0 means GOMAXPROCS. The index bytes and every answer are
+	// identical for any value — all randomized decisions stay
+	// single-threaded and parallel work is pre-partitioned — so Workers
 	// trades nothing but wall time. Custom metrics must be safe for
 	// concurrent use (the built-in ones are).
 	Workers int
@@ -257,12 +260,13 @@ func Open(db *Database, opts ...Options) (*Engine, error) {
 }
 
 // OpenContext indexes db and returns a query engine, observing ctx
-// throughout construction: the θ-grid sampling, the vantage matrix fill
-// and the embedding table fill all check cancellation at phase boundaries
-// and per work batch, so a cancelled or expired context makes OpenContext
-// return ctx.Err() promptly with no engine. Construction parallelism is
-// bounded by Options.Workers; the resulting index is byte-identical for any
-// worker count.
+// throughout construction: the vantage matrix fill and the embedding table
+// fill check cancellation at phase boundaries and per work batch, so a
+// cancelled or expired context makes OpenContext return ctx.Err() promptly
+// with no engine. There is no grid sampling phase: the default θ grid is
+// read from the vantage matrix. Construction parallelism is bounded by
+// Options.Workers; the resulting index is byte-identical for any worker
+// count.
 func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("graphrep: empty database")
@@ -288,22 +292,9 @@ func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, e
 		m = metric.ExactOnly(m)
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
-	gridStart := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
-	grid := o.ThetaGrid
-	if grid == nil {
-		samples := db.Len() * 8
-		if samples > 20000 {
-			samples = 20000
-		}
-		grid, err = nbindex.ChooseGridContext(ctx, db, m, 10, samples, o.Workers, rng)
-		if err != nil {
-			return nil, err
-		}
-		if len(grid) == 0 {
-			grid = []float64{1}
-		}
+	if len(o.ThetaGrid) == 0 {
+		skipGridDraws(rng, db.Len())
 	}
-	gridTime := time.Since(gridStart)
 	numVPs := o.NumVPs
 	if numVPs <= 0 {
 		numVPs = 4
@@ -320,18 +311,33 @@ func OpenContext(ctx context.Context, db *Database, opts ...Options) (*Engine, e
 	set, err := shard.BuildContext(ctx, db, m, shard.Options{
 		Shards:    o.Shards,
 		NumVPs:    numVPs,
-		ThetaGrid: grid,
+		ThetaGrid: o.ThetaGrid,
 		Workers:   o.Workers,
 	}, rng)
 	if err != nil {
 		return nil, err
 	}
 	primeEmbeddings(set, stages)
-	tel, err := newEngineTelemetry(db, set, counter, cache, stages, gridTime, o.Workers)
+	tel, err := newEngineTelemetry(db, set, counter, cache, stages, o.Workers)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{db: db, m: m, set: set, tel: tel}, nil
+}
+
+// skipGridDraws makes and discards the 2·min(8n, 20 000) rng.Intn(n) draws
+// that a sampled default θ grid took ahead of the vantage point selection.
+// The grid is read from the vantage rows instead, but without these draws
+// every seed would select another VP set, and with it other vantage rows,
+// candidate lists and query work; a new VP draw is a tuning decision of its
+// own, to be measured over several seeds.
+func skipGridDraws(rng *rand.Rand, n int) {
+	if n < 2 {
+		return
+	}
+	for i := 2 * min(8*n, 20000); i > 0; i-- {
+		rng.Intn(n)
+	}
 }
 
 // primeEmbeddings hands each shard's encoded embedding table (built or
@@ -474,7 +480,7 @@ func openWithIndex(db *Database, opts []Options, load func(metric.Metric) (*shar
 	// out; honor the Workers option for it. Build-phase gauges read as zero.
 	set.SetWorkers(o.Workers)
 	primeEmbeddings(set, stages)
-	tel, err := newEngineTelemetry(db, set, counter, cache, stages, 0, o.Workers)
+	tel, err := newEngineTelemetry(db, set, counter, cache, stages, o.Workers)
 	if err != nil {
 		if closer != nil {
 			closer.Close()
@@ -556,9 +562,8 @@ func (t *Telemetry) setShardGauges(set *shard.Set, p int) {
 // newEngineTelemetry builds the engine's metric registry: distance-layer
 // counters bridged from metric.Counter/metric.Cache, database and index
 // gauges, build-phase wall times, and the nbindex per-query work
-// histograms. gridTime is the θ-grid sampling phase (measured by Open,
-// which runs it before Build); workers is the configured Options.Workers.
-func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, cache *metric.Cache, stages metric.StageCounter, gridTime time.Duration, workers int) (*Telemetry, error) {
+// histograms. workers is the configured Options.Workers.
+func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, cache *metric.Cache, stages metric.StageCounter, workers int) (*Telemetry, error) {
 	reg := telemetry.NewRegistry()
 	t := &Telemetry{reg: reg, counter: counter, cache: cache, stages: stages}
 	var err error
@@ -650,11 +655,6 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 		secs := d.Seconds()
 		return func() float64 { return secs }
 	}
-	if err := reg.NewGaugeFunc("graphrep_build_grid_seconds",
-		"Wall time of the θ-grid distance sampling phase.",
-		secsGauge(gridTime)); err != nil {
-		return nil, err
-	}
 	if err := reg.NewGaugeFunc("graphrep_build_vpselect_seconds",
 		"Wall time of the vantage point selection phase.",
 		secsGauge(timing.VPSelect)); err != nil {
@@ -666,8 +666,8 @@ func newEngineTelemetry(db *Database, set *shard.Set, counter *metric.Counter, c
 		return nil, err
 	}
 	if err := reg.NewGaugeFunc("graphrep_build_total_seconds",
-		"Wall time of index construction (grid sampling plus NB-Index build).",
-		secsGauge(gridTime+timing.Total)); err != nil {
+		"Wall time of index construction.",
+		secsGauge(timing.Total)); err != nil {
 		return nil, err
 	}
 	if err := reg.NewGaugeFunc("graphrep_build_workers",

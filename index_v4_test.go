@@ -33,7 +33,9 @@ import (
 //   - the committed golden file (dud-120 seed-7, two shards) is exactly what
 //     a fresh build saves, loads, answers identically, and re-saves to the
 //     same bytes, and so does the file as saved while the NB-Tree sections
-//     were still written;
+//     were still written; a file whose θ grid (section kind 2) was sampled
+//     from random pairs, as earlier builds saved it, answers identically
+//     and sweeps the grid it stores;
 //   - any other format — the retired gob layouts NBIDX001–NBIDX003, or
 //     bytes that are no index at all — fails with an error naming it, and
 //     an NBIDX004 file from before the current section set fails with an
@@ -371,7 +373,8 @@ func withRetiredTree(t *testing.T, data []byte, shards int) []byte {
 // byte, load with its shard layout, answer exactly like a fresh build, and
 // re-save to the same bytes. So must the golden file with the retired
 // NB-Tree sections (kinds 20–26) added, through both open paths: files
-// saved before the tree was retired still open. Files in any other format —
+// saved before the tree was retired still open. The golden file with a
+// pair-sampled grid in kind 2 must answer the same and sweep its own grid. Files in any other format —
 // the retired gob layouts NBIDX001–NBIDX003 and bytes that are no index —
 // must fail through both open paths with an error that names the magic and
 // says to rebuild.
@@ -390,7 +393,7 @@ func TestIndexCompatMatrix(t *testing.T) {
 	if err := fresh.SaveIndex(&freshSave); err != nil {
 		t.Fatal(err)
 	}
-	wantAnswers, _, wantPoints := collectAnswers(t, fresh, 5)
+	wantAnswers, wantStats, wantPoints := collectAnswers(t, fresh, 5)
 
 	golden, err := os.ReadFile(filepath.Join("testdata", "index_v4_dud120_seed7.nbx"))
 	if err != nil {
@@ -442,6 +445,29 @@ func TestIndexCompatMatrix(t *testing.T) {
 		if err := loaded.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// Files saved before the default grid came from the vantage rows store a
+	// grid sampled from random pairs, and differ from a fresh save in section
+	// kind 2 alone. Such a file keeps its grid: the same answers and search
+	// work, and a sweep over the thresholds it stores.
+	sampled := []float64{16, 71, 79, 81, 83, 84, 85, 87, 90, 95, 102}
+	sampledFile := rewriteSections(t, golden, 2, container.Section{
+		Kind: 2, Len: uint64(8 * len(sampled)), Write: container.LE(sampled)})
+	loaded, err := graphrep.OpenWithIndex(db, bytes.NewReader(sampledFile))
+	if err != nil {
+		t.Fatalf("a file with a sampled grid no longer loads: %v", err)
+	}
+	answers, stats, points := collectAnswers(t, loaded, 5)
+	if !reflect.DeepEqual(answers, wantAnswers) || !reflect.DeepEqual(searchWorkOf(stats), searchWorkOf(wantStats)) {
+		t.Error("a file with a sampled grid answers or searches unlike a fresh build")
+	}
+	var thetas []float64
+	for _, p := range points {
+		thetas = append(thetas, p.Theta)
+	}
+	if !reflect.DeepEqual(thetas, sampled) {
+		t.Errorf("a file with a sampled grid sweeps %v, want its stored grid %v", thetas, sampled)
 	}
 
 	// Each unusable file, with what its error must name besides "rebuild".

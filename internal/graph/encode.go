@@ -69,7 +69,9 @@ func ReadDatabase(r io.Reader) (*Database, error) {
 		if _, err := fmt.Sscanf(text, "g %d %d %d %d", &id, &order, &size, &dim); err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad header %q: %w", line, text, err)
 		}
-		b := NewBuilder(order)
+		if order < 0 || size < 0 || dim < 0 {
+			return nil, fmt.Errorf("graph: line %d: negative count in header %q", line, text)
+		}
 		if !sc.Scan() {
 			return nil, fmt.Errorf("graph: line %d: missing vertex line", line)
 		}
@@ -78,6 +80,9 @@ func ReadDatabase(r io.Reader) (*Database, error) {
 		if len(vparts) != order+1 || vparts[0] != "v" {
 			return nil, fmt.Errorf("graph: line %d: want %d vertex labels", line, order)
 		}
+		// Size the builder only now: the header's count is outside input,
+		// and the vertex line just proved it.
+		b := NewBuilder(order)
 		for _, p := range vparts[1:] {
 			l, err := strconv.ParseUint(p, 10, 32)
 			if err != nil {

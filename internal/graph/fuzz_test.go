@@ -23,6 +23,7 @@ func FuzzReadDatabase(f *testing.F) {
 		"g 0 1 0 0\nv 99999999999999\n",        // label overflow
 		"g 5 1 0 0\nv 3\n",                     // wrong id
 		"g 0 2 2 0\nv 1 1\ne 0 1 0\ne 0 1 1\n", // duplicate edge
+		"g 0 -1 0 0\n\n",                       // negative order
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -194,13 +194,12 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 // [base, base+count) of db with an externally chosen vantage point set and θ
 // grid. This is the shard build path: every shard shares one global VP set
 // (so embedding coordinates are comparable across shards) and one global
-// grid, while owning its own vantage rows and embedding records.
-// BuildContext is the base=0, count=n special case with the VPs selected
-// internally. The part draws no randomness.
+// grid, while owning its own vantage rows and embedding records. An empty
+// grid leaves the part without one, for a caller that derives the grid from
+// the built rows and hands it over with SetGrid. BuildContext is the base=0,
+// count=n special case with the VPs selected internally. The part draws no
+// randomness.
 func BuildPartContext(ctx context.Context, db *graph.Database, m metric.Metric, vps []graph.ID, grid []float64, base graph.ID, count, workers int) (*Index, error) {
-	if len(grid) == 0 {
-		return nil, fmt.Errorf("nbindex: empty theta grid")
-	}
 	if !sort.Float64sAreSorted(grid) {
 		return nil, fmt.Errorf("nbindex: theta grid not ascending")
 	}
@@ -377,6 +376,13 @@ func (ix *Index) VO() *vantage.Ordering { return ix.vo }
 // Grid returns the indexed thresholds.
 func (ix *Index) Grid() []float64 { return ix.grid }
 
+// SetGrid replaces the indexed thresholds, SweepTheta's default points; the
+// sharded build uses it to hand every part the grid it derived from their
+// vantage rows. The grid must be non-empty and ascending; it is retained,
+// not copied, and must not be modified afterwards. Not safe concurrently
+// with queries.
+func (ix *Index) SetGrid(grid []float64) { ix.grid = grid }
+
 // Base returns the first graph ID the index covers (0 for a full index).
 func (ix *Index) Base() graph.ID { return ix.base }
 
@@ -528,26 +534,16 @@ func (s *Session) TopKContext(ctx context.Context, theta float64, k int) (*core.
 	return res, nil
 }
 
-// ChooseGrid picks gridSize thresholds for the indexed grid from a sampled
-// distance distribution with the default worker count and no cancellation.
-// See ChooseGridContext.
+// ChooseGrid picks gridSize thresholds for an explicitly chosen grid from
+// samplePairs random pairs, placed by QuantileGrid. The engine's default
+// grid comes from its vantage rows instead (internal/shard); this sampled
+// grid serves callers that index a grid of their own, such as the
+// experiments. The pairs are drawn from rng sequentially and only the
+// distance evaluations fan out, each writing its pre-assigned slot, so the
+// grid is deterministic in (db, samplePairs, rng seed) alone.
 func ChooseGrid(db *graph.Database, m metric.Metric, gridSize, samplePairs int, rng *rand.Rand) []float64 {
-	grid, _ := ChooseGridContext(context.Background(), db, m, gridSize, samplePairs, 0, rng)
-	return grid
-}
-
-// ChooseGridContext picks gridSize thresholds for the indexed grid from a
-// sampled distance distribution, placing thresholds at equally spaced
-// quantiles so that steep regions of the cumulative distribution get
-// proportionally more thresholds (§7.1, scheme 2).
-//
-// The pairs are drawn from rng sequentially — the RNG stream is identical
-// for any worker count — and only the distance evaluations fan out, each
-// writing its pre-assigned slot, so the grid is deterministic in
-// (db, samplePairs, rng seed) alone. A cancelled context returns ctx.Err().
-func ChooseGridContext(ctx context.Context, db *graph.Database, m metric.Metric, gridSize, samplePairs, workers int, rng *rand.Rand) ([]float64, error) {
 	if gridSize <= 0 || db.Len() < 2 {
-		return nil, ctx.Err()
+		return nil
 	}
 	type pair struct{ a, b graph.ID }
 	pairs := make([]pair, 0, samplePairs)
@@ -559,16 +555,26 @@ func ChooseGridContext(ctx context.Context, db *graph.Database, m metric.Metric,
 		}
 		pairs = append(pairs, pair{a, b})
 	}
-	if len(pairs) == 0 {
-		return nil, ctx.Err()
-	}
 	ds := make([]float64, len(pairs))
-	if err := pool.Ranges(ctx, len(pairs), workers, 64, func(lo, hi int) {
+	// A background context never cancels, so the fill cannot fail.
+	_ = pool.Ranges(context.Background(), len(pairs), 0, 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ds[i] = m.Distance(pairs[i].a, pairs[i].b)
 		}
-	}); err != nil {
-		return nil, err
+	})
+	return QuantileGrid(ds, gridSize)
+}
+
+// QuantileGrid places gridSize thresholds at the i/(gridSize+1) quantiles
+// of the sampled distances ds, i = 1…gridSize, so that steep regions of the
+// cumulative distribution get proportionally more thresholds (§7.1,
+// scheme 2). A threshold is kept only if it is strictly above the last one
+// kept, and the sample's maximum is appended if it is larger still, so every
+// realistic θ is covered. ds is sorted in place. An empty sample or a
+// gridSize ≤ 0 gives nil.
+func QuantileGrid(ds []float64, gridSize int) []float64 {
+	if gridSize <= 0 || len(ds) == 0 {
+		return nil
 	}
 	sort.Float64s(ds)
 	grid := make([]float64, 0, gridSize)
@@ -579,9 +585,8 @@ func ChooseGridContext(ctx context.Context, db *graph.Database, m metric.Metric,
 			grid = append(grid, v)
 		}
 	}
-	// Always index past the sampled maximum so every realistic θ is covered.
-	if max := ds[len(ds)-1]; len(grid) == 0 || grid[len(grid)-1] < max {
+	if max := ds[len(ds)-1]; grid[len(grid)-1] < max {
 		grid = append(grid, max)
 	}
-	return grid, nil
+	return grid
 }

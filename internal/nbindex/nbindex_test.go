@@ -536,6 +536,28 @@ func TestChooseGrid(t *testing.T) {
 	}
 }
 
+// TestQuantileGrid pins the placement (§7.1, scheme 2): thresholds at the
+// i/(gridSize+1) quantiles of the sorted sample, each kept only above the
+// last kept, then the sample's maximum when it is larger still.
+func TestQuantileGrid(t *testing.T) {
+	var ds []float64
+	for v := 21.0; v >= 1; v-- {
+		ds = append(ds, v)
+	}
+	if got, want := QuantileGrid(ds, 4), []float64{5, 9, 13, 17, 21}; !reflect.DeepEqual(got, want) {
+		t.Errorf("1…21 in 4: got %v, want %v", got, want)
+	}
+	if got, want := QuantileGrid([]float64{3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, 4), []float64{1, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ties: got %v, want %v", got, want)
+	}
+	if got := QuantileGrid(nil, 4); got != nil {
+		t.Errorf("empty sample: got %v", got)
+	}
+	if got := QuantileGrid([]float64{1, 2}, 0); got != nil {
+		t.Errorf("gridSize 0: got %v", got)
+	}
+}
+
 func TestAccessorsAndFootprint(t *testing.T) {
 	db, m := clusteredDB(t, 3, 6, 18)
 	grid := []float64{2, 8}

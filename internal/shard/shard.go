@@ -6,13 +6,14 @@
 //
 // # Determinism contract
 //
-// Every shard shares one global vantage point set and one global θ grid,
-// both drawn from the build RNG exactly as the unsharded build draws them;
-// a part draws no randomness of its own. A graph's embedding coordinates
-// (its distances to the global VPs) are therefore valid against any shard's
-// ordering, so cross-shard candidate scans cost zero extra distance
-// computations and the union of per-shard candidate sets equals the
-// unsharded candidate set exactly. A graph's candidate list concatenated
+// Every shard shares one global vantage point set, drawn from the build RNG
+// exactly as the unsharded build draws it, and one global θ grid, derived
+// from the vantage rows of all shards in global ID order unless the caller
+// gives one; a part draws no randomness of its own. A graph's embedding
+// coordinates (its distances to the global VPs) are therefore valid against
+// any shard's ordering, so cross-shard candidate scans cost zero extra
+// distance computations and the union of per-shard candidate sets equals
+// the unsharded candidate set exactly. A graph's candidate list concatenated
 // across shards is its unsharded list, so its bound is the unsharded one,
 // and the coordinator's search (an nbindex.Session over the forest of
 // parts) keys one heap by global rel position. Answers and per-query work
@@ -42,7 +43,9 @@ type Options struct {
 	// shard).
 	NumVPs int
 	// ThetaGrid lists the indexed thresholds, ascending: SweepTheta's default
-	// points. One global grid serves every shard.
+	// points. One global grid serves every shard. Empty derives it from the
+	// built vantage rows (see vantageGrid), which costs no distance and no
+	// draw from the build RNG.
 	ThetaGrid []float64
 	// Workers bounds build and query vantage-pass goroutines (≤ 0 means
 	// GOMAXPROCS). Index bytes and answers are identical for any value.
@@ -96,9 +99,10 @@ func Build(db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*S
 // BuildContext constructs a sharded NB-Index. The global vantage point set
 // is selected from rng exactly as the unsharded build selects it, and rng is
 // read no further. The parts then build one after another, each filling its
-// vantage rows and embedding records on the worker pool, so the set is
-// identical for any Workers value. Cancellation is observed at phase
-// boundaries and inside every parallel fill.
+// vantage rows and embedding records on the worker pool, and a grid left
+// empty is derived from their rows, so the set is identical for any Workers
+// value. Cancellation is observed at phase boundaries and inside every
+// parallel fill.
 func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt Options, rng *rand.Rand) (*Set, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("shard: empty database")
@@ -133,10 +137,51 @@ func BuildContext(ctx context.Context, db *graph.Database, m metric.Metric, opt 
 		s.parts[i] = part
 		s.timing.Vantage += part.Timing().Vantage
 	}
+	if len(s.grid) == 0 {
+		s.grid = vantageGrid(s.parts, db.Len())
+		for _, part := range s.parts {
+			part.SetGrid(s.grid)
+		}
+	}
 	done := time.Now() //lint:allow detrand build-phase wall-time gauge; timing only, never influences index content
 	s.timing.VPSelect = tVPs.Sub(start)
 	s.timing.Total = done.Sub(start)
 	return s, nil
+}
+
+// vantageGrid derives the default θ grid from the parts' vantage rows
+// (§7.1, scheme 2, placed by nbindex.QuantileGrid at ten quantiles). The
+// VPs are drawn uniformly and measured against every graph, so their rows
+// already sample the pairwise-distance distribution, at no distance cost
+// beyond the build's own. The sample reads d(v, g) for every VP v and graph
+// g ≠ v, VP-major and in ascending global ID across the parts, and keeps
+// every s-th value, s = ⌈|V|·n / min(8n, 20 000)⌉: the same values for any
+// shard or worker count, and never more than min(8n, 20 000) of them. A
+// one-graph database has no such pair and gets the grid {1}.
+func vantageGrid(parts []*nbindex.Index, n int) []float64 {
+	vps := parts[0].VO().VPs()
+	limit := min(8*n, 20000)
+	stride := (len(vps)*n + limit - 1) / limit
+	sample := make([]float64, 0, len(vps)*n/stride+1)
+	k := 0
+	for v, vp := range vps {
+		for _, part := range parts {
+			base := part.Base()
+			for i, d := range part.VO().DistRow(v) {
+				if base+graph.ID(i) == vp {
+					continue
+				}
+				if k%stride == 0 {
+					sample = append(sample, d)
+				}
+				k++
+			}
+		}
+	}
+	if grid := nbindex.QuantileGrid(sample, 10); grid != nil {
+		return grid
+	}
+	return []float64{1}
 }
 
 // Shards returns the number of shards.

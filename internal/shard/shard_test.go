@@ -73,6 +73,66 @@ func testSet(t *testing.T, n, shards int, seed int64) (*Set, *graph.Database, me
 	return set, db, m
 }
 
+// TestDerivedGridFromVantageRows builds with no θ grid and checks that every
+// shard count derives the same grid: the quantile placement over every s-th
+// distance d(v, g), g ≠ v, read VP-major in ascending ID and recomputed here
+// through a fresh metric, where s = ⌈|V|·n / min(8n, 20 000)⌉. Six VPs over
+// 120 graphs sample at stride 1; twelve exceed the 8n cap and sample at
+// stride 2. A one-graph database has no pair to sample and gets {1}.
+func TestDerivedGridFromVantageRows(t *testing.T) {
+	const n = 120
+	db, err := dataset.ByName("dud", n, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(a, b graph.ID) float64 { return ged.StarDistance(db.Graph(a), db.Graph(b)) }
+	for _, tc := range []struct{ vps, stride int }{{6, 1}, {12, 2}} {
+		for _, shards := range []int{1, 3} {
+			m := metric.NewCache(metric.Func(fresh))
+			set, err := Build(db, m, Options{Shards: shards, NumVPs: tc.vps}, rand.New(rand.NewSource(7)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sample []float64
+			k := 0
+			for _, v := range set.Part(0).VO().VPs() {
+				for g := graph.ID(0); g < n; g++ {
+					if g == v {
+						continue
+					}
+					if k%tc.stride == 0 {
+						sample = append(sample, fresh(v, g))
+					}
+					k++
+				}
+			}
+			if len(sample) > 8*n {
+				t.Fatalf("|V|=%d: a sample of %d distances exceeds 8n", tc.vps, len(sample))
+			}
+			want := nbindex.QuantileGrid(sample, 10)
+			if got := set.Grid(); !reflect.DeepEqual(got, want) {
+				t.Errorf("|V|=%d shards=%d: grid %v, want %v", tc.vps, shards, got, want)
+			}
+			for p := 0; p < set.Shards(); p++ {
+				if got := set.Part(p).Grid(); !reflect.DeepEqual(got, want) {
+					t.Errorf("|V|=%d shards=%d: part %d grid %v, want %v", tc.vps, shards, p, got, want)
+				}
+			}
+		}
+	}
+	one, err := dataset.ByName("dud", 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := Build(one, metric.Star(one), Options{NumVPs: 1}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := set.Grid(); !reflect.DeepEqual(got, []float64{1}) {
+		t.Errorf("one-graph database: grid %v, want [1]", got)
+	}
+}
+
 // TestCoordSessionStatsParitySingleShard runs the coordinator machinery over
 // a 1-shard set and compares it against the plain nbindex session on the same
 // part: answers AND QueryStats must match exactly — the coordinator's search

@@ -7,6 +7,31 @@ import (
 	"graphrep"
 )
 
+// TestOpenIssuesOnlyVantageDistances pins the build's distance budget: the
+// default θ grid comes from the vantage rows, so Open computes those rows and
+// nothing else. Each VP's row holds n distances, less its own entry, which
+// costs nothing, and each VP–VP pair is computed once and found in the memo
+// from the other VP's row: |V|·n − |V| − |V|(|V|−1)/2 fresh distances, at
+// any shard count. One worker keeps concurrent misses on one pair, which
+// would both count, out of the figure.
+func TestOpenIssuesOnlyVantageDistances(t *testing.T) {
+	const n, vps = 120, 6
+	db, err := graphrep.GenerateDataset("dud", n, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(vps*n - vps - vps*(vps-1)/2)
+	for _, shards := range []int{1, 3} {
+		engine, err := graphrep.Open(db, graphrep.Options{Seed: 7, NumVPs: vps, Workers: 1, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := engine.Telemetry().Snapshot().DistanceComputations; got != want {
+			t.Errorf("shards=%d: Open computed %d distances, want the vantage rows' %d", shards, got, want)
+		}
+	}
+}
+
 // Engine.Telemetry() aggregates must equal the sum of per-query QueryStats
 // in a sequential run — the acceptance criterion tying the telemetry layer
 // to the per-session measurements it folds in.
