@@ -1,7 +1,9 @@
 package ged
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 
 	"graphrep/internal/assignment"
@@ -24,6 +26,22 @@ import (
 // itself a metric — so StarDistance satisfies the triangle inequality
 // exactly, which Theorems 3–8 of the paper rely on.
 //
+// Shared stars cancel before the assignment. Let π be an optimal bijection
+// of the padded multisets A and B, and let a ∈ A and b ∈ B be the same star,
+// with π(a) = y and π(x) = b. Reassigning a → b and x → y costs
+//
+//	c(a,b) + c(x,y) = c(x,y) ≤ c(x,a) + c(a,y) = c(x,b) + c(a,y)
+//
+// — the triangle inequality of the metric c on the extended star space, with
+// c(a,b) = 0 — which is no more than before. So some optimal bijection matches
+// a to b, and the rest of it is optimal for what remains. Repeating the swap,
+// the distance equals the assignment over A and B with min(count_A, count_B)
+// copies of every star type removed, padded as before: cancellation removes
+// stars from both sides alike, so the padding count |n1 − n2| is unchanged.
+// The pairs a query tests share all but a few of their stars, so the kernel
+// fills and solves a matrix of a handful of rows where the full one has a row
+// per vertex.
+//
 // Every ground cost is a small non-negative integer, so all arithmetic in the
 // kernel — including the threshold test below — is exact in float64. That
 // integrality is what makes DistanceAtMost(b, τ) equivalent to Distance(b) ≤ τ
@@ -32,7 +50,8 @@ import (
 // StarDistance is the default database distance d(g,g') of this library and
 // corresponds to the mapping distance of the paper's GED citation [28].
 func StarDistance(g1, g2 *graph.Graph) float64 {
-	return starDistance(g1.Stars(), g2.Stars())
+	p1, p2 := packStars(g1.Stars()), packStars(g2.Stars())
+	return packedDistance(&p1, &p2)
 }
 
 // StarSig is a precomputed star decomposition, used to amortize the
@@ -41,22 +60,31 @@ func StarDistance(g1, g2 *graph.Graph) float64 {
 // carries the graph's filter Embedding, which powers the constant-per-
 // dimension lower bound that opens DistanceAtMost.
 type StarSig struct {
-	stars []graph.Star
-	emb   *Embedding
-	pack  starPack
+	emb  *Embedding
+	pack starPack
 }
 
-// starPack is a flat, cache-friendly rendering of a star decomposition for
-// the O(n²) cost-matrix fill: star i's spokes are keys[off[i]:off[i+1]], each
-// spoke packed into one uint64 (edge label high, leaf label low — numeric key
-// order equals the (EdgeLabel, LeafLabel) spoke order, so each run stays
-// sorted), with the center labels in their own dense array. Merging two runs
-// of packed keys replaces the struct-by-struct spoke comparison — one integer
-// compare per step, no pointer chasing through per-star slices.
+// starPack is a flat, cache-friendly rendering of a star decomposition: star
+// i's spokes are keys[off[i]:off[i+1]], each spoke packed into one uint64
+// (edge label high, leaf label low — numeric key order equals the
+// (EdgeLabel, LeafLabel) spoke order, so each run stays sorted), with the
+// center labels in their own dense array. Merging two runs of packed keys
+// replaces the struct-by-struct spoke comparison — one integer compare per
+// step, no pointer chasing through per-star slices.
+//
+// The stars stay in the graph's vertex order, and the residual cost matrix is
+// filled in that order. order is the permutation that sorts them by (center,
+// spoke-key run), ties by vertex; the cancelling merge walks it. Only the
+// permutation is sorted, not the matrix: counting the Hungarian's inner-loop
+// column visits over the distances from 8 random graphs to the other 999 of
+// a dud corpus (n = 1000, seed 1), the full matrices took 27.6 M, a residual
+// sorted into the matrix 31.5 M (+14%) and the vertex-order residual 26.8 M
+// (−3%).
 type starPack struct {
 	keys    []uint64
 	off     []int32
 	centers []uint32
+	order   []int32
 }
 
 func packStars(stars []graph.Star) starPack {
@@ -68,6 +96,7 @@ func packStars(stars []graph.Star) starPack {
 		keys:    make([]uint64, 0, total),
 		off:     make([]int32, len(stars)+1),
 		centers: make([]uint32, len(stars)),
+		order:   make([]int32, len(stars)),
 	}
 	for i := range stars {
 		p.centers[i] = uint32(stars[i].Center)
@@ -75,15 +104,30 @@ func packStars(stars []graph.Star) starPack {
 			p.keys = append(p.keys, uint64(sp.EdgeLabel)<<32|uint64(sp.LeafLabel))
 		}
 		p.off[i+1] = int32(len(p.keys))
+		p.order[i] = int32(i)
 	}
+	slices.SortFunc(p.order, func(x, y int32) int {
+		if c := compareStars(&p, x, &p, y); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
 	return p
+}
+
+// compareStars orders star i of p against star j of q by center label, then
+// lexicographically by spoke-key run; 0 means they are the same star.
+func compareStars(p *starPack, i int32, q *starPack, j int32) int {
+	if c := cmp.Compare(p.centers[i], q.centers[j]); c != 0 {
+		return c
+	}
+	return slices.Compare(p.keys[p.off[i]:p.off[i+1]], q.keys[q.off[j]:q.off[j+1]])
 }
 
 // NewStarSig precomputes the star decomposition of g along with its filter
 // embedding.
 func NewStarSig(g *graph.Graph) *StarSig {
-	stars := g.Stars()
-	return &StarSig{stars: stars, emb: newEmbeddingFromStars(stars), pack: packStars(stars)}
+	return NewStarSigWithEmbedding(g, nil)
 }
 
 // NewStarSigWithEmbedding precomputes the star decomposition of g but adopts
@@ -96,24 +140,22 @@ func NewStarSigWithEmbedding(g *graph.Graph, emb *Embedding) *StarSig {
 	if emb == nil {
 		emb = newEmbeddingFromStars(stars)
 	}
-	return &StarSig{stars: stars, emb: emb, pack: packStars(stars)}
+	return &StarSig{emb: emb, pack: packStars(stars)}
 }
 
 // Embedding returns the signature's filter vector.
 func (a *StarSig) Embedding() *Embedding { return a.emb }
 
-// Distance computes the star-matching distance between two signatures. The
-// solve runs on pooled scratch, so steady-state calls allocate nothing.
+// Distance computes the star-matching distance between two signatures,
+// solving only the residual left after the shared stars cancel (see
+// StarDistance). The solve runs on pooled scratch, so steady-state calls
+// allocate nothing.
 func (a *StarSig) Distance(b *StarSig) float64 {
-	n := len(a.stars)
-	if len(b.stars) > n {
-		n = len(b.stars)
-	}
-	if n == 0 {
-		return 0
-	}
-	sc := getScratch(n)
-	fillCost(sc, &a.pack, &b.pack, n)
+	return packedDistance(&a.pack, &b.pack)
+}
+
+func packedDistance(p1, p2 *starPack) float64 {
+	sc := residualCost(p1, p2)
 	total := sc.solver.Total(sc.cost)
 	putScratch(sc)
 	return total
@@ -157,7 +199,8 @@ func (s Stage) String() string {
 // distance interval [Lo, Hi] proven along the way (Hi is +Inf when no upper
 // bound was established). Lo ≤ Distance ≤ Hi always holds, and Leq is false
 // only when Lo > τ, true only when Hi ≤ τ. The interval is exact (Lo == Hi)
-// exactly at StageExact.
+// at StageExact, and at StageGreedy when the greedy bound meets the lower
+// one, as it does for an empty residual.
 type Decision struct {
 	Leq   bool
 	Stage Stage
@@ -172,7 +215,9 @@ func (d Decision) Exact() bool { return d.Lo == d.Hi }
 // DistanceAtMost decides Distance(a,b) ≤ tau in three stages, running the
 // exact Hungarian solve only when neither bound is conclusive: the
 // precomputed-embedding lower bound, then the greedy upper bound, then the
-// warm-started exact solve. Because every ground cost is a non-negative
+// warm-started exact solve. The last two run on the residual left after the
+// shared stars cancel (see StarDistance), whose assignment has the same
+// optimum as the full one. Because every ground cost is a non-negative
 // integer, the decision equals Distance(a,b) ≤ tau exactly, for every tau.
 func (a *StarSig) DistanceAtMost(b *StarSig, tau float64) Decision {
 	return a.DistanceAtMostTiers(b, tau, a.emb.LowerBound(b.emb), true)
@@ -189,33 +234,31 @@ func (a *StarSig) DistanceAtMost(b *StarSig, tau float64) Decision {
 // stage once its measured success rate on the live workload drops below its
 // solve-cost breakeven (see metric's greedyGateMinRate): on workloads
 // dominated by far pairs the upper bound almost never lands.
+//
+// The greedy and exact stages see only the residual stars. A pair whose
+// star multisets are equal leaves an empty residual: its 0×0 greedy
+// assignment costs 0 ≤ tau and decides at StageGreedy with Lo == Hi == 0, or
+// the 0×0 solve does so at StageExact when greedy is off.
 func (a *StarSig) DistanceAtMostTiers(b *StarSig, tau, emblo float64, tryGreedy bool) Decision {
-	n := len(a.stars)
-	if len(b.stars) > n {
-		n = len(b.stars)
-	}
-	if n == 0 {
-		return Decision{Leq: 0 <= tau, Stage: StageExact, Lo: 0, Hi: 0}
-	}
-
 	// Stage 1 — embedding filter: the max of the size/padding bound and the
-	// center+spoke histogram L1 bound, straight off the cached vectors.
+	// center+spoke histogram L1 bound, straight off the cached vectors. It
+	// runs before the cancelling merge, so far pairs still exit in O(1).
 	if emblo > tau {
 		return Decision{Leq: false, Stage: StageEmbedding, Lo: emblo, Hi: math.Inf(1)}
 	}
 
-	// Stage 2 — fill the cost matrix, then one fused scan records each row's
-	// minimum (the warm start below needs them) while building the greedy
-	// row-by-row assignment from the same cell reads. Any feasible assignment
-	// bounds the optimum from above, so greedy (with swap polish, exiting the
-	// moment the running total reaches τ) ≤ τ already proves the answer. The
-	// row-minima sum bounds the optimum from below; when it exceeds τ the
-	// scan skips the polish, since no assignment can then reach τ. That
-	// miss still needs the solve: in a θ sweep a pair whose bound only just
-	// clears τ is re-probed at a nearby higher threshold, and the exact value
-	// the solve memoizes answers every such probe.
-	sc := getScratch(n)
-	fillCost(sc, &a.pack, &b.pack, n)
+	// Stage 2 — cancel the shared stars and fill the residual cost matrix,
+	// then one fused scan records each row's minimum (the warm start below
+	// needs them) while building the greedy row-by-row assignment from the
+	// same cell reads. Any feasible assignment bounds the optimum from above,
+	// so greedy (with swap polish, exiting the moment the running total
+	// reaches τ) ≤ τ already proves the answer. The row-minima sum bounds the
+	// optimum from below; when it exceeds τ the scan skips the polish, since
+	// no assignment can then reach τ. That miss still needs the solve: in a θ
+	// sweep a pair whose bound only just clears τ is re-probed at a nearby
+	// higher threshold, and the exact value the solve memoizes answers every
+	// such probe.
+	sc := residualCost(&a.pack, &b.pack)
 	if tryGreedy {
 		ub, rowSum := sc.solver.UpperBoundAtMostWithMins(sc.cost, tau, sc.rowMin)
 		if ub <= tau {
@@ -223,7 +266,7 @@ func (a *StarSig) DistanceAtMostTiers(b *StarSig, tau, emblo float64, tryGreedy 
 			return Decision{Leq: true, Stage: StageGreedy, Lo: math.Max(emblo, rowSum), Hi: ub}
 		}
 	} else {
-		rowMins(sc, n)
+		rowMins(sc)
 	}
 
 	// Stage 3 — the exact solve, warm-started from the row minima the scan
@@ -235,22 +278,30 @@ func (a *StarSig) DistanceAtMostTiers(b *StarSig, tau, emblo float64, tryGreedy 
 }
 
 // starScratch is the pooled per-solve arena: the flat cost matrix, the
-// per-row minima that warm-start the solve, plus the assignment solver's own
-// scratch. One scratch serves one solve at a time; concurrency gets distinct
-// instances from the pool.
+// per-row minima that warm-start the solve, the cancellation buffers, plus
+// the assignment solver's own scratch. One scratch serves one solve at a
+// time; concurrency gets distinct instances from the pool.
 type starScratch struct {
 	flat   []float64
 	cost   [][]float64
 	rowMin []float64
-	solver *assignment.Solver
+	// rows and cols list the residual stars of the two packs in vertex
+	// order; gone marks the cancelled ones, the first pack's stars then the
+	// second's.
+	rows, cols []int32
+	gone       []bool
+	solver     *assignment.Solver
 }
 
 var starPool = sync.Pool{
 	New: func() any { return &starScratch{solver: assignment.NewSolver()} },
 }
 
-func getScratch(n int) *starScratch {
+// residualCost takes a scratch from the pool, cancels the stars p1 and p2
+// share, and fills sc.cost with the padded residual's n×n ground costs.
+func residualCost(p1, p2 *starPack) *starScratch {
 	sc := starPool.Get().(*starScratch)
+	n := sc.cancelShared(p1, p2)
 	if cap(sc.flat) < n*n {
 		sc.flat = make([]float64, n*n)
 	}
@@ -266,33 +317,78 @@ func getScratch(n int) *starScratch {
 		sc.rowMin = make([]float64, n)
 	}
 	sc.rowMin = sc.rowMin[:n]
+	fillCost(sc, p1, p2)
 	return sc
 }
 
 func putScratch(sc *starScratch) { starPool.Put(sc) }
 
-// fillCost populates the n×n ground-cost matrix for the padded star multisets.
-func fillCost(sc *starScratch, p1, p2 *starPack, n int) {
+// cancelShared walks the two packs' sorted permutations in one merge and
+// cancels each star they share, counted with multiplicity: a star held three
+// times by p1 and once by p2 cancels once. It leaves the residual stars in
+// sc.rows (p1) and sc.cols (p2), in vertex order, and returns the padded
+// residual size max(len(rows), len(cols)).
+func (sc *starScratch) cancelShared(p1, p2 *starPack) int {
 	n1, n2 := len(p1.centers), len(p2.centers)
-	for i := 0; i < n; i++ {
-		row := sc.cost[i]
-		if i >= n1 {
+	if cap(sc.gone) < n1+n2 {
+		sc.gone = make([]bool, n1+n2)
+	}
+	gone := sc.gone[:n1+n2]
+	clear(gone)
+	gone1, gone2 := gone[:n1], gone[n1:]
+	for i, j := 0, 0; i < n1 && j < n2; {
+		a, b := p1.order[i], p2.order[j]
+		switch c := compareStars(p1, a, p2, b); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			gone1[a], gone2[b] = true, true
+			i++
+			j++
+		}
+	}
+	sc.rows = appendResidual(sc.rows[:0], gone1)
+	sc.cols = appendResidual(sc.cols[:0], gone2)
+	return max(len(sc.rows), len(sc.cols))
+}
+
+// appendResidual appends the indices of the stars not marked gone.
+func appendResidual(dst []int32, gone []bool) []int32 {
+	for v, g := range gone {
+		if !g {
+			dst = append(dst, int32(v))
+		}
+	}
+	return dst
+}
+
+// fillCost populates the n×n ground-cost matrix of the padded residual:
+// row i is p1's star sc.rows[i] and column j is p2's star sc.cols[j], with
+// padding stars ε past either list's end. Only the residual is filled, so a
+// near pair costs a few rows where the full matrix has one per vertex.
+func fillCost(sc *starScratch, p1, p2 *starPack) {
+	n, nc := len(sc.cost), len(sc.cols)
+	for i, row := range sc.cost {
+		if i >= len(sc.rows) {
 			// Padding row: cost against star j is 1 + degree(j), 0 against a
 			// padding column.
-			for j := 0; j < n2; j++ {
-				row[j] = 1 + float64(p2.off[j+1]-p2.off[j])
+			for j, v := range sc.cols {
+				row[j] = 1 + float64(p2.off[v+1]-p2.off[v])
 			}
-			for j := n2; j < n; j++ {
+			for j := nc; j < n; j++ {
 				row[j] = 0
 			}
 			continue
 		}
-		ac := p1.centers[i]
-		ak := p1.keys[p1.off[i]:p1.off[i+1]]
-		for j := 0; j < n2; j++ {
-			row[j] = packedPairCost(ac, ak, p2.centers[j], p2.keys[p2.off[j]:p2.off[j+1]])
+		u := sc.rows[i]
+		ac := p1.centers[u]
+		ak := p1.keys[p1.off[u]:p1.off[u+1]]
+		for j, v := range sc.cols {
+			row[j] = packedPairCost(ac, ak, p2.centers[v], p2.keys[p2.off[v]:p2.off[v+1]])
 		}
-		for j := n2; j < n; j++ {
+		for j := nc; j < n; j++ {
 			row[j] = 1 + float64(len(ak))
 		}
 	}
@@ -303,9 +399,8 @@ func fillCost(sc *starScratch, p1, p2 *starPack, n int) {
 // counterpart of the fused scan in assignment.UpperBoundAtMostWithMins: when
 // the adaptive gate has retired the greedy stage, this dedicated pass runs at
 // memory speed with none of greedy's assignment bookkeeping.
-func rowMins(sc *starScratch, n int) {
-	for i := 0; i < n; i++ {
-		row := sc.cost[i]
+func rowMins(sc *starScratch) {
+	for i, row := range sc.cost {
 		m := row[0]
 		for _, c := range row[1:] {
 			if c < m {
@@ -314,22 +409,6 @@ func rowMins(sc *starScratch, n int) {
 		}
 		sc.rowMin[i] = m
 	}
-}
-
-func starDistance(s1, s2 []graph.Star) float64 {
-	n := len(s1)
-	if len(s2) > n {
-		n = len(s2)
-	}
-	if n == 0 {
-		return 0
-	}
-	p1, p2 := packStars(s1), packStars(s2)
-	sc := getScratch(n)
-	fillCost(sc, &p1, &p2, n)
-	total := sc.solver.Total(sc.cost)
-	putScratch(sc)
-	return total
 }
 
 // packedPairCost is the metric ground cost between two non-padding stars in

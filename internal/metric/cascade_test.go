@@ -90,8 +90,9 @@ func findStagePair(t *testing.T, want ged.Stage) (a, b *graph.Graph, tau float64
 //     each cost ≥ 1 to pair, pushing the row-minima sum far past θ. No
 //     stage prunes on that sum, so the miss falls through to the exact
 //     solve: one completed solve, verdict false;
-//   - greedy: two isomorphic graphs under distinct IDs at θ = 0 — only the
-//     greedy upper bound (a zero-cost assignment) can prove d ≤ 0;
+//   - greedy: two isomorphic graphs under distinct IDs at θ = 0 — their
+//     stars all cancel, and the empty residual's 0 × 0 greedy assignment
+//     proves d ≤ 0;
 //
 // and the exact stage uses a deterministically searched pair.
 func TestCascadeTiersCrafted(t *testing.T) {

@@ -65,9 +65,9 @@ func TestGreedyGateRetiresMissingTier(t *testing.T) {
 	}
 }
 
-// An isomorphic pair at θ = 0 is a greedy attempt that always lands (only the
-// greedy upper bound — a zero-cost assignment — can prove d ≤ 0): the fire
-// rate holds at 1 and the gate must never close.
+// An isomorphic pair at θ = 0 is a greedy attempt that always lands (its
+// stars all cancel, and the empty residual's 0 × 0 greedy assignment proves
+// d ≤ 0): the fire rate holds at 1 and the gate must never close.
 func TestGreedyGateKeepsLandingTier(t *testing.T) {
 	iso := graphSpec{labels: []graph.Label{1, 2}, edges: [][3]int{{0, 1, 0}}}
 	s := hammerPair(t, iso.build(t, 0), iso.build(t, 1), 0)
