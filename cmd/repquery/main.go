@@ -173,8 +173,8 @@ func main() {
 		}
 		fmt.Printf("  NB-Index queries       %d\n", snap.Queries)
 		qt := snap.QueryTotals
-		fmt.Printf("  per-query work totals  pq pops=%d verified leaves=%d candidate scans=%d exact distances=%d pruned distances=%d\n",
-			qt.PQPops, qt.VerifiedLeaves, qt.CandidateScans, qt.ExactDistances, qt.PrunedDistances)
+		fmt.Printf("  per-query work totals  pq pops=%d verified leaves=%d candidate scans=%d pass pairs=%d exact distances=%d pruned distances=%d\n",
+			qt.PQPops, qt.VerifiedLeaves, qt.CandidateScans, qt.PassPairs, qt.ExactDistances, qt.PrunedDistances)
 		if pr := snap.Prune; pr.Pruned()+pr.FullSolves() > 0 {
 			fmt.Printf("  threshold tests        embedding=%d greedy=%d full solves=%d\n",
 				pr.Embedding, pr.Greedy, pr.FullSolves())

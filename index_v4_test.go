@@ -62,12 +62,12 @@ func saveIndexFile(t *testing.T, engine *graphrep.Engine, dir string, tag string
 // the engine that built its index. The exact/pruned split of the distance
 // tests is left out: the build leaves the distance cache warm, which moves
 // tests from exact to pruned without changing how many are issued.
-type searchWork struct{ pops, leaves, scans, tests int }
+type searchWork struct{ pops, leaves, scans, passPairs, tests int }
 
 func searchWorkOf(stats []graphrep.QueryStats) []searchWork {
 	w := make([]searchWork, len(stats))
 	for i, s := range stats {
-		w[i] = searchWork{s.PQPops, s.VerifiedLeaves, s.CandidateScans, s.ExactDistances + s.PrunedDistances}
+		w[i] = searchWork{s.PQPops, s.VerifiedLeaves, s.CandidateScans, s.PassPairs, s.ExactDistances + s.PrunedDistances}
 	}
 	return w
 }
@@ -75,10 +75,11 @@ func searchWorkOf(stats []graphrep.QueryStats) []searchWork {
 // TestV4MmapEqualsBuilt is the persistence acceptance matrix: an index
 // opened from a memory mapping must produce byte-identical answers and sweep
 // curves to the engine that built it, and the same search work — heap pops,
-// verified leaves, candidate scans and threshold tests issued — for shard
-// counts 1, 2, 4 and session workers 1 and GOMAXPROCS. The mapped engine
-// must also report the built engine's IndexBytes, since both hold the same
-// structures, and re-save to the exact bytes it was opened from.
+// verified leaves, candidate scans, vantage-pass pairs and threshold tests
+// issued — for shard counts 1, 2, 4 and session workers 1 and GOMAXPROCS.
+// The mapped engine must also report the built engine's IndexBytes, since
+// both hold the same structures, and re-save to the exact bytes it was
+// opened from.
 func TestV4MmapEqualsBuilt(t *testing.T) {
 	db, err := graphrep.GenerateDataset("dud", 150, 5)
 	if err != nil {

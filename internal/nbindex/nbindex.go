@@ -434,10 +434,16 @@ type QueryStats struct {
 	// CandidateScans counts the vantage candidates handed to first
 	// verifications: each verified graph's pass list — already filtered by
 	// the sketch test where the pass runs it — minus the graphs already
-	// covered when it is first verified. The call's vantage pass itself
-	// scans every relevant graph, verified or not, and a memoized
-	// re-verification scans nothing.
+	// covered when it is first verified. The call's vantage pass builds the
+	// list of every relevant graph, verified or not (PassPairs counts its
+	// work), and a memoized re-verification scans nothing.
 	CandidateScans int
+	// PassPairs counts the pairs the call's vantage pass tested: the
+	// unordered pairs of relevant graphs with either one inside the other's
+	// first-space window, each tested once past that window. Windows depend
+	// only on the graphs' first coordinates, so the count is the same for
+	// any shard count and worker count. No decision reads it.
+	PassPairs int
 	// ExactDistances counts threshold tests resolved by a full distance
 	// computation (or an exact cached value); PrunedDistances counts tests
 	// the bounded kernel resolved from a cheaper bound — a cascade stage or

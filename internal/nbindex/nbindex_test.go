@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"graphrep/internal/core"
+	"graphrep/internal/dataset"
 	"graphrep/internal/ged"
 	"graphrep/internal/graph"
 	"graphrep/internal/metric"
@@ -235,19 +236,44 @@ func TestIndexSavesDistanceComputations(t *testing.T) {
 // vantage rule alone. That must hold for one view and for 2- and 4-shard
 // views of the same database, and for any worker count. Each list's length
 // must be ≥ the graph's exact |N_θ(g) ∩ L_q| (Theorem 5 and the sketch's
-// admissibility). θ runs below, on, between and above the grid.
+// admissibility), and the pass's pair count must equal the brute-force count
+// of pairs with either graph in the other's window, for every view split.
+//
+// Two metric axes run. Under the star metric θ runs below, on, between and
+// above the grid. Its distances are integers, so the two windows of a pair
+// never disagree. The line axis places graph i at 1 + i/40, computed as a
+// quotient for even i and as the product i·0.025 for odd i, and measures
+// |x_a − x_b|: non-integer distances, and an exact metric on those doubles,
+// since subtraction within [1, 2) is exact. Its θ runs over every distance
+// and one ulp to either side, on three VPs and without sketches (they bound
+// the star distance only). There rounding lets b ≤ fl(a+θ) and fl(b−θ) ≤ a
+// disagree, and the test requires at least one list entry that only its own
+// graph's window admits.
 func TestCandidateListsMatchBruteForce(t *testing.T) {
-	db, m := clusteredDB(t, 4, 8, 14)
-	grid := []float64{2, 4, 8, 16, 64}
-	vps, err := vantage.SelectVPs(db, m, 5, vantage.SelectRandom, rand.New(rand.NewSource(15)))
-	if err != nil {
-		t.Fatal(err)
+	db, star := clusteredDB(t, 4, 8, 14)
+	coord := make([]float64, db.Len())
+	for i := range coord {
+		coord[i] = 1 + float64(i)/40
+		if i%2 == 1 {
+			coord[i] = 1 + float64(i)*0.025
+		}
 	}
+	line := metric.Func(func(a, b graph.ID) float64 { return math.Abs(coord[a] - coord[b]) })
 	rel := core.Relevant(db, func(f []float64) bool { return f[0] > 0.3 })
 	key := make(map[graph.ID]int32, len(rel))
 	for k, id := range rel {
 		key[id] = int32(k)
 	}
+	var lineThetas []float64
+	for _, a := range rel {
+		for _, b := range rel {
+			if d := line(a, b); d > 0 {
+				lineThetas = append(lineThetas, math.Nextafter(d, 0), d, math.Nextafter(d, 2))
+			}
+		}
+	}
+	slices.Sort(lineThetas)
+	lineThetas = slices.Compact(lineThetas)
 	embs := make([]*ged.Embedding, db.Len())
 	for i := range embs {
 		embs[i] = ged.NewEmbedding(db.Graph(graph.ID(i)))
@@ -261,75 +287,117 @@ func TestCandidateListsMatchBruteForce(t *testing.T) {
 		sketches[i] = tab.AppendSketch(i, nil)
 	}
 	ctx := context.Background()
-	sketchDropped := 0
-	for _, shards := range []int{1, 2, 4} {
-		per := (db.Len() + shards - 1) / shards
-		var orders []*vantage.Ordering
-		var plain, sketched []*vantage.Subset
-		for base := 0; base < db.Len(); base += per {
-			part, err := BuildPartContext(ctx, db, m, vps, grid, graph.ID(base), min(per, db.Len()-base), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			orders = append(orders, part.VO())
-			plain = append(plain, part.VO().Subset(rel, nil))
-			sketched = append(sketched, part.VO().Subset(rel, part.sketch))
+	sketchDropped, oneWay := 0, 0
+	for _, axis := range []struct {
+		name   string
+		m      metric.Metric
+		numVPs int
+		thetas []float64
+		sketch bool
+	}{
+		{"star", star, 5, []float64{0, 1, 2, 5.5, 8, 64, 100}, true},
+		{"line", line, 3, lineThetas, false},
+	} {
+		vps, err := vantage.SelectVPs(db, axis.m, axis.numVPs, vantage.SelectRandom, rand.New(rand.NewSource(15)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		home := func(pos int32) int { return int(rel[pos]) / per }
-		for _, theta := range []float64{0, 1, 2, 5.5, 8, 64, 100} {
-			for _, views := range [][]*vantage.Subset{plain, sketched} {
-				withSketch := views[0] == sketched[0]
-				lists, err := candidateLists(ctx, views, len(rel), theta, 1)
+		pairsAt := make(map[float64]int)
+		for _, shards := range []int{1, 2, 4} {
+			per := (db.Len() + shards - 1) / shards
+			var orders []*vantage.Ordering
+			var plain, sketched []*vantage.Subset
+			for base := 0; base < db.Len(); base += per {
+				part, err := BuildPartContext(ctx, db, axis.m, vps, []float64{2, 4, 8, 16, 64}, graph.ID(base), min(per, db.Len()-base), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				parallel, err := candidateLists(ctx, views, len(rel), theta, 4)
-				if err != nil {
-					t.Fatal(err)
+				orders = append(orders, part.VO())
+				plain = append(plain, part.VO().Subset(rel, nil))
+				sketched = append(sketched, part.VO().Subset(rel, part.sketch))
+			}
+			viewSets := [][]*vantage.Subset{plain}
+			if axis.sketch {
+				viewSets = append(viewSets, sketched)
+			}
+			first := func(id graph.ID) float64 { return orders[int(id)/per].VPDistance(0, id) }
+			// inWindow reports whether b's first coordinate lies in a's window.
+			inWindow := func(a, b graph.ID, theta float64) bool {
+				return first(b) >= first(a)-theta && first(b) <= first(a)+theta
+			}
+			for _, theta := range axis.thetas {
+				wantPairs := 0
+				for i, a := range rel {
+					for _, b := range rel[i+1:] {
+						if inWindow(a, b, theta) || inWindow(b, a, theta) {
+							wantPairs++
+						}
+					}
 				}
-				for pos, id := range rel {
-					cfg := fmt.Sprintf("%d shards, sketch=%v, θ=%v, graph %d", shards, withSketch, theta, id)
-					if !slices.Equal(parallel[pos], lists[pos]) {
-						t.Fatalf("%s: 4 workers listed %v, 1 worker %v", cfg, parallel[pos], lists[pos])
+				if shards == 1 {
+					pairsAt[theta] = wantPairs
+				}
+				for _, views := range viewSets {
+					withSketch := views[0] == sketched[0]
+					lists, pairs, err := candidateLists(ctx, views, len(rel), theta, 1)
+					if err != nil {
+						t.Fatal(err)
 					}
-					q := make([]float64, len(vps))
-					for v := range q {
-						q[v] = orders[home(int32(pos))].VPDistance(v, id)
+					parallel, parallelPairs, err := candidateLists(ctx, views, len(rel), theta, 4)
+					if err != nil {
+						t.Fatal(err)
 					}
-					var want []int32
-					for _, o := range orders {
-						for _, c := range o.Order() {
-							k, ok := key[c]
-							if !ok {
-								continue
-							}
-							d0 := o.VPDistance(0, c)
-							in := d0 >= q[0]-theta && d0 <= q[0]+theta
-							for v := 1; v < len(q) && in; v++ {
-								in = math.Abs(o.VPDistance(v, c)-q[v]) <= theta
-							}
-							if in && withSketch {
-								in = ged.SketchWithin(sketches[c], sketches[id], ged.SketchLimit(theta))
-								if !in {
-									sketchDropped++
+					if pairs != wantPairs || parallelPairs != wantPairs || pairs != pairsAt[theta] {
+						t.Fatalf("%s axis, %d shards, sketch=%v, θ=%v: the pass tested %d pairs (%d at 4 workers), want %d (%d at one shard)",
+							axis.name, shards, withSketch, theta, pairs, parallelPairs, wantPairs, pairsAt[theta])
+					}
+					for pos, id := range rel {
+						cfg := fmt.Sprintf("%s axis, %d shards, sketch=%v, θ=%v, graph %d", axis.name, shards, withSketch, theta, id)
+						if !slices.Equal(parallel[pos], lists[pos]) {
+							t.Fatalf("%s: 4 workers listed %v, 1 worker %v", cfg, parallel[pos], lists[pos])
+						}
+						home := orders[int(id)/per]
+						q := make([]float64, len(vps))
+						for v := range q {
+							q[v] = home.VPDistance(v, id)
+						}
+						var want []int32
+						for _, o := range orders {
+							for _, c := range o.Order() {
+								k, ok := key[c]
+								if !ok {
+									continue
+								}
+								in := inWindow(id, c, theta)
+								for v := 1; v < len(q) && in; v++ {
+									in = math.Abs(o.VPDistance(v, c)-q[v]) <= theta
+								}
+								if in && withSketch {
+									in = ged.SketchWithin(sketches[c], sketches[id], ged.SketchLimit(theta))
+									if !in {
+										sketchDropped++
+									}
+								}
+								if in {
+									want = append(want, k)
+									if axis.name == "line" && !inWindow(c, id, theta) {
+										oneWay++
+									}
 								}
 							}
-							if in {
-								want = append(want, k)
+						}
+						if !slices.Equal(lists[pos], want) {
+							t.Fatalf("%s: list %v, want %v", cfg, lists[pos], want)
+						}
+						exact := 0
+						for _, other := range rel {
+							if axis.m.Distance(id, other) <= theta {
+								exact++
 							}
 						}
-					}
-					if !slices.Equal(lists[pos], want) {
-						t.Fatalf("%s: list %v, want %v", cfg, lists[pos], want)
-					}
-					exact := 0
-					for _, other := range rel {
-						if m.Distance(id, other) <= theta {
-							exact++
+						if len(lists[pos]) < exact {
+							t.Fatalf("%s: bound %d < true %d", cfg, len(lists[pos]), exact)
 						}
-					}
-					if len(lists[pos]) < exact {
-						t.Fatalf("%s: bound %d < true %d", cfg, len(lists[pos]), exact)
 					}
 				}
 			}
@@ -338,7 +406,10 @@ func TestCandidateListsMatchBruteForce(t *testing.T) {
 	if sketchDropped == 0 {
 		t.Fatal("the sketch test never dropped a vantage candidate; the sketched lists went unexercised")
 	}
-	t.Logf("the sketch test dropped %d vantage candidates", sketchDropped)
+	if oneWay == 0 {
+		t.Fatal("no list entry was admitted by one direction's window only; the float window edge went unexercised")
+	}
+	t.Logf("the sketch test dropped %d vantage candidates; %d line-axis entries were admitted by one direction's window only", sketchDropped, oneWay)
 }
 
 // TestCELFBoundsAdmissible checks the invariant the lazy bounds rest on: at
@@ -605,5 +676,52 @@ func TestMoreVPsNeverHurtCandidateCounts(t *testing.T) {
 	few, many := run(1), run(8)
 	if many > few {
 		t.Errorf("8 VPs scanned %d candidates, 1 VP scanned %d", many, few)
+	}
+}
+
+// BenchmarkCandidateLists times one call's vantage pass alone on the
+// benchmark corpus's shape: dud n = 1000 with 8 VPs and the sketch filter,
+// a relevant set of the 20% of graphs with the largest first feature, and
+// θ ∈ {4, 7, 12}, over one part and over four, on one worker. pairs/op is
+// the pass's QueryStats.PassPairs.
+func BenchmarkCandidateLists(b *testing.B) {
+	db, err := dataset.ByName("dud", 1000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := metric.NewCache(metric.Star(db))
+	vps, err := vantage.SelectVPs(db, m, 8, vantage.SelectRandom, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	first := make([]float64, db.Len())
+	for i := range first {
+		first[i] = db.Graph(graph.ID(i)).Features()[0]
+	}
+	slices.Sort(first)
+	cut := first[db.Len()*4/5]
+	rel := core.Relevant(db, func(f []float64) bool { return f[0] >= cut })
+	ctx := context.Background()
+	for _, nparts := range []int{1, 4} {
+		per := db.Len() / nparts
+		var views []*vantage.Subset
+		for base := 0; base < db.Len(); base += per {
+			part, err := BuildPartContext(ctx, db, m, vps, []float64{4, 8, 16}, graph.ID(base), per, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			views = append(views, part.VO().Subset(rel, part.sketch))
+		}
+		for _, theta := range []float64{4, 7, 12} {
+			b.Run(fmt.Sprintf("parts=%d/theta=%v", nparts, theta), func(b *testing.B) {
+				pairs := 0
+				for b.Loop() {
+					if _, pairs, err = candidateLists(ctx, views, len(rel), theta, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(pairs), "pairs/op")
+			})
+		}
 	}
 }

@@ -27,8 +27,8 @@ import (
 // stays a superset of the graph's uncovered neighborhood at every later
 // pick, and re-verifying the graph is a filter of the list against the
 // covered set: no scan and no threshold test. The memo holds 4 bytes per
-// pass candidate, up to twice that where the pass grew its buffer by
-// appending, plus a 24-byte slice header per relevant graph.
+// pass candidate in one exact-size array, plus a 24-byte slice header per
+// relevant graph.
 //
 // heap holds one entry per relevant graph still in the running, keyed by
 // its bound. A bound starts as the length of the graph's pass list, an
@@ -107,9 +107,9 @@ func search(ctx context.Context, parts []*Index, rel []graph.ID, theta float64, 
 	return res, nil
 }
 
-// newCall runs the call's vantage pass and seeds the heap from it. A part's
-// Subset carries sketch rows when the part's pass filter is on
-// (Index.UseSketchFilter).
+// newCall runs the call's vantage pass, adds its pair count to
+// st.PassPairs and seeds the heap from it. A part's Subset carries sketch
+// rows when the part's pass filter is on (Index.UseSketchFilter).
 func newCall(ctx context.Context, parts []*Index, rel []graph.ID, theta float64, st *QueryStats) (*call, error) {
 	views := make([]*vantage.Subset, len(parts))
 	for p, part := range parts {
@@ -119,10 +119,11 @@ func newCall(ctx context.Context, parts []*Index, rel []graph.ID, theta float64,
 		}
 		views[p] = part.vo.Subset(rel, sketch)
 	}
-	lists, err := candidateLists(ctx, views, len(rel), theta, parts[0].workers)
+	lists, pairs, err := candidateLists(ctx, views, len(rel), theta, parts[0].workers)
 	if err != nil {
 		return nil, err
 	}
+	st.PassPairs += pairs
 	c := &call{
 		m: parts[0].m, rel: rel, theta: theta, st: st, lists: lists,
 		known:   bitset.New(len(rel)),
@@ -216,46 +217,94 @@ func (c *call) verify(pos int32) []int32 {
 	return kept
 }
 
+// passChunk is the number of ranks one worker-pool task of the vantage pass
+// walks.
+const passChunk = 16
+
 // candidateLists runs one call's vantage pass at theta over n relevant
 // graphs, keyed by rel position: lists[pos] holds the key of every member of
-// views inside the candidate neighborhood of pos (Subset.Scan), views in
-// order and each view's members in first-space order — the order first
-// verification tests them in. Each graph is scanned from its home view, the
-// one holding its own coordinates and sketch row; shards share one VP set,
-// so those are a valid query for every view. Each worker writes only its
-// own positions' lists, so the result is identical for any worker count; a
-// cancelled ctx returns ctx.Err(). The lists of one chunk share a backing
-// array, sliced with cap == len so no list can grow into its neighbor.
-func candidateLists(ctx context.Context, views []*vantage.Subset, n int, theta float64, workers int) ([][]int32, error) {
-	lists := make([][]int32, n)
-	err := pool.Ranges(ctx, n, workers, 16, func(lo, hi int) {
-		var buf []int32
-		hit := func(key int32) { buf = append(buf, key) }
-		ends := make([]int, hi-lo)
-		for pos := int32(lo); pos < int32(hi); pos++ {
-			home := views[0]
-			for _, v := range views {
-				if v.Has(pos) {
-					home = v
-					break
-				}
-			}
-			q, qs := home.Coords(pos), home.Sketch(pos)
-			for _, v := range views {
-				v.Scan(q, qs, theta, hit)
-			}
-			ends[int(pos)-lo] = len(buf)
+// views inside the candidate neighborhood of pos, in rank order — views in
+// order and each view's members in first-space order (vantage.Pass), the
+// order first verification tests them in. The rule is symmetric but for the
+// first-space window, so the pass tests each unordered pair once: the worker
+// pool walks fixed chunks of ranks (Pass.Walk), each member against the
+// members ranked after it, and keeps each admitted pair with its two
+// direction bits. Two sequential passes then count every list and fill it:
+// in rank order, each member's own entry and its Fwd partners go into its
+// list and the member itself into each Back partner's list, after every
+// entry ranked before it. So the lists are identical for any worker count
+// and equal a per-graph scan of every view. They share one exact-size
+// backing array, each sliced with cap == len so that verify's in-place
+// filter cannot reach a neighbor. It also returns the pairs the pass tested
+// (QueryStats.PassPairs); a cancelled ctx returns ctx.Err().
+func candidateLists(ctx context.Context, views []*vantage.Subset, n int, theta float64, workers int) ([][]int32, int, error) {
+	p := vantage.NewPass(views, theta)
+	members := p.Len()
+	bufs := make([][]vantage.Partner, (members+passChunk-1)/passChunk)
+	walked := make([]int, len(bufs))
+	// ends[r] is the end of rank r's walk in its chunk's buffer.
+	ends := make([]int32, members)
+	err := pool.Ranges(ctx, members, workers, passChunk, func(lo, hi int) {
+		var buf []vantage.Partner
+		pairs := 0
+		for r := lo; r < hi; r++ {
+			var w int
+			buf, w = p.Walk(r, buf)
+			pairs += w
+			ends[r] = int32(len(buf))
 		}
-		start := 0
-		for i, end := range ends {
-			lists[lo+i] = buf[start:end:end]
-			start = end
-		}
+		bufs[lo/passChunk], walked[lo/passChunk] = buf, pairs
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return lists, nil
+	// run returns rank r's walk.
+	run := func(r int) []vantage.Partner {
+		start := int32(0)
+		if r%passChunk != 0 {
+			start = ends[r-1]
+		}
+		return bufs[r/passChunk][start:ends[r]]
+	}
+	// off[r+1] counts rank r's entries, then off[r] becomes its start.
+	off := make([]int32, members+1)
+	for r := range members {
+		for _, e := range run(r) {
+			if e&vantage.Fwd != 0 {
+				off[r+1]++
+			}
+			if e&vantage.Back != 0 {
+				off[e.Rank()+1]++
+			}
+		}
+	}
+	for r := range members {
+		off[r+1] += off[r]
+	}
+	backing := make([]int32, off[members])
+	lists := make([][]int32, n)
+	for r := range members {
+		lists[p.Key(r)] = backing[off[r]:off[r+1]:off[r+1]]
+	}
+	// off[r] is now rank r's write cursor.
+	for r := range members {
+		for _, e := range run(r) {
+			if e&vantage.Fwd != 0 {
+				backing[off[r]] = p.Key(e.Rank())
+				off[r]++
+			}
+			if e&vantage.Back != 0 {
+				q := e.Rank()
+				backing[off[q]] = p.Key(r)
+				off[q]++
+			}
+		}
+	}
+	pairs := 0
+	for _, w := range walked {
+		pairs += w
+	}
+	return lists, pairs, nil
 }
 
 // entry is a search heap element: a relevant graph's rel position with its

@@ -5,7 +5,7 @@ import (
 )
 
 // workBuckets covers the per-query work counters (PQ pops, verified leaves,
-// candidate scans, exact distances), which range from a handful on tiny
+// candidate scans, pass pairs, exact distances), which range from a handful on tiny
 // relevant sets to hundreds of thousands on large ones.
 var workBuckets = telemetry.ExponentialBuckets(1, 4, 10) // 1 … 262144
 
@@ -21,6 +21,7 @@ type Telemetry struct {
 	PQPops          *telemetry.Histogram
 	VerifiedLeaves  *telemetry.Histogram
 	CandidateScans  *telemetry.Histogram
+	PassPairs       *telemetry.Histogram
 	ExactDistances  *telemetry.Histogram
 	PrunedDistances *telemetry.Histogram
 }
@@ -47,6 +48,10 @@ func NewTelemetry(r *telemetry.Registry) (*Telemetry, error) {
 		"Vantage candidates handed to first verifications per TopK call (Theorem 5 candidate sets minus covered graphs), counted at each graph's first verification only.", workBuckets); err != nil {
 		return nil, err
 	}
+	if t.PassPairs, err = r.NewHistogram("graphrep_nbindex_pass_pairs",
+		"Pairs of relevant graphs the vantage pass tested per TopK call: each unordered pair with either graph inside the other's first-space window, once.", workBuckets); err != nil {
+		return nil, err
+	}
 	if t.ExactDistances, err = r.NewHistogram("graphrep_nbindex_exact_distances",
 		"Exact distance computations per TopK call (the paper's central cost measure).", workBuckets); err != nil {
 		return nil, err
@@ -70,6 +75,7 @@ func (t *Telemetry) Observe(st QueryStats) {
 	t.PQPops.Observe(float64(st.PQPops))
 	t.VerifiedLeaves.Observe(float64(st.VerifiedLeaves))
 	t.CandidateScans.Observe(float64(st.CandidateScans))
+	t.PassPairs.Observe(float64(st.PassPairs))
 	t.ExactDistances.Observe(float64(st.ExactDistances))
 	t.PrunedDistances.Observe(float64(st.PrunedDistances))
 }
@@ -84,6 +90,7 @@ func (t *Telemetry) Totals() QueryStats {
 		PQPops:          int(t.PQPops.Sum()),
 		VerifiedLeaves:  int(t.VerifiedLeaves.Sum()),
 		CandidateScans:  int(t.CandidateScans.Sum()),
+		PassPairs:       int(t.PassPairs.Sum()),
 		ExactDistances:  int(t.ExactDistances.Sum()),
 		PrunedDistances: int(t.PrunedDistances.Sum()),
 	}

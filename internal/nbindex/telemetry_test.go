@@ -35,6 +35,7 @@ func TestTelemetryAggregatesQueryStats(t *testing.T) {
 		want.PQPops += st.PQPops
 		want.VerifiedLeaves += st.VerifiedLeaves
 		want.CandidateScans += st.CandidateScans
+		want.PassPairs += st.PassPairs
 		want.ExactDistances += st.ExactDistances
 		want.PrunedDistances += st.PrunedDistances
 	}
@@ -57,7 +58,7 @@ func TestTelemetryAggregatesQueryStats(t *testing.T) {
 	for _, name := range []string{
 		"graphrep_nbindex_queries_total", "graphrep_nbindex_pq_pops_count",
 		"graphrep_nbindex_verified_leaves_count", "graphrep_nbindex_candidate_scans_count",
-		"graphrep_nbindex_exact_distances_sum",
+		"graphrep_nbindex_pass_pairs_count", "graphrep_nbindex_exact_distances_sum",
 	} {
 		if !strings.Contains(sb.String(), name) {
 			t.Errorf("exposition missing %s", name)

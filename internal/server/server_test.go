@@ -424,6 +424,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"graphrep_nbindex_pq_pops_bucket",
 		"graphrep_nbindex_verified_leaves_count 1",
 		"graphrep_nbindex_candidate_scans_count 1",
+		"graphrep_nbindex_pass_pairs_count 1",
 		"graphrep_nbindex_exact_distances_count 1",
 		"graphrep_graphs 120",
 	} {

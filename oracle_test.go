@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -310,6 +311,86 @@ func TestDifferentialOracle(t *testing.T) {
 				idEngine, idQueries, idExact)
 		}
 	}
+}
+
+// FuzzDifferentialOracle is the differential oracle on inputs the fuzzer
+// chooses. From its arguments it builds a dataset (dud, dblp or amazon, at
+// most 60 graphs, any seed), a relevant share, a θ, a budget k, a shard
+// count in {1, 2, 4} and a worker count in 1–4, and requires
+// TopKRepresentative to equal TopKRepresentativeExact. θ is the distance of
+// a chosen pair, one ulp to either side of it, or 1.5 times it, so it lands
+// on the candidate windows' edges. With line set, the engine measures a
+// custom metric instead of the star distance: |x_a − x_b| over x_i =
+// 1 + i/60, computed as a quotient for even i and as the product i·(1/60)
+// for odd i. Subtraction within [1, 2) is exact, so that is a true metric
+// on its doubles, with non-integer distances whose windows round between
+// ulps. (A rounded 0.1·|a−b| is not: fl(0.1·3) − 0.1 > fl(0.1·2), which
+// breaks the vantage bound the index rests on.) The seeds are
+// TestDifferentialOracle's three trials, capped at 60 graphs.
+func FuzzDifferentialOracle(f *testing.F) {
+	for _, c := range []struct {
+		set  uint8
+		n    uint8
+		seed int64
+	}{{0, 60, 698393}, {1, 60, 315573}, {2, 41, 324408}} {
+		for i, line := range []bool{false, true} {
+			f.Add(c.set, c.n, c.seed, uint8(64+100*i), uint16(0x1043+0x1000*i), uint8(4), c.set+uint8(i), uint8(2), line)
+		}
+	}
+	f.Fuzz(func(t *testing.T, set, n uint8, seed int64, share uint8, pick uint16, k, shards, workers uint8, line bool) {
+		name := []string{"dud", "dblp", "amazon"}[set%3]
+		size := 1 + int(n)%60
+		db, err := graphrep.GenerateDataset(name, size, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := graphrep.Options{Seed: seed, Shards: []int{1, 2, 4}[shards%3], Workers: 1 + int(workers)%4}
+		dist := func(a, b graphrep.ID) float64 { return graphrep.Distance(db.Graph(a), db.Graph(b)) }
+		if line {
+			coord := make([]float64, size)
+			for i := range coord {
+				coord[i] = 1 + float64(i)/60
+				if i%2 == 1 {
+					coord[i] = 1 + float64(i)*(1.0/60)
+				}
+			}
+			dist = func(a, b graphrep.ID) float64 { return math.Abs(coord[a] - coord[b]) }
+			opts.Metric = graphrep.MetricFunc(dist)
+		}
+		theta := dist(graphrep.ID(int(pick&63)%size), graphrep.ID(int(pick>>6&63)%size))
+		switch pick >> 12 & 3 {
+		case 1:
+			theta = math.Nextafter(theta, 0)
+		case 2:
+			theta = math.Nextafter(theta, math.Inf(1))
+		case 3:
+			theta *= 1.5
+		}
+		score := graphrep.DimensionScore(nil)
+		scores := make([]float64, size)
+		for i := range scores {
+			scores[i] = score(db.Graph(graphrep.ID(i)).Features())
+		}
+		slices.Sort(scores)
+		tau := scores[int((1-float64(share)/255)*float64(size-1))]
+		q := graphrep.Query{Relevance: func(f []float64) bool { return score(f) >= tau }, Theta: theta, K: 1 + int(k)%8}
+		engine, err := graphrep.Open(db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := engine.TopKRepresentativeExact(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := engine.TopKRepresentative(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, want) {
+			t.Errorf("%s n=%d seed=%d line=%v %+v θ=%v k=%d τ=%v:\n got %v gains %v covered %d\nwant %v gains %v covered %d",
+				name, size, seed, line, opts, theta, q.K, tau, got.Answer, got.Gains, got.Covered, want.Answer, want.Gains, want.Covered)
+		}
+	})
 }
 
 // walkQueries lists one query per θ of a refinement walk.

@@ -66,7 +66,8 @@ func collectAnswers(t *testing.T, engine *graphrep.Engine, k int) ([]answer, []g
 // TestShardCountAnswerEquality builds the same database at 1, 2, and 4
 // shards and checks every answer — TopK at several θ and the full sweep
 // curve — is identical, as is each TopK call's search work: heap pops,
-// verified leaves, candidate scans and threshold tests issued. The split of
+// verified leaves, candidate scans, vantage-pass pairs and threshold tests
+// issued. The split of
 // those tests between exact and pruned is left out, since memo order can
 // shift it. Every call must pop exactly the graphs it verifies.
 func TestShardCountAnswerEquality(t *testing.T) {
@@ -219,7 +220,7 @@ func TestBoundedKernelAnswerEquality(t *testing.T) {
 			for i := range on.stats {
 				a, b := on.stats[i], off.stats[i]
 				if a.PQPops != b.PQPops || a.VerifiedLeaves != b.VerifiedLeaves ||
-					a.CandidateScans != b.CandidateScans ||
+					a.CandidateScans != b.CandidateScans || a.PassPairs != b.PassPairs ||
 					a.ExactDistances+a.PrunedDistances != b.ExactDistances+b.PrunedDistances {
 					t.Errorf("shards=%d workers=%d query %d: work shape differs with kernel on vs off:\n on %+v\noff %+v",
 						shards, workers, i, a, b)

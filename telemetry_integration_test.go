@@ -71,6 +71,7 @@ func TestEngineTelemetryMatchesQueryStats(t *testing.T) {
 			want.PQPops += st.PQPops
 			want.VerifiedLeaves += st.VerifiedLeaves
 			want.CandidateScans += st.CandidateScans
+			want.PassPairs += st.PassPairs
 			want.ExactDistances += st.ExactDistances
 			want.PrunedDistances += st.PrunedDistances
 			queries++
@@ -94,8 +95,8 @@ func TestEngineTelemetryMatchesQueryStats(t *testing.T) {
 	// LastStats, so compare against the session-summed floor per field and
 	// the exact total for the histogram count.
 	if got.PQPops < want.PQPops || got.VerifiedLeaves < want.VerifiedLeaves ||
-		got.CandidateScans < want.CandidateScans || got.ExactDistances < want.ExactDistances ||
-		got.PrunedDistances < want.PrunedDistances {
+		got.CandidateScans < want.CandidateScans || got.PassPairs < want.PassPairs ||
+		got.ExactDistances < want.ExactDistances || got.PrunedDistances < want.PrunedDistances {
 		t.Errorf("QueryTotals = %+v, want at least %+v", got, want)
 	}
 
@@ -136,6 +137,7 @@ func TestEngineTelemetryMatchesQueryStats(t *testing.T) {
 		want2.PQPops += st.PQPops
 		want2.VerifiedLeaves += st.VerifiedLeaves
 		want2.CandidateScans += st.CandidateScans
+		want2.PassPairs += st.PassPairs
 		want2.ExactDistances += st.ExactDistances
 		want2.PrunedDistances += st.PrunedDistances
 	}
